@@ -24,6 +24,7 @@ from .base import C0_DEFAULT, InputError
 from .statdist import (
     MvnRect,
     _genz_qmc_batch,
+    _leggauss,
     _scaled_chi_logpdf,
     bvn_rect_prob,
     chi2_quantile,
@@ -48,9 +49,15 @@ SIGMA_DEGENERATE = 1e-12
 _TAIL_MASS = 5e-11
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=128)
+def _unit_chi_bounds(nu2):
+    """Central-mass interval of s / sigma1 = sqrt(chi2(nu2) / nu2).
+
+    Drops _TAIL_MASS on each side.  The bounds depend on nu2 alone, so they
+    are computed once per nu2 (as passed) and shared by every solve.
+    """
+    return (np.sqrt(chi2_quantile(_TAIL_MASS, nu2) / nu2),
+            np.sqrt(chi2_quantile(1.0 - _TAIL_MASS, nu2) / nu2))
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,7 @@ def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9,
     if np.any(rand):
         th, sg, tt, cc = theta[rand], sigma1[rand], t[rand], c[rand]
         # central-mass interval of s, then truncated by the width constraint
-        unit_lo = np.sqrt(chi2_quantile(_TAIL_MASS, nu2) / nu2)
-        unit_hi = np.sqrt(chi2_quantile(1.0 - _TAIL_MASS, nu2) / nu2)
+        unit_lo, unit_hi = _unit_chi_bounds(nu2)
         b = np.minimum(unit_hi * sg, cc / tt)
         a = np.where(b <= unit_lo * sg, 0.0, unit_lo * sg)
         est = np.zeros(th.size)

@@ -24,13 +24,19 @@ from importlib import metadata
 
 import numpy as np
 
-from .base import ALPHA0_DEFAULT, C0_DEFAULT, EquivalenceSpec, InputError
+from .base import (
+    ALPHA0_DEFAULT,
+    C0_DEFAULT,
+    EquivalenceSpec,
+    InputError,
+    NonConvergenceError,
+)
 from .mvt import MvtSummary, ctost_mvt_adjust, lambda_argsup
-from .powerkernel import _omega_batch
 from .statdist import SigmaHatLaw, rng_stream, sample_wishart_diag, t_quantile
 from .univariate import (
-    _alpha_star_batch,
+    _alpha_star,
     _calibrate_level,
+    _delta_margin,
     _match_margin,
     default_calibration_table,
 )
@@ -270,27 +276,6 @@ def _record(cfg, K, rho, sigma_config, nu2, x, method, n_reject):
     }
 
 
-def _delta_margin_rows(sigma, nu2, t, c0, alpha0, tol=1e-8, max_iter=120):
-    """Elementwise margin c with size alpha0 at a fixed multiplier t > 0."""
-    sigma = np.asarray(sigma, dtype=float)
-    lo = np.zeros_like(sigma)
-    hi = np.full_like(sigma, c0)
-    for _ in range(60):
-        need = _omega_batch(c0, sigma, nu2, t, hi) < alpha0
-        if not np.any(need):
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        sz = _omega_batch(c0, sigma, nu2, t, mid)
-        up = sz < alpha0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        if np.max(hi - lo) < 1e-12 or np.max(np.abs(sz - alpha0)) <= tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _sweep_table(cfg):
     """Calibration table for ctost-star cells, or None when unusable."""
     try:
@@ -317,6 +302,13 @@ def _ctost_star_levels(sh, nu2, cfg, table):
     return level
 
 
+def _require_converged(conv, method, nu2):
+    if not conv.all():
+        raise NonConvergenceError(
+            f"{method} solve did not converge for {np.count_nonzero(~conv)} "
+            f"of {conv.size} replicates at nu2={nu2}")
+
+
 def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
     """Per-method boolean rejection vectors for one cell (shared draws)."""
     c0, alpha0 = cfg.c0, cfg.alpha0
@@ -326,10 +318,12 @@ def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
         if method == "tost":
             out[method] = ath < c0 - t_tost * sh
         elif method == "alpha-tost":
-            _, t_star, _ = _alpha_star_batch(sh, nu2, c0, alpha0)
+            _, t_star, _, _, conv = _alpha_star(sh, nu2, c0, alpha0)
+            _require_converged(conv, method, nu2)
             out[method] = ath < c0 - t_star * sh
         elif method == "delta-tost":
-            c_delta = _delta_margin_rows(sh, nu2, t_tost, c0, alpha0)
+            c_delta, _, _, conv = _delta_margin(sh, nu2, t_tost, c0, alpha0)
+            _require_converged(conv, method, nu2)
             out[method] = ath < c_delta - t_tost * sh
         elif method == "ctost":
             c_hat, _, _ = _match_margin(sh, alpha0, c0)
@@ -342,7 +336,11 @@ def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
 
 
 def run_univariate_sweep(cfg):
-    """Run the univariate size/power sweep described by cfg."""
+    """Run the univariate size/power sweep described by cfg.
+
+    Raises NonConvergenceError, naming the method and nu2, when an
+    alpha-tost or delta-tost solve stops at its iteration cap.
+    """
     if cfg.design != "univariate-sweep":
         raise InputError(f"config design is {cfg.design!r}, expected univariate-sweep")
     table = _sweep_table(cfg) if "ctost-star" in cfg.methods else None

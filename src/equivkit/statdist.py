@@ -1,6 +1,6 @@
 """Distributional building blocks: special functions, the scaled-chi law of a
-standard-error estimate, quadrature rules, multivariate-normal rectangle
-probabilities, and Wishart-diagonal sampling.
+standard-error estimate, the shared Gauss-Legendre rule, multivariate-normal
+rectangle probabilities, and Wishart-diagonal sampling.
 
 Everything here is pure given its inputs.  Sampling takes an explicit
 (seed, stream) pair and is reproducible independent of call order; see
@@ -25,9 +25,6 @@ __all__ = [
     "t_quantile",
     "chi2_quantile",
     "SigmaHatLaw",
-    "sigma_hat_density",
-    "QuadratureRule",
-    "expect_sigma_hat",
     "MvnRect",
     "mvn_rect_prob",
     "bvn_rect_prob",
@@ -36,12 +33,12 @@ __all__ = [
     "rng_stream",
 ]
 
-_SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -155,82 +152,6 @@ class SigmaHatLaw:
     def sample(self, n, rng):
         v = rng.chisquare(self.nu2, size=n)
         return self.sigma1 * np.sqrt(v / self.nu2)
-
-
-def sigma_hat_density(x, law: SigmaHatLaw):
-    """Density of the standard-error estimate under ``law`` at x > 0."""
-    return law.pdf(x)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Fixed quadrature rule on an interval.
-
-    ``weights`` sum to the interval length (exactly for Gauss-Legendre,
-    up to truncation error ~1e-10 for tanh-sinh).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("gauss-legendre", "tanh-sinh"):
-            raise InputError(f"unknown quadrature kind {self.kind!r}")
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
-            raise InputError("nodes and weights must be 1-d arrays of equal length")
-        if self.nodes.size < 16:
-            raise InputError("quadrature rules need at least 16 nodes")
-        if np.any(self.weights <= 0):
-            raise InputError("quadrature weights must be positive")
-
-    @classmethod
-    def gauss_legendre(cls, n: int, a: float, b: float) -> "QuadratureRule":
-        x, w = _leggauss(n)
-        half = 0.5 * (b - a)
-        return cls(a + half * (x + 1.0), half * w, "gauss-legendre")
-
-    @classmethod
-    def tanh_sinh(cls, n: int, a: float, b: float) -> "QuadratureRule":
-        m = (n - 1) // 2
-        # place the extreme nodes at 1 - ~1e-15 on the reference interval
-        h = np.arcsinh(36.0 / np.pi) / m
-        k = np.arange(-m, m + 1)
-        u = 0.5 * np.pi * np.sinh(k * h)
-        x = np.tanh(u)
-        w = h * 0.5 * np.pi * np.cosh(k * h) / np.cosh(u) ** 2
-        half = 0.5 * (b - a)
-        return cls(a + half * (x + 1.0), half * w, "tanh-sinh")
-
-    def integrate(self, f):
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
-def expect_sigma_hat(f, law: SigmaHatLaw, rtol: float = 1e-9, n0: int = 64,
-                     n_max: int = 4096, mass: float = 1e-10):
-    """E[f(s)] for s ~ law, by Gauss-Legendre on the central 1-mass interval.
-
-    Doubles the node count until two successive estimates agree to rtol
-    (absolute when the estimate is below 1).  The integrand f must be
-    vectorized and bounded.
-    """
-    a = float(law.quantile(0.5 * mass))
-    b = float(law.quantile(1.0 - 0.5 * mass))
-    prev = None
-    n = n0
-    while True:
-        rule = QuadratureRule.gauss_legendre(n, a, b)
-        est = rule.integrate(lambda s: f(s) * law.pdf(s))
-        if prev is not None and abs(est - prev) <= rtol * max(1.0, abs(est)):
-            return est
-        if n >= n_max:
-            return est
-        prev = est
-        n *= 2
 
 
 # ---------------------------------------------------------------------------

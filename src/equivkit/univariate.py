@@ -35,8 +35,8 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import _leggauss, _omega_batch
-from .statdist import chi2_quantile, rng_stream, t_quantile
+from .powerkernel import _omega_batch, _unit_chi_bounds
+from .statdist import _leggauss, rng_stream, t_quantile
 
 __all__ = [
     "UnivSummary",
@@ -191,33 +191,106 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
 # level and margin adjustments at nonzero multiplier
 # ---------------------------------------------------------------------------
 
+def _bisect(resid, lo, hi, tol, max_iter):
+    """Bisection on a residual increasing in x, vectorized over rows.
+
+    ``resid(x, rows)`` evaluates the rows with indices ``rows`` at x.  Each
+    row stops at the first midpoint with |residual| <= tol, exactly as a
+    scalar loop does.  Returns (x, residual, iterations, converged_mask),
+    where x is the last midpoint tested in each row.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    r = np.full_like(lo, np.nan)
+    conv = np.zeros(lo.shape, dtype=bool)
+    rows = np.arange(lo.size)
+    iters = 0
+    while rows.size and iters < max_iter:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        res = resid(mid, rows)
+        x[rows], r[rows] = mid, res
+        iters += 1
+        hit = np.abs(res) <= tol
+        conv[rows[hit]] = True
+        below = res < 0
+        lo[rows] = np.where(below, mid, lo[rows])
+        hi[rows] = np.where(below, hi[rows], mid)
+        rows = rows[~hit]
+    return x, r, iters, conv
+
+
+def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8, max_iter=200):
+    """Level alpha* whose multiplier t_{alpha*,nu2} gives size alpha0 at c0.
+
+    Bisection over alpha in (alpha0, 0.5], vectorized over sigma: the size
+    increases in alpha, reaching its supremum at alpha = 0.5 where the
+    multiplier vanishes.  Rows where even that supremum is below alpha0
+    have no interior solution; they saturate at alpha = 0.5, t = 0, with
+    the shortfall as residual.  Returns (alpha, t, residual, iterations,
+    converged_mask).
+    """
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    alpha = np.full(sigma.shape, 0.5)
+    t = np.zeros(sigma.shape)
+    resid = _size_fixed(c0, sigma, c0) - alpha0
+    conv = np.ones(sigma.shape, dtype=bool)
+    free = np.flatnonzero(resid >= 0)
+    sg = sigma[free]
+
+    def size_gap(a, rows):
+        return _omega_batch(c0, sg[rows], nu2, t_quantile(a, nu2), c0) - alpha0
+
+    a, r, iters, ok = _bisect(size_gap, np.full(free.size, alpha0),
+                              np.full(free.size, 0.5), tol, max_iter)
+    alpha[free], resid[free], conv[free] = a, r, ok
+    t[free] = t_quantile(a, nu2)
+    return alpha, t, resid, iters, conv
+
+
+def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8, max_iter=200):
+    """Margin c giving size alpha0 at c0 when the test subtracts t * s.
+
+    Bisection on c, vectorized over sigma at one multiplier t >= 0; the
+    size is strictly increasing in c, 0 as c -> 0 and 1 as c -> infinity,
+    so a root always exists.  The bracket starts at c0 + 10 sigma (1 + t)
+    and doubles until it holds the root.  Returns (c, residual,
+    iterations, converged_mask).
+    """
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    hi = c0 + 10.0 * sigma * (1.0 + t)
+    grow = np.flatnonzero(_omega_batch(c0, sigma, nu2, t, hi) < alpha0)
+    while grow.size:
+        hi[grow] *= 2.0
+        grow = grow[_omega_batch(c0, sigma[grow], nu2, t, hi[grow]) < alpha0]
+
+    def size_gap(c, rows):
+        return _omega_batch(c0, sigma[rows], nu2, t, c) - alpha0
+
+    return _bisect(size_gap, np.zeros(sigma.shape), hi, tol, max_iter)
+
+
+def _scalar_root(what, x, resid, conv):
+    """(value, residual) of a one-row solve; raises if it hit its cap."""
+    if not conv[0]:
+        raise NonConvergenceError(
+            f"{what} bisection stalled, residual {resid[0]:.3e}", last=float(x[0]))
+    return float(x[0]), float(resid[0])
+
+
 def margin_for_multiplier(sigma1: float, nu2: int, t: float,
                           spec: EquivalenceSpec = None,
                           tol: float = 1e-8, max_iter: int = 200) -> float:
     """Margin c matching size alpha0 when the test subtracts t * s.
 
-    Solved by bisection on c; the size is strictly increasing in c, 0 as
-    c -> 0 and 1 as c -> infinity, so a root always exists.  t = 0
+    Solved by bisection on c (see :func:`_delta_margin`).  t = 0
     reproduces the cTOST margin (up to the looser tolerance).
     """
     spec = spec or EquivalenceSpec()
     if not (sigma1 > 0) or t < 0:
         raise InputError("need sigma1 > 0 and t >= 0")
-    lo = 0.0
-    hi = spec.c0 + 10.0 * sigma1 * (1.0 + t)
-    while _omega_batch(spec.c0, sigma1, nu2, t, hi) < spec.alpha0:
-        hi *= 2.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        resid = _omega_batch(spec.c0, sigma1, nu2, t, mid) - spec.alpha0
-        if abs(resid) <= tol:
-            return mid
-        if resid < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergenceError(
-        f"margin bisection stalled at width {hi - lo:.3e}", last=0.5 * (lo + hi))
+    c, resid, _, conv = _delta_margin(sigma1, nu2, t, spec.c0, spec.alpha0,
+                                      tol=tol, max_iter=max_iter)
+    return _scalar_root("margin", c, resid, conv)[0]
 
 
 def delta_tost_adjust(sigma1_hat: float, nu2: int,
@@ -225,9 +298,12 @@ def delta_tost_adjust(sigma1_hat: float, nu2: int,
                       tol: float = 1e-8) -> UnivAdjustment:
     """Widened margins c* at the nominal level alpha0 (multiplier t_{alpha0,nu2})."""
     spec = spec or EquivalenceSpec()
+    if not (sigma1_hat > 0):
+        raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
     t = float(t_quantile(spec.alpha0, nu2))
-    c = margin_for_multiplier(sigma1_hat, nu2, t, spec, tol=tol)
-    resid = float(_omega_batch(spec.c0, sigma1_hat, nu2, t, c) - spec.alpha0)
+    c, resid, _, conv = _delta_margin(sigma1_hat, nu2, t, spec.c0, spec.alpha0,
+                                      tol=tol)
+    c, resid = _scalar_root("margin", c, resid, conv)
     return UnivAdjustment(method="delta-tost", t_used=t, c_used=c,
                           converged=True, residual=resid)
 
@@ -235,65 +311,21 @@ def delta_tost_adjust(sigma1_hat: float, nu2: int,
 def alpha_tost_adjust(sigma1_hat: float, nu2: int,
                       spec: EquivalenceSpec = None,
                       tol: float = 1e-8, max_iter: int = 200) -> UnivAdjustment:
-    """Adjusted level alpha* with margins fixed at c0.
+    """Adjusted level alpha* with margins fixed at c0 (see :func:`_alpha_star`).
 
-    Bisection over alpha in (alpha0, 0.5]: the size of the test with
-    multiplier t_{alpha,nu2} increases in alpha, reaching its supremum at
-    alpha = 0.5 where the multiplier vanishes.  If even that supremum is
-    below alpha0 no interior solution exists and the boundary value is
+    If no interior solution exists the boundary value alpha = 0.5 is
     returned with ``saturated=True``.
     """
     spec = spec or EquivalenceSpec()
     if not (sigma1_hat > 0):
         raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
-    c0, alpha0 = spec.c0, spec.alpha0
-
-    size_sup = float(_size_fixed(c0, sigma1_hat, c0) - alpha0)
-    if size_sup < 0:
-        return UnivAdjustment(method="alpha-tost", t_used=0.0, c_used=c0,
-                              alpha_adj=0.5, saturated=True, residual=size_sup)
-
-    lo, hi = alpha0, 0.5
-    alpha = alpha0
-    resid = None
-    for it in range(max_iter):
-        alpha = 0.5 * (lo + hi)
-        t = float(t_quantile(alpha, nu2))
-        resid = float(_omega_batch(c0, sigma1_hat, nu2, t, c0) - alpha0)
-        if abs(resid) <= tol:
-            return UnivAdjustment(method="alpha-tost", t_used=t, c_used=c0,
-                                  alpha_adj=alpha, iterations=it + 1,
-                                  converged=True, residual=resid)
-        if resid < 0:
-            lo = alpha
-        else:
-            hi = alpha
-    raise NonConvergenceError(
-        f"alpha bisection stalled, residual {resid:.3e}", last=alpha)
-
-
-def _alpha_star_batch(sigma, nu2, c0, alpha0, tol=1e-8, max_iter=60):
-    """Vectorized alpha-TOST solve; returns (alpha*, t*, saturated)."""
-    sigma = np.asarray(sigma, dtype=float)
-    saturated = _size_fixed(c0, sigma, c0) < alpha0
-    lo = np.full(sigma.shape, alpha0)
-    hi = np.full(sigma.shape, 0.5)
-    done = saturated.copy()
-    alpha = np.where(saturated, 0.5, alpha0)
-    for _ in range(max_iter):
-        if done.all():
-            break
-        mid = 0.5 * (lo + hi)
-        t = t_quantile(np.where(done, 0.25, mid), nu2)  # placeholder for done rows
-        resid = _omega_batch(c0, sigma, nu2, t, c0) - alpha0
-        hit = np.abs(resid) <= tol
-        alpha = np.where(~done & hit, mid, alpha)
-        done |= hit
-        lo = np.where(~done & (resid < 0), mid, lo)
-        hi = np.where(~done & (resid >= 0), mid, hi)
-    alpha = np.where(done, alpha, 0.5 * (lo + hi))
-    t_star = np.where(saturated, 0.0, t_quantile(np.clip(alpha, 1e-12, 0.5), nu2))
-    return alpha, t_star, saturated
+    alpha, t, resid, iters, conv = _alpha_star(
+        sigma1_hat, nu2, spec.c0, spec.alpha0, tol=tol, max_iter=max_iter)
+    alpha, resid = _scalar_root("alpha", alpha, resid, conv)
+    # the bisection only tests midpoints below 0.5, so 0.5 means saturated
+    return UnivAdjustment(method="alpha-tost", t_used=float(t[0]), c_used=spec.c0,
+                          alpha_adj=alpha, iterations=iters,
+                          saturated=alpha == 0.5, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +338,7 @@ def _conditional_chi_rule(nu2: int, n_nodes: int = 64):
     u is sigma-free: u = sqrt(V / nu2) with V chi-square(nu2).  The rule
     covers the central mass, leaving ~1e-10 in the tails.
     """
-    lo = np.sqrt(chi2_quantile(5e-11, nu2) / nu2)
-    hi = np.sqrt(chi2_quantile(1.0 - 5e-11, nu2) / nu2)
+    lo, hi = _unit_chi_bounds(nu2)
     x, w = _leggauss(n_nodes)
     half = 0.5 * (hi - lo)
     u = lo + half * (x + 1.0)

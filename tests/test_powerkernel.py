@@ -12,6 +12,7 @@ from equivkit.powerkernel import (
     UnivPowerQuery,
     _omega_batch,
     _power_mvt_mc,
+    _unit_chi_bounds,
     power_mvt,
     power_uni,
     size_uni,
@@ -132,6 +133,16 @@ def test_omega_batch_mixed_fixed_and_random_margins():
     want0 = oracles.omega_quad(0.02, 0.09, 14, 0.0, 0.2)
     want1 = oracles.omega_quad(0.02, 0.09, 14, 1.5, 0.3)
     np.testing.assert_allclose(got, [want0, want1], atol=2e-9)
+
+
+@pytest.mark.parametrize("nu2", [4, 20, 20.5])
+def test_unit_chi_bounds_match_scipy_chi(nu2):
+    # nu2 is used as passed: a fractional value is not truncated.  The
+    # chi-square inverse loses digits deep in the lower tail, hence 1e-7
+    lo, hi = _unit_chi_bounds(nu2)
+    ref = oracles.chi_law(1.0, nu2)
+    assert lo == pytest.approx(ref.ppf(5e-11), rel=1e-7)
+    assert hi == pytest.approx(ref.isf(5e-11), rel=1e-7)
 
 
 def test_tiny_margin_width_gives_zero():

@@ -1,10 +1,13 @@
 """Simulation harness: reproducibility, schema discipline, and agreement
 between empirical rates and the analytic rejection probabilities."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from equivkit.base import InputError
+from equivkit import simkit, univariate
+from equivkit.base import InputError, NonConvergenceError
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import (
     CSV_HEADER,
@@ -235,6 +238,25 @@ def test_sweep_all_methods_run():
         replicates=300, sigma_grid=(0.1,), nu2_set=(10,), theta_grid=(0.0,))
     res = run_univariate_sweep(cfg)
     assert {r["method"] for r in res.records} == set(cfg.methods)
+
+
+def test_sweep_delta_tost_size_at_small_sigma():
+    # at sigma 0.02 most replicates meet the margin tolerance at the first
+    # bisection midpoint; the margin must be that midpoint, not a wider one
+    cfg = _small_univ(methods=("delta-tost",), replicates=2000, seed=0,
+                      sigma_grid=(0.02,), nu2_set=(20,), theta_grid=(C0,))
+    rate = run_univariate_sweep(cfg).records[0]["rate"]
+    assert rate <= 0.1
+
+
+@pytest.mark.parametrize("method,solver", [("alpha-tost", "_alpha_star"),
+                                           ("delta-tost", "_delta_margin")])
+def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver):
+    capped = functools.partial(getattr(univariate, solver), max_iter=3)
+    monkeypatch.setattr(simkit, solver, capped)
+    cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
+    with pytest.raises(NonConvergenceError, match=f"{method}.*nu2=20"):
+        run_univariate_sweep(cfg)
 
 
 def test_run_simulation_dispatch():

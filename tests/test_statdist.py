@@ -12,13 +12,12 @@ from scipy import stats
 
 from equivkit.statdist import (
     MvnRect,
-    QuadratureRule,
     SigmaHatLaw,
     _genz_qmc,
+    _leggauss,
     _rect_gl_cond,
     bvn_rect_prob,
     chi2_quantile,
-    expect_sigma_hat,
     mvn_rect_prob,
     norm_cdf,
     norm_pdf,
@@ -26,7 +25,6 @@ from equivkit.statdist import (
     rng_stream,
     sample_wishart_cov,
     sample_wishart_diag,
-    sigma_hat_density,
     t_quantile,
 )
 from equivkit.base import InputError
@@ -60,7 +58,7 @@ def _eval_special(name, args):
     if name == "sigma_hat_pdf":
         x, sigma1, nu2 = args
         law = SigmaHatLaw(sigma1=sigma1, nu2=int(nu2))
-        return float(sigma_hat_density(x, law))
+        return float(law.pdf(x))
     raise AssertionError(f"unknown oracle function {name}")
 
 
@@ -148,28 +146,6 @@ def test_sigma_hat_law_validation():
         SigmaHatLaw(sigma1=-0.1, nu2=5)
     with pytest.raises(InputError):
         SigmaHatLaw(sigma1=0.1, nu2=0)
-
-
-def test_expect_sigma_hat_closed_forms():
-    sigma1, nu2 = 0.23, 9
-    law = SigmaHatLaw(sigma1=sigma1, nu2=nu2)
-    # E[s^2] = sigma1^2 exactly, E[s] has the classic gamma-ratio form
-    m2 = expect_sigma_hat(lambda s: s**2, law, rtol=1e-11)
-    assert m2 == pytest.approx(sigma1**2, rel=1e-9)
-    from scipy.special import gammaln
-
-    m1_exact = sigma1 * np.sqrt(2 / nu2) * np.exp(
-        gammaln((nu2 + 1) / 2) - gammaln(nu2 / 2)
-    )
-    m1 = expect_sigma_hat(lambda s: s, law, rtol=1e-11)
-    assert m1 == pytest.approx(m1_exact, rel=1e-9)
-
-
-def test_expect_sigma_hat_total_mass():
-    law = SigmaHatLaw(sigma1=0.08, nu2=30)
-    assert expect_sigma_hat(lambda s: np.ones_like(s), law) == pytest.approx(
-        1.0, rel=1e-9
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,36 +355,27 @@ def test_wishart_determinism_and_generator_input():
 
 
 # ---------------------------------------------------------------------------
-# quadrature rules
+# the shared Gauss-Legendre rule
 # ---------------------------------------------------------------------------
 
 def test_gauss_legendre_exact_on_polynomials():
-    rule = QuadratureRule.gauss_legendre(16, -1.0, 2.0)
+    x, w = _leggauss(16)
+    a, b = -1.0, 2.0
+    half = 0.5 * (b - a)
+    nodes = a + half * (x + 1.0)
     # degree 29 is within the exactness range of a 16 point rule
     coeffs = np.arange(1.0, 31.0)
-
-    def poly(x):
-        return np.polyval(coeffs, x)
-
-    exact = np.polyval(np.polyint(coeffs), 2.0) - np.polyval(np.polyint(coeffs), -1.0)
-    assert rule.integrate(poly) == pytest.approx(exact, rel=1e-12)
+    exact = np.polyval(np.polyint(coeffs), b) - np.polyval(np.polyint(coeffs), a)
+    assert half * np.sum(w * np.polyval(coeffs, nodes)) == pytest.approx(exact, rel=1e-12)
 
 
-def test_tanh_sinh_handles_endpoint_singularity():
-    rule = QuadratureRule.tanh_sinh(81, 0.0, 1.0)
-    got = rule.integrate(lambda x: 1.0 / np.sqrt(np.clip(x, 1e-300, None)))
-    assert got == pytest.approx(2.0, rel=1e-8)
-
-
-def test_quadrature_validation():
-    with pytest.raises(InputError):
-        QuadratureRule.gauss_legendre(8, 0.0, 1.0)  # below the node minimum
-    with pytest.raises(InputError):
-        QuadratureRule.gauss_legendre(16, 1.0, 1.0)  # degenerate interval
-    with pytest.raises(InputError):
-        QuadratureRule(np.linspace(0, 1, 20), np.ones(19), "gauss-legendre")
-    with pytest.raises(InputError):
-        QuadratureRule(np.linspace(0, 1, 20), np.ones(20), "midpoint")
+def test_gauss_legendre_rule_is_read_only():
+    # the cached arrays are shared by every caller
+    x, w = _leggauss(16)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,15 @@ from equivkit.base import (
     EquivalenceSpec,
     ExtrapolationError,
     InputError,
+    NonConvergenceError,
 )
 from equivkit.univariate import (
     TABLE_ENV_VAR,
     CalibrationTable,
     UnivSummary,
-    _alpha_star_batch,
+    _alpha_star,
     _calibrate_level,
+    _delta_margin,
     _match_margin,
     _size_fixed,
     alpha_tost_adjust,
@@ -137,14 +139,38 @@ def test_alpha_star_saturates_for_large_noise():
     assert adj.alpha_adj == pytest.approx(0.5)
 
 
-def test_alpha_star_batch_matches_scalar():
-    sigma = np.array([0.05, 0.1, 0.2])
-    alpha, t, sat = _alpha_star_batch(sigma, 20, C0, 0.05)
-    for i, s in enumerate(sigma):
+# sigma 4.0 saturates alpha-TOST at nu2 = 20
+SOLVER_SIGMAS = np.array([0.02, 0.05, 0.1, 0.2, 4.0])
+
+
+def test_vector_solvers_match_scalar_wrappers():
+    # one vector call and per-element scalar calls run the same bisection,
+    # so they test the same midpoints and stop at the same one
+    t0 = float(t_quantile(0.05, 20))
+    alpha, t, _, _, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05)
+    c, _, _, d_conv = _delta_margin(SOLVER_SIGMAS, 20, t0, C0, 0.05)
+    assert a_conv.all() and d_conv.all()
+    for i, s in enumerate(SOLVER_SIGMAS):
         one = alpha_tost_adjust(float(s), 20)
-        assert alpha[i] == pytest.approx(one.alpha_adj, abs=2e-8)
-        assert t[i] == pytest.approx(one.t_used, abs=2e-6)
-        assert bool(sat[i]) == one.saturated
+        assert alpha[i] == one.alpha_adj
+        assert t[i] == one.t_used
+        assert (alpha[i] == 0.5) == one.saturated
+        assert c[i] == delta_tost_adjust(float(s), 20).c_used
+        assert c[i] == margin_for_multiplier(float(s), 20, t0)
+    assert alpha_tost_adjust(4.0, 20).saturated
+
+
+def test_solvers_flag_iteration_cap():
+    t0 = float(t_quantile(0.05, 20))
+    free = SOLVER_SIGMAS < 4.0  # the saturated row needs no bisection
+    *_, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05, max_iter=3)
+    *_, d_conv = _delta_margin(SOLVER_SIGMAS, 20, t0, C0, 0.05, max_iter=3)
+    assert not a_conv[free].any()
+    assert not d_conv.any()
+    with pytest.raises(NonConvergenceError):
+        alpha_tost_adjust(0.1, 20, max_iter=3)
+    with pytest.raises(NonConvergenceError):
+        margin_for_multiplier(0.1, 20, t0, max_iter=3)
 
 
 # ---------------------------------------------------------------------------
