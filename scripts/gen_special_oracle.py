@@ -27,10 +27,6 @@ def norm_cdf(x):
     return 0.5 * mp.erfc(-x / mp.sqrt(2))
 
 
-def norm_pdf(x):
-    return mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi)
-
-
 def norm_quantile(p):
     x0 = float(sp.ndtri(float(p)))
     return mp.findroot(lambda x: norm_cdf(x) - mp.mpf(p), x0)
@@ -81,8 +77,6 @@ def main():
     for x in ["-8", "-5", "-2.818", "-1.96", "-1", "-0.5", "-0.1", "0",
               "0.1", "0.5", "1", "1.6449", "1.96", "2.818", "5", "8"]:
         rows.append(("norm_cdf", x, fmt(norm_cdf(mp.mpf(x))), SOURCE))
-    for x in ["-3", "-1", "0", "0.5", "1", "2.5", "6"]:
-        rows.append(("norm_pdf", x, fmt(norm_pdf(mp.mpf(x))), SOURCE))
     for p in ["1e-10", "1e-6", "0.001", "0.025", "0.05", "0.1", "0.5",
               "0.9", "0.95", "0.954", "0.975", "0.999", "1-1e-6"]:
         pv = 1 - mp.mpf("1e-6") if p == "1-1e-6" else mp.mpf(p)

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .base import (
     ALPHA0_DEFAULT,
@@ -26,15 +25,8 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import MvtPowerQuery, power_mvt
-from .statdist import (
-    MvnRect,
-    _genz_qmc,
-    _rect_gl_cond,
-    bvn_rect_prob,
-    mvn_rect_prob,
-    t_quantile,
-)
+from .powerkernel import MvtPowerQuery, _omega_joint, power_mvt
+from .statdist import _check_corr, t_quantile
 from .univariate import _match_margin, _size_fixed
 
 __all__ = [
@@ -68,7 +60,6 @@ class MvtSummary:
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta_hat, dtype=float))
         sigma = np.atleast_1d(np.asarray(self.sigma1_hat, dtype=float))
-        corr = np.atleast_2d(np.asarray(self.correlation_hat, dtype=float))
         k = theta.size
         if sigma.size != k:
             raise InputError("theta_hat and sigma1_hat must have equal length")
@@ -76,18 +67,7 @@ class MvtSummary:
             raise InputError("theta_hat must be finite")
         if np.any(sigma <= 0):
             raise InputError("sigma1_hat entries must be positive")
-        if corr.shape != (k, k):
-            raise InputError(f"correlation_hat must be {k}x{k}")
-        if not np.allclose(corr, corr.T, atol=1e-12):
-            raise InputError("correlation_hat must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise InputError("correlation_hat must have unit diagonal")
-        try:
-            np.linalg.cholesky(corr)
-        except np.linalg.LinAlgError:
-            raise InputError(
-                "correlation_hat is not positive definite; "
-                "see repair_correlation") from None
+        corr = _check_corr(self.correlation_hat, k, "correlation_hat")
         if self.nu2 < 1:
             raise InputError(f"nu2 must be >= 1, got {self.nu2}")
         object.__setattr__(self, "theta_hat", theta)
@@ -155,37 +135,6 @@ class MvtAdjustment:
     converged: bool
 
 
-# ---------------------------------------------------------------------------
-# joint rejection probability at fixed margins (multiplier zero)
-# ---------------------------------------------------------------------------
-
-def _omega_joint(theta, sigma1, corr, c, tol: float = 2.5e-7, seed: int = 0,
-                 qmc_n: int = None) -> float:
-    """P(|theta_hat_k| < c_k for all k) with theta_hat ~ N(theta, D corr D).
-
-    K <= 4 and diagonal correlations are deterministic (closed forms or
-    conditional quadrature); K >= 5 falls back to quasi-MC, either adaptive
-    to ``tol`` or with a fixed point count ``qmc_n`` when the caller needs
-    a smooth objective across many evaluations.
-    """
-    k = len(sigma1)
-    a = (-c - theta) / sigma1
-    b = (c - theta) / sigma1
-    if k == 1:
-        return float(special.ndtr(b[0]) - special.ndtr(a[0]))
-    if k == 2:
-        return float(bvn_rect_prob(a[0], b[0], a[1], b[1], corr[0, 1]))
-    if np.max(np.abs(corr - np.eye(k))) < 1e-14:
-        return float(np.prod(special.ndtr(b) - special.ndtr(a)))
-    if k in (3, 4):
-        return _rect_gl_cond(a, b, corr)
-    if qmc_n is not None:
-        return _genz_qmc(a, b, corr, seed, qmc_n)[0]
-    rect = MvnRect(lower=-c, upper=c, mean=np.asarray(theta, dtype=float),
-                   covariance=corr * np.outer(sigma1, sigma1))
-    return mvn_rect_prob(rect, tol=tol, seed=seed)
-
-
 def _golden_max(f, lo: float, hi: float, xtol: float):
     """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
     a, b = lo, hi
@@ -249,7 +198,7 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
         def objective(theta):
             count[0] += 1
             return _omega_joint(theta, sigma1, corr, c, tol=tol, seed=seed,
-                                qmc_n=(1 << 12) if k >= 5 else None)
+                                n_points=(1 << 12) if k >= 5 else None)
     else:
         def objective(theta):
             count[0] += 1

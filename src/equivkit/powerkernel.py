@@ -22,13 +22,11 @@ from scipy import special
 
 from .base import C0_DEFAULT, InputError
 from .statdist import (
-    MvnRect,
-    _genz_qmc_batch,
+    _check_corr,
     _leggauss,
     _scaled_chi_logpdf,
-    bvn_rect_prob,
     chi2_quantile,
-    mvn_rect_prob,
+    rect_prob,
     rng_stream,
     sample_wishart_diag,
 )
@@ -110,7 +108,6 @@ class MvtPowerQuery:
         sigma1 = np.atleast_1d(np.asarray(self.sigma1, dtype=float))
         t = np.atleast_1d(np.asarray(self.t, dtype=float))
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        corr = np.atleast_2d(np.asarray(self.correlation, dtype=float))
         k = theta.size
         if t.size == 1:
             t = np.full(k, float(t[0]))
@@ -119,11 +116,7 @@ class MvtPowerQuery:
         for name, arr in (("sigma1", sigma1), ("t", t), ("c", c)):
             if arr.size != k:
                 raise InputError(f"{name} must have length {k}")
-        if corr.shape != (k, k):
-            raise InputError(f"correlation must be {k}x{k}")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise InputError("correlation must have unit diagonal")
-        np.linalg.cholesky(corr)
+        corr = _check_corr(self.correlation, k)
         if np.any(sigma1 < 0) or np.any(t < 0) or np.any(c <= 0):
             raise InputError("need sigma1 >= 0, t >= 0, c > 0")
         if self.nu2 < 1:
@@ -221,24 +214,32 @@ def size_uni(sigma1: float, nu2: int, t: float, c: float,
                      rtol=rtol)
 
 
+def _omega_joint(theta, sigma1, corr, c, tol: float = 2.5e-7, seed: int = 0,
+                 n_points: int = None) -> float:
+    """P(|theta_hat_k| < c_k for all k) with theta_hat ~ N(theta, D corr D).
+
+    The fixed-margin joint rejection probability: one normal rectangle,
+    evaluated by :func:`rect_prob` with its ``tol``, ``seed`` and
+    ``n_points``.
+    """
+    return rect_prob((-c - theta) / sigma1, (c - theta) / sigma1, corr,
+                     tol=tol, seed=seed, n_points=n_points)
+
+
 def _power_mvt_mc(q: MvtPowerQuery, seed, n_wishart: int) -> float:
-    """Monte Carlo over standard-error draws, exact conditional rectangle."""
+    """Monte Carlo over standard-error draws, exact conditional rectangle.
+
+    A draw whose box is empty (some c_k - t_k s_k <= 0) contributes 0.
+    """
     s = sample_wishart_diag(q.sigma1, q.correlation, q.nu2, n_wishart,
                             rng_stream(seed, "power-mvt"))
-    half = q.c[None, :] - q.t[None, :] * s
-    valid = np.all(half > 0.0, axis=1)
-    if not valid.any():
-        return 0.0
-    h = half[valid]
-    lo = (-h - q.theta[None, :]) / q.sigma1[None, :]
-    hi = (h - q.theta[None, :]) / q.sigma1[None, :]
-    if q.dim == 2:
-        rho = q.correlation[0, 1]
-        probs = bvn_rect_prob(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], rho)
-    else:
-        probs = _genz_qmc_batch(lo, hi, q.correlation,
-                                rng_stream(seed, "power-mvt", "qmc").integers(1 << 62),
-                                n_points=1 << 11)
+    half = q.c - q.t * s
+    # n_points reaches only K >= 5: a fixed 2^8 points in each scrambled
+    # set keeps the average smooth across calls
+    probs = rect_prob((-half - q.theta) / q.sigma1, (half - q.theta) / q.sigma1,
+                      q.correlation,
+                      seed=rng_stream(seed, "power-mvt", "qmc").integers(1 << 62),
+                      n_points=1 << 8)
     return float(np.sum(probs) / n_wishart)
 
 
@@ -246,12 +247,13 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
               n_wishart: int = 10_000) -> float:
     """Probability that the K-dimensional test described by ``q`` rejects.
 
-    t = 0 everywhere reduces to a single normal rectangle, evaluated to
-    ``tol``.  Otherwise the standard errors enter the box; if the
-    correlation is diagonal the dimensions decouple into a product of
-    univariate probabilities, and in general the value is a Monte Carlo
-    average over ``n_wishart`` standard-error draws of the conditional
-    rectangle probability.  Deterministic given (q, tol, seed).
+    t = 0 everywhere reduces to a single normal rectangle, the one the
+    joint fit evaluates (:func:`_omega_joint`, to ``tol``).  Otherwise the
+    standard errors enter the box; if the correlation is diagonal the
+    dimensions decouple into a product of univariate probabilities, and in
+    general the value is a Monte Carlo average over ``n_wishart``
+    standard-error draws of the conditional rectangle probability.
+    Deterministic given (q, tol, seed).
     """
     if q.dim == 1:
         return power_uni(UnivPowerQuery(
@@ -273,9 +275,7 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
         return power_mvt(sub, tol=tol, seed=seed, n_wishart=n_wishart)
 
     if np.all(q.t == 0.0):
-        rect = MvnRect(lower=-q.c, upper=q.c, mean=q.theta,
-                       covariance=q.correlation * np.outer(q.sigma1, q.sigma1))
-        return mvn_rect_prob(rect, tol=tol, seed=seed)
+        return _omega_joint(q.theta, q.sigma1, q.correlation, q.c, tol=tol, seed=seed)
 
     offdiag = np.max(np.abs(q.correlation - np.eye(q.dim)))
     if offdiag < 1e-14:

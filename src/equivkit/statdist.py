@@ -16,18 +16,15 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .base import InputError
+from .base import InputError, NonConvergenceError
 
 __all__ = [
     "norm_cdf",
-    "norm_pdf",
     "norm_quantile",
     "t_quantile",
     "chi2_quantile",
     "SigmaHatLaw",
-    "MvnRect",
-    "mvn_rect_prob",
-    "bvn_rect_prob",
+    "rect_prob",
     "sample_wishart_diag",
     "sample_wishart_cov",
     "rng_stream",
@@ -52,13 +49,6 @@ def _leggauss(n: int):
 def norm_cdf(x):
     """Standard normal CDF, accurate in both tails (erfc based)."""
     return special.ndtr(x)
-
-
-def norm_pdf(x):
-    """Standard normal density."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / _SQRT2PI
-    return out if out.ndim else float(out)
 
 
 def norm_quantile(p):
@@ -158,252 +148,209 @@ class SigmaHatLaw:
 # multivariate normal rectangles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MvnRect:
-    """Axis-aligned rectangle event for a K-variate normal distribution.
+# limits are clipped here; the normal mass beyond carries < 1e-17
+_LIMIT = 8.5
+# nodes per leading coordinate of the K = 3/4 conditional quadrature
+_GL_NODES = 20
+# bivariate evaluations per chunk of boxes, which bounds the quadrature's memory
+_GL_CHUNK = 1 << 14
+# scrambled Sobol sets per QMC estimate, and the adaptive point cap
+_QMC_SCRAMBLES = 8
+_QMC_MAX = 1 << 17
 
-    An empty box (some lower >= upper) is allowed and flagged via
-    ``is_empty``; its probability is 0.  The covariance must be symmetric
-    positive definite (Cholesky is attempted at construction).
+
+def rect_prob(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None):
+    """P(a < X < b) for X ~ N(0, corr), one value per box.
+
+    ``a`` and ``b`` hold standardized limits, both of shape (..., K);
+    ``corr`` must be a K x K correlation matrix, of which only the shape is
+    checked here (``MvtSummary`` and ``MvtPowerQuery`` check the rest).
+    Returns a float for one box, else an array of shape ``a.shape[:-1]``.
+    The method depends only on K and ``corr``:
+
+    - an empty box (some lower >= upper) gives 0;
+    - K = 1 or a diagonal ``corr`` (off-diagonals below 1e-14) gives the
+      product of normal CDF differences;
+    - K = 2 is closed form in Owen's T function (Owen 1956);
+    - K = 3/4 is Gauss-Legendre over the leading Cholesky coordinates with
+      the last two in closed form (Genz & Bretz 2009), accurate to ~1e-9 on
+      equivalence boxes;
+    - K >= 5 is randomized quasi-Monte Carlo over scrambled Sobol sets seeded
+      from ``seed``, with ``n_points`` points per set when given (a smooth
+      objective across calls) and otherwise doubling from 2^10 until three
+      standard errors fall below ``tol``.  Raises NonConvergenceError when
+      2^17 points do not reach it.
+
+    Deterministic given its arguments; each box's value does not depend on
+    the other boxes in the call.
     """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        k = lower.size
-        if not (upper.size == mean.size == k and cov.shape == (k, k)):
-            raise InputError("dimension mismatch in MvnRect")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise InputError("covariance must be symmetric")
-        np.linalg.cholesky(cov)  # raises LinAlgError if not PD
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @property
-    def is_empty(self) -> bool:
-        return bool(np.any(self.lower >= self.upper))
-
-
-def _standardize(rect: MvnRect):
-    sd = np.sqrt(np.diag(rect.covariance))
-    a = (rect.lower - rect.mean) / sd
-    b = (rect.upper - rect.mean) / sd
-    corr = rect.covariance / np.outer(sd, sd)
-    np.fill_diagonal(corr, 1.0)
-    return a, b, corr
-
-
-def bvn_rect_prob(a1, b1, a2, b2, rho, n_nodes: int = 96):
-    """P(a1 < X < b1, a2 < Y < b2) for standard bivariate normal, corr rho.
-
-    Vectorized over all five arguments.  Computed by Gauss-Legendre
-    integration of the conditional-normal form; the integrand is analytic,
-    so accuracy is ~1e-12 for |rho| <= 0.95 and better than 1e-8 up to
-    |rho| = 0.999 with the default node count.
-    """
-    a1, b1, a2, b2, rho = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a1, b1, a2, b2, rho))
-    )
-    shape = a1.shape
-    a1 = np.clip(a1.ravel(), -8.5, 8.5)
-    b1 = np.clip(b1.ravel(), -8.5, 8.5)
-    a2, b2 = a2.ravel(), b2.ravel()
-    rho = np.clip(rho.ravel(), -0.9999, 0.9999)
-
-    s = np.sqrt(1.0 - rho * rho)
-    x, w = _leggauss(n_nodes)
-    half = 0.5 * (b1 - a1)  # negative for empty boxes; masked at the end
-    nodes = a1[:, None] + half[:, None] * (x[None, :] + 1.0)
-    cond = special.ndtr((b2[:, None] - rho[:, None] * nodes) / s[:, None]) - special.ndtr(
-        (a2[:, None] - rho[:, None] * nodes) / s[:, None]
-    )
-    vals = np.exp(-0.5 * nodes * nodes) / _SQRT2PI * cond
-    out = half * (vals @ w)
-    out = np.where((b1 > a1) & (b2 > a2), np.clip(out, 0.0, 1.0), 0.0)
-    out = out.reshape(shape)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = a.shape[-1]
+    shape = a.shape[:-1]
+    corr = np.asarray(corr, dtype=float)
+    if b.shape != a.shape or corr.shape != (k, k):
+        raise InputError("rect_prob needs a and b of one shape (..., K) and a K x K corr")
+    a = a.reshape(-1, k)
+    b = b.reshape(-1, k)
+    live = (b > a).all(axis=1)
+    if live.all():
+        out = _live_boxes(a, b, corr, tol, seed, n_points)
+    else:
+        out = np.zeros(live.size)
+        if live.any():
+            out[live] = _live_boxes(a[live], b[live], corr, tol, seed, n_points)
+    out = np.minimum(np.maximum(out, 0.0), 1.0).reshape(shape)
     return out if out.ndim else float(out)
 
 
-def _genz_qmc(a, b, corr, seed, n_points: int, n_scrambles: int = 8):
-    """Randomized-QMC estimate of P(a < X < b), X ~ N(0, corr).
+def _live_boxes(a, b, corr, tol, seed, n_points):
+    """rect_prob for non-empty boxes (m, K)."""
+    k = a.shape[1]
+    # only the unit diagonal reaching 1e-14 means independent coordinates
+    if k == 1 or np.count_nonzero(np.abs(corr) >= 1e-14) == k:
+        return np.prod(special.ndtr(b) - special.ndtr(a), axis=1)
+    if k == 2:
+        return _bvn_rect(a[:, 0], b[:, 0], a[:, 1], b[:, 1], corr[0, 1])
+    if k <= 4:
+        return _gl_cond(a, b, np.linalg.cholesky(corr))
+    n = n_points or (1 << 10)
+    est, err = _genz_qmc(a, b, corr, seed, n)
+    while n_points is None and not 3.0 * np.max(err) < tol:
+        if n >= _QMC_MAX:
+            raise NonConvergenceError(
+                f"quasi-Monte Carlo rectangle probability reached {n} points "
+                f"with standard error {np.max(err):.3g}; tol {tol} needs "
+                f"3 standard errors below it", last=est)
+        n *= 2
+        est, err = _genz_qmc(a, b, corr, seed, n)
+    return est
 
-    Sequential conditional sampling along the Cholesky factor, averaged over
-    scrambled Sobol point sets.  Returns (estimate, standard error); both
-    are deterministic functions of the seed.
+
+# row i of the corner stack in _bvn_rect holds the other coordinate of row i
+_MIRROR = np.array([4, 5, 6, 7, 0, 1, 2, 3])
+
+
+def _bvn_rect(a1, b1, a2, b2, rho):
+    """Standard bivariate normal rectangle probabilities by Owen's T.
+
+    With s = sqrt(1 - rho^2) and beta = 1/2 when h and k have opposite
+    signs, else 0, the CDF is (Owen 1956)
+    Phi2(h, k) = Phi(h)/2 + Phi(k)/2 - T(h, (k - rho h)/(h s))
+    - T(k, (h - rho k)/(k s)) - beta.  The Phi terms cancel over the four
+    corners of a box, so one owens_t call over the eight corner arguments
+    gives the box.
     """
-    from scipy.stats import qmc
-
-    k = len(a)
-    # order variables by marginal mass: tightest first stabilizes the product
-    order = np.argsort(special.ndtr(b) - special.ndtr(a))
-    a, b = a[order], b[order]
-    corr = corr[np.ix_(order, order)]
-    chol = np.linalg.cholesky(corr)
-
-    tiny = 1e-15
-    ests = np.empty(n_scrambles)
-    seeds = np.random.SeedSequence(entropy=int(seed) & ((1 << 63) - 1)).spawn(n_scrambles)
-    for i in range(n_scrambles):
-        sob = qmc.Sobol(d=max(k - 1, 1), scramble=True, seed=np.random.default_rng(seeds[i]))
-        u = sob.random(n_points)
-        d = special.ndtr(np.full(n_points, a[0]) / chol[0, 0])
-        e = special.ndtr(np.full(n_points, b[0]) / chol[0, 0])
-        f = e - d
-        y = np.empty((n_points, k - 1)) if k > 1 else None
-        for j in range(1, k):
-            z = np.clip(d + u[:, j - 1] * (e - d), tiny, 1.0 - tiny)
-            y[:, j - 1] = special.ndtri(z)
-            drift = y[:, : j] @ chol[j, :j]
-            d = special.ndtr((a[j] - drift) / chol[j, j])
-            e = special.ndtr((b[j] - drift) / chol[j, j])
-            f = f * np.clip(e - d, 0.0, 1.0)
-        ests[i] = f.mean()
-    err = ests.std(ddof=1) / np.sqrt(n_scrambles) if n_scrambles > 1 else np.inf
-    return float(np.clip(ests.mean(), 0.0, 1.0)), float(err)
+    h = np.array([b1, a1, b1, a1, b2, b2, a2, a2])
+    h = np.minimum(np.maximum(h, -_LIMIT), _LIMIT)
+    # a limit at (or within 1e-300 of) 0 becomes +1e-300, which takes the
+    # formula's limit as h -> +0 without overflow: the T argument tends to
+    # sign(k) inf, or at the origin to (1 - rho)/s, which gives
+    # Phi2(0, 0) = 1/4 + arcsin(rho) / (2 pi)
+    h[np.abs(h) < 1e-300] = 1e-300
+    k = h[_MIRROR]
+    arg = (k - rho * h) / (h * np.sqrt((1.0 - rho) * (1.0 + rho)))
+    t = special.owens_t(h, arg)
+    corner = t[:4] + t[4:] + 0.5 * ((h[:4] < 0.0) != (k[:4] < 0.0))
+    return corner[1] + corner[2] - corner[0] - corner[3]
 
 
-def _genz_qmc_batch(a, b, corr, seed, n_points: int = 1 << 11, chunk: int = 256):
-    """Rectangle probabilities for many boxes under one N(0, corr) law.
+def _gl_cond(a, b, chol):
+    """Boxes (m, K), K = 3 or 4, under N(0, chol chol^T).
 
-    ``a``/``b`` have shape (m, K); one scrambled Sobol set is shared across
-    all boxes, so the per-box QMC errors are common-random-number coupled.
-    Rows with an empty box come back as 0.  Intended for averaging over the
-    m axis; the shared-point error then acts like a small common bias of
-    order the single-box QMC error, not an m-fold accumulation.
+    Gauss-Legendre over the leading K - 2 Cholesky coordinates; given them,
+    the last two coordinates form a bivariate rectangle in closed form.
+    Boxes go through in chunks, so memory stays bounded for any m.
     """
-    from scipy.stats import qmc
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, k = a.shape
-    chol = np.linalg.cholesky(corr)
-    if k == 1:
-        return np.clip(special.ndtr(b[:, 0]) - special.ndtr(a[:, 0]), 0.0, 1.0)
-    sob = qmc.Sobol(d=k - 1, scramble=True,
-                    seed=np.random.default_rng(int(seed) & ((1 << 63) - 1)))
-    u = sob.random(n_points)
-    tiny = 1e-15
+    lead = k - 2
+    x, w = _leggauss(_GL_NODES)
+    sd = np.array([chol[lead, lead], np.hypot(chol[k - 1, lead], chol[k - 1, k - 1])])
+    rho = chol[k - 1, lead] / sd[1]
     out = np.empty(m)
-    for start in range(0, m, chunk):
-        al, bl = a[start : start + chunk], b[start : start + chunk]
-        d = special.ndtr(al[:, :1] / chol[0, 0])
-        e = special.ndtr(bl[:, :1] / chol[0, 0])
-        f = np.clip(e - d, 0.0, 1.0) * np.ones((1, n_points))
-        d = d * np.ones((1, n_points))
-        e = e * np.ones((1, n_points))
-        y = np.empty((al.shape[0], n_points, k - 1))
-        for j in range(1, k):
-            z = np.clip(d + u[None, :, j - 1] * (e - d), tiny, 1.0 - tiny)
-            y[:, :, j - 1] = special.ndtri(z)
-            drift = y[:, :, :j] @ chol[j, :j]
-            d = special.ndtr((al[:, j, None] - drift) / chol[j, j])
-            e = special.ndtr((bl[:, j, None] - drift) / chol[j, j])
-            f = f * np.clip(e - d, 0.0, 1.0)
-        out[start : start + chunk] = f.mean(axis=1)
+    step = max(1, _GL_CHUNK // _GL_NODES ** lead)
+    for start in range(0, m, step):
+        al, bl = a[start:start + step], b[start:start + step]
+        # nodes of the leading coordinates so far, one trailing axis each
+        z = []
+        weight = np.ones(al.shape[0])
+
+        def limits(j, scale):
+            # (elementwise sums, so a box's value does not depend on the batch)
+            mean = sum(chol[j, i] * zi for i, zi in enumerate(z))
+            col = (slice(None), j) + (None,) * len(z)
+            return (al[col] - mean) / scale, (bl[col] - mean) / scale
+
+        for j in range(lead):
+            lo, hi = limits(j, chol[j, j])
+            lo, hi = np.maximum(lo, -_LIMIT), np.minimum(hi, _LIMIT)
+            half = 0.5 * np.maximum(hi - lo, 0.0)
+            zj = lo[..., None] + half[..., None] * (x + 1.0)
+            weight = (weight * half)[..., None] * w * np.exp(-0.5 * zj * zj) / _SQRT2PI
+            z = [zi[..., None] for zi in z] + [zj]
+        vals = _bvn_rect(*limits(lead, sd[0]), *limits(k - 1, sd[1]), rho) * weight
+        out[start:start + step] = vals.reshape(vals.shape[0], -1).sum(axis=1)
     return out
 
 
-def _rect_gl_cond(a, b, corr, n_outer: int = 20, n_bvn: int = 40) -> float:
-    """Deterministic P(a < X < b) for X ~ N(0, corr), K = 3 or 4.
+def _genz_qmc(a, b, corr, seed, n_points: int):
+    """Randomized-QMC estimates and standard errors for boxes (m, K), K >= 2.
 
-    Gauss-Legendre over the leading Cholesky coordinates, with the last two
-    dimensions collapsed into a conditional bivariate rectangle.  In the
-    ranges arising from equivalence boxes this is accurate to ~1e-9 at the
-    default node counts, and two orders of magnitude faster than an
-    adaptive quasi-MC call of comparable accuracy, which is what makes it
-    fit for use inside an optimizer loop.
+    Genz's sequential conditioning along the Cholesky factor, each box with
+    its variables ordered tightest first, averaged over _QMC_SCRAMBLES
+    scrambled Sobol sets of n_points.  All boxes share the point sets, so
+    their errors are common-random-number coupled.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = a.size
-    if k not in (3, 4):
-        raise InputError("conditional quadrature covers K = 3 or 4 only")
-    chol = np.linalg.cholesky(corr)
-    x, w = _leggauss(n_outer)
-    lo1 = max(a[0] / chol[0, 0], -8.5)
-    hi1 = min(b[0] / chol[0, 0], 8.5)
-    if hi1 <= lo1:
-        return 0.0
-    h1 = 0.5 * (hi1 - lo1)
-    z1 = lo1 + h1 * (x + 1.0)
-    w1 = h1 * w * np.exp(-0.5 * z1 * z1) / _SQRT2PI
-    if k == 3:
-        sd2 = chol[1, 1]
-        sd3 = np.hypot(chol[2, 1], chol[2, 2])
-        vals = bvn_rect_prob(
-            (a[1] - chol[1, 0] * z1) / sd2, (b[1] - chol[1, 0] * z1) / sd2,
-            (a[2] - chol[2, 0] * z1) / sd3, (b[2] - chol[2, 0] * z1) / sd3,
-            chol[2, 1] / sd3, n_nodes=n_bvn)
-        return float(np.clip(vals @ w1, 0.0, 1.0))
-    lo2 = np.maximum((a[1] - chol[1, 0] * z1) / chol[1, 1], -8.5)
-    hi2 = np.minimum((b[1] - chol[1, 0] * z1) / chol[1, 1], 8.5)
-    h2 = 0.5 * np.maximum(hi2 - lo2, 0.0)
-    z2 = lo2[:, None] + h2[:, None] * (x[None, :] + 1.0)
-    w2 = h2[:, None] * w[None, :] * np.exp(-0.5 * z2 * z2) / _SQRT2PI
-    sd3 = chol[2, 2]
-    sd4 = np.hypot(chol[3, 2], chol[3, 3])
-    m3 = chol[2, 0] * z1[:, None] + chol[2, 1] * z2
-    m4 = chol[3, 0] * z1[:, None] + chol[3, 1] * z2
-    vals = bvn_rect_prob(
-        ((a[2] - m3) / sd3).ravel(), ((b[2] - m3) / sd3).ravel(),
-        ((a[3] - m4) / sd4).ravel(), ((b[3] - m4) / sd4).ravel(),
-        chol[3, 2] / sd4, n_nodes=n_bvn).reshape(z2.shape)
-    return float(np.clip(np.sum(w1 * np.sum(vals * w2, axis=1)), 0.0, 1.0))
+    from scipy.stats import qmc
 
-
-def mvn_rect_prob(rect: MvnRect, tol: float = 1e-5, seed: int = 0) -> float:
-    """Probability that a N(mean, covariance) vector lands in the rectangle.
-
-    K=1 is an exact CDF difference and K=2 uses deterministic quadrature,
-    both well inside any reasonable tol.  K>=3 uses randomized quasi-Monte
-    Carlo (scrambled Sobol, scrambling derived from ``seed``), doubling the
-    point count until the spread across scrambles is below tol.  The result
-    is deterministic given (rect, tol, seed).
-    """
-    if rect.is_empty:
-        return 0.0
-    a, b, corr = _standardize(rect)
-    k = rect.dim
-    if k == 1:
-        return float(special.ndtr(b[0]) - special.ndtr(a[0]))
-    if k == 2:
-        return float(bvn_rect_prob(a[0], b[0], a[1], b[1], corr[0, 1]))
-    # essentially-diagonal correlation factorizes exactly; the QMC transform
-    # would return the same product at higher cost
-    if np.max(np.abs(corr - np.eye(k))) < 1e-14:
-        return float(np.prod(special.ndtr(b) - special.ndtr(a)))
-    n = 1 << 10
-    while True:
-        est, err = _genz_qmc(a, b, corr, seed, n)
-        if 3.0 * err < tol or n >= (1 << 17):
-            return est
-        n *= 2
+    m, k = a.shape
+    order = np.argsort(special.ndtr(b) - special.ndtr(a), axis=1)
+    a = np.take_along_axis(a, order, axis=1)
+    b = np.take_along_axis(b, order, axis=1)
+    chol = np.linalg.cholesky(corr[order[:, :, None], order[:, None, :]])
+    # one row per box, so each box reduces alone whatever m is
+    ests = np.empty((m, _QMC_SCRAMBLES))
+    seeds = np.random.SeedSequence(int(seed) & ((1 << 63) - 1)).spawn(_QMC_SCRAMBLES)
+    step = max(1, (1 << 18) // n_points)
+    tiny = 1e-15
+    for i, ss in enumerate(seeds):
+        u = qmc.Sobol(d=k - 1, scramble=True, seed=np.random.default_rng(ss)).random(n_points)
+        for start in range(0, m, step):
+            al, bl, lc = a[start:start + step], b[start:start + step], chol[start:start + step]
+            d = special.ndtr(al[:, :1] / lc[:, 0, :1])
+            e = special.ndtr(bl[:, :1] / lc[:, 0, :1])
+            f = e - d
+            y = []
+            for j in range(1, k):
+                q = np.clip(d + u[:, j - 1] * (e - d), tiny, 1.0 - tiny)
+                y.append(special.ndtri(q))
+                drift = sum(lc[:, j, i, None] * yi for i, yi in enumerate(y))
+                d = special.ndtr((al[:, j, None] - drift) / lc[:, j, j, None])
+                e = special.ndtr((bl[:, j, None] - drift) / lc[:, j, j, None])
+                f = f * np.clip(e - d, 0.0, 1.0)
+            ests[start:start + step, i] = f.mean(axis=1)
+    return ests.mean(axis=1), ests.std(axis=1, ddof=1) / np.sqrt(_QMC_SCRAMBLES)
 
 
 # ---------------------------------------------------------------------------
 # Wishart sampling
 # ---------------------------------------------------------------------------
 
-def _check_corr(correlation, k):
+def _check_corr(correlation, k, name="correlation"):
+    """The K x K correlation matrix, or InputError if it is not symmetric
+    positive definite with unit diagonal."""
     corr = np.atleast_2d(np.asarray(correlation, dtype=float))
     if corr.shape != (k, k):
-        raise InputError(f"correlation must be {k}x{k}")
+        raise InputError(f"{name} must be {k}x{k}")
+    if not np.allclose(corr, corr.T, atol=1e-12):
+        raise InputError(f"{name} must be symmetric")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-        raise InputError("correlation must have unit diagonal")
-    np.linalg.cholesky(corr)  # LinAlgError if not PD
+        raise InputError(f"{name} must have unit diagonal")
+    try:
+        np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        raise InputError(f"{name} is not positive definite; "
+                         "see mvt.repair_correlation") from None
     return corr
 
 

@@ -240,3 +240,18 @@ def alpha_star_joint_indep(sigma1, nu2, alpha0=0.05, c0=None):
         "face": h,
         "joint_size": size,
     }
+
+
+def bvn_rect_quad(lower, upper, rho):
+    """P(lower < (X, Y) < upper) for a standard bivariate normal with
+    correlation rho, by adaptive quadrature of the conditional normal
+    probability over X."""
+    s = np.sqrt(1.0 - rho * rho)
+
+    def integrand(x):
+        return Z.pdf(x) * (Z.cdf((upper[1] - rho * x) / s)
+                           - Z.cdf((lower[1] - rho * x) / s))
+
+    val, _ = integrate.quad(integrand, lower[0], upper[0], epsabs=1e-15,
+                            epsrel=1e-13, limit=200)
+    return float(val)

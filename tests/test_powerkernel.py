@@ -17,6 +17,7 @@ from equivkit.powerkernel import (
     power_uni,
     size_uni,
 )
+from equivkit.mvt import _omega_joint
 from equivkit.statdist import norm_cdf, t_quantile
 
 import oracles
@@ -177,6 +178,21 @@ def test_power_mvt_fixed_margins_rectangle():
                       t=0.0, c=c)
     want = oracles.rect_prob_scipy((-c - theta) / sigma1, (c - theta) / sigma1, corr)
     assert power_mvt(q) == pytest.approx(want, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_power_mvt_fixed_margins_is_the_fit_objective(k):
+    # the joint fit evaluates _omega_joint; power_mvt at t = 0 checks that
+    # fit, so it must give the same number, not another evaluator's
+    corr = np.full((k, k), 0.5)
+    np.fill_diagonal(corr, 1.0)
+    sigma1 = np.linspace(0.08, 0.14, k)
+    theta = np.zeros(k)
+    theta[0] = C0
+    c = np.full(k, 0.2)
+    q = MvtPowerQuery(theta, sigma1, corr, 20, 0.0, c)
+    assert power_mvt(q, tol=1e-5, seed=0) == _omega_joint(
+        theta, sigma1, corr, c, tol=1e-5, seed=0)
 
 
 def test_power_mvt_diagonal_random_margins_factorizes():

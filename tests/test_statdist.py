@@ -10,24 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from equivkit import statdist
 from equivkit.statdist import (
-    MvnRect,
     SigmaHatLaw,
     _genz_qmc,
     _leggauss,
-    _rect_gl_cond,
-    bvn_rect_prob,
     chi2_quantile,
-    mvn_rect_prob,
     norm_cdf,
-    norm_pdf,
     norm_quantile,
+    rect_prob,
     rng_stream,
     sample_wishart_cov,
     sample_wishart_diag,
     t_quantile,
 )
-from equivkit.base import InputError
+from equivkit.base import InputError, NonConvergenceError
+from equivkit.powerkernel import MvtPowerQuery
 
 import oracles
 
@@ -47,8 +45,6 @@ _ROWS = list(_oracle_rows())
 def _eval_special(name, args):
     if name == "norm_cdf":
         return float(norm_cdf(args[0]))
-    if name == "norm_pdf":
-        return float(norm_pdf(args[0]))
     if name == "norm_quantile":
         return float(norm_quantile(args[0]))
     if name == "t_quantile":
@@ -158,71 +154,101 @@ def _random_box(rng, k, spread=2.5):
     return a, b
 
 
-@pytest.mark.parametrize("rho", [-0.99, -0.95, -0.5, 0.0, 0.3, 0.8, 0.95, 0.99])
-def test_bvn_rect_matches_scipy(rho):
-    rng = np.random.default_rng(42)
-    corr = np.array([[1.0, rho], [rho, 1.0]])
-    for _ in range(6):
-        a, b = _random_box(rng, 2)
-        got = bvn_rect_prob(a[0], b[0], a[1], b[1], rho)
-        want = oracles.rect_prob_scipy(a, b, corr)
-        assert got == pytest.approx(want, abs=3e-8)
+def _corr2(rho):
+    return np.array([[1.0, rho], [rho, 1.0]])
 
 
-def test_bvn_rect_independence_factorizes():
-    a1, b1, a2, b2 = -0.4, 1.1, -2.0, 0.3
-    got = bvn_rect_prob(a1, b1, a2, b2, 0.0)
-    want = (norm_cdf(b1) - norm_cdf(a1)) * (norm_cdf(b2) - norm_cdf(a2))
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-@pytest.mark.parametrize("k", [3, 4])
-def test_genz_qmc_matches_scipy(k):
-    rng = np.random.default_rng(5 + k)
+def _random_corr(rng, k):
     w = rng.standard_normal((k, k + 2))
     cov = w @ w.T
     d = np.sqrt(np.diag(cov))
     corr = cov / np.outer(d, d)
     np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def _equivalence_box(rng, k):
+    # boxes of the form (-c - theta, c - theta)/sigma, the geometry the
+    # boundary search evaluates
+    sigma = rng.uniform(0.05, 0.3, size=k)
+    c = rng.uniform(0.05, 0.22, size=k)
+    theta = rng.uniform(-0.223, 0.223, size=k)
+    return (-c - theta) / sigma, (c - theta) / sigma
+
+
+@pytest.mark.parametrize("rho", [-0.99, -0.95, -0.5, 0.0, 0.3, 0.8, 0.95, 0.99])
+def test_bvn_rect_matches_scipy(rho):
+    rng = np.random.default_rng(42)
+    corr = _corr2(rho)
+    for _ in range(6):
+        a, b = _random_box(rng, 2)
+        got = rect_prob(a, b, corr)
+        want = oracles.rect_prob_scipy(a, b, corr)
+        assert got == pytest.approx(want, abs=3e-8)
+        assert got == pytest.approx(oracles.bvn_rect_quad(a, b, rho), abs=1e-13)
+
+
+def test_bvn_rect_independence_factorizes():
+    a1, b1, a2, b2 = -0.4, 1.1, -2.0, 0.3
+    want = (norm_cdf(b1) - norm_cdf(a1)) * (norm_cdf(b2) - norm_cdf(a2))
+    # exactly diagonal takes the product; just above the 1e-14 threshold
+    # Owen's T must give the same value
+    assert rect_prob([a1, a2], [b1, b2], np.eye(2)) == pytest.approx(want, rel=1e-10)
+    assert rect_prob([a1, a2], [b1, b2], _corr2(1e-13)) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_genz_qmc_matches_scipy(k):
+    # the K >= 5 kernel, checked at K = 3/4 where scipy's CDF is cheap
+    rng = np.random.default_rng(5 + k)
+    corr = _random_corr(rng, k)
     a, b = _random_box(rng, k)
-    got, err = _genz_qmc(a, b, corr, seed=11, n_points=1 << 13)
+    got, err = _genz_qmc(a[None], b[None], corr, seed=11, n_points=1 << 13)
     want = oracles.rect_prob_scipy(a, b, corr)
-    assert got == pytest.approx(want, abs=5e-5)
-    assert abs(got - want) < max(10.0 * err, 5e-5)
+    assert got[0] == pytest.approx(want, abs=5e-5)
+    assert abs(got[0] - want) < max(10.0 * err[0], 5e-5)
+
+
+def test_rect_prob_k5_matches_scipy():
+    rng = np.random.default_rng(55)
+    corr = _random_corr(rng, 5)
+    for _ in range(2):
+        a, b = _equivalence_box(rng, 5)
+        got = rect_prob(a, b, corr, tol=1e-5, seed=3)
+        assert got == pytest.approx(oracles.rect_prob_scipy(a, b, corr), abs=5e-5)
+
+
+def test_rect_prob_qmc_cap_raises():
+    corr = np.full((5, 5), 0.5)
+    np.fill_diagonal(corr, 1.0)
+    a, b = np.full(5, -2.0), np.full(5, 0.0)
+    with pytest.raises(NonConvergenceError):
+        rect_prob(a, b, corr, tol=1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.3])
-def test_rect_gl_cond_matches_scipy_on_equivalence_boxes(k, rho):
-    # boxes of the form (-c - theta, c - theta)/sigma, the geometry the
-    # evaluator is tuned for
+def test_rect_gl_cond_matches_scipy_on_equivalence_boxes(k, rho, monkeypatch):
     corr = np.full((k, k), rho)
     np.fill_diagonal(corr, 1.0)
     rng = np.random.default_rng(40 + k)
-    for _ in range(4):
-        sigma = rng.uniform(0.05, 0.3, size=k)
-        c = rng.uniform(0.05, 0.22, size=k)
-        theta = rng.uniform(-0.223, 0.223, size=k)
-        a, b = (-c - theta) / sigma, (c - theta) / sigma
-        got = _rect_gl_cond(a, b, corr)
-        # scipy's CDF carries its own default ~1e-5 integration error, so
-        # the cross-check is loose; the refinement check below is tight
-        assert got == pytest.approx(oracles.rect_prob_scipy(a, b, corr),
-                                    abs=2e-5)
-        assert got == pytest.approx(_rect_gl_cond(a, b, corr, 48, 96),
-                                    abs=5e-9)
+    boxes = [_equivalence_box(rng, k) for _ in range(4)]
+    got = [rect_prob(a, b, corr) for a, b in boxes]
+    # scipy's CDF carries its own default ~1e-5 integration error, so
+    # the cross-check is loose; the refinement check below is tight
+    for (a, b), g in zip(boxes, got):
+        assert g == pytest.approx(oracles.rect_prob_scipy(a, b, corr), abs=2e-5)
+    monkeypatch.setattr(statdist, "_GL_NODES", 48)
+    for (a, b), g in zip(boxes, got):
+        assert g == pytest.approx(rect_prob(a, b, corr), abs=5e-9)
 
 
 def test_rect_gl_cond_general_correlation_and_boxes():
     rng = np.random.default_rng(77)
-    w = rng.standard_normal((4, 6))
-    cov = w @ w.T
-    d = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(d, d)
-    np.fill_diagonal(corr, 1.0)
+    corr = _random_corr(rng, 4)
     for _ in range(3):
         a, b = _random_box(rng, 4)
-        assert _rect_gl_cond(a, b, corr) == pytest.approx(
+        assert rect_prob(a, b, corr) == pytest.approx(
             oracles.rect_prob_scipy(a, b, corr), abs=1e-5)
 
 
@@ -230,67 +256,98 @@ def test_rect_gl_cond_empty_and_bad_dim():
     corr = np.eye(3) * 0.5 + np.full((3, 3), 0.5)
     a = np.array([0.5, -1.0, -1.0])
     b = np.array([0.2, 1.0, 1.0])  # first interval empty
-    assert _rect_gl_cond(a, b, corr) == 0.0
+    assert rect_prob(a, b, corr) == 0.0
     with pytest.raises(InputError):
-        _rect_gl_cond(np.zeros(2), np.ones(2), np.eye(2))
+        rect_prob(a, b, np.eye(2))
+    with pytest.raises(InputError):
+        rect_prob(a, b[:2], corr)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("rho", [-0.3, 0.5, 0.9])
+def test_rect_prob_edges_at_zero(k, rho):
+    # the fit's first round evaluates theta_h = c_h = c0, so an upper limit
+    # is exactly 0; the value there must be continuous in that limit
+    corr = np.full((k, k), rho)
+    np.fill_diagonal(corr, 1.0)
+    rng = np.random.default_rng(60 + k)
+    for h in range(k):
+        j = (h + 1) % k
+        a, b = _equivalence_box(rng, k)
+        a[h], b[h] = min(a[h], -0.5), 0.0
+        a[j], b[j] = 0.0, max(b[j], 0.5)
+        got = rect_prob(a, b, corr)
+        for eps in (1e-12, -1e-12):
+            nudged = b.copy()
+            nudged[h] = eps
+            assert got == pytest.approx(rect_prob(a, nudged, corr), abs=1e-10)
+        assert got == pytest.approx(oracles.rect_prob_scipy(a, b, corr), abs=2e-5)
+        if k == 2:
+            assert got == pytest.approx(oracles.bvn_rect_quad(a, b, rho), abs=1e-13)
+    # the origin corner: P(X < 0, Y < 0) = 1/4 + arcsin(rho) / (2 pi)
+    want = 0.25 + np.arcsin(rho) / (2.0 * np.pi)
+    assert rect_prob([-40.0, -40.0], [0.0, 0.0], _corr2(rho)) == pytest.approx(
+        want, abs=1e-15)
+
+
+@pytest.mark.parametrize("k,n_points", [(2, None), (3, None), (4, None), (5, 256)])
+def test_rect_prob_many_boxes_match_single_calls(k, n_points):
+    rng = np.random.default_rng(70 + k)
+    corr = _random_corr(rng, k)
+    boxes = [_equivalence_box(rng, k) for _ in range(7)]
+    a = np.array([box[0] for box in boxes])
+    b = np.array([box[1] for box in boxes])
+    b[2, 0] = a[2, 0] - 0.1  # one empty box among them
+    a[3, 1] = 0.0
+    batch = rect_prob(a, b, corr, seed=9, n_points=n_points)
+    single = [rect_prob(a[i], b[i], corr, seed=9, n_points=n_points)
+              for i in range(len(boxes))]
+    assert batch.shape == (len(boxes),)
+    assert batch[2] == 0.0
+    assert batch.tolist() == single
+    # leading axes are kept
+    assert rect_prob(a.reshape(7, 1, k), b.reshape(7, 1, k), corr, seed=9,
+                     n_points=n_points).shape == (7, 1)
 
 
 def test_mvn_rect_prob_univariate_exact():
-    rect = MvnRect(
-        lower=np.array([-0.7]),
-        upper=np.array([1.2]),
-        mean=np.array([0.1]),
-        covariance=np.array([[0.25]]),
-    )
-    want = norm_cdf((1.2 - 0.1) / 0.5) - norm_cdf((-0.7 - 0.1) / 0.5)
-    assert mvn_rect_prob(rect) == pytest.approx(want, rel=1e-10)
+    mean, sd = 0.1, 0.5
+    want = norm_cdf((1.2 - mean) / sd) - norm_cdf((-0.7 - mean) / sd)
+    got = rect_prob([(-0.7 - mean) / sd], [(1.2 - mean) / sd], [[1.0]])
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_mvn_rect_prob_general_mean_and_scale():
     mean = np.array([0.2, -0.1, 0.05])
     sd = np.array([0.5, 1.5, 0.8])
     corr = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 1.0]])
-    cov = corr * np.outer(sd, sd)
     lower = np.array([-0.6, -2.0, -1.0])
     upper = np.array([0.9, 1.0, 1.4])
-    rect = MvnRect(lower=lower, upper=upper, mean=mean, covariance=cov)
-    want = oracles.rect_prob_scipy((lower - mean) / sd, (upper - mean) / sd, corr)
-    assert mvn_rect_prob(rect, tol=1e-6, seed=2) == pytest.approx(want, abs=5e-5)
+    a, b = (lower - mean) / sd, (upper - mean) / sd
+    want = oracles.rect_prob_scipy(a, b, corr)
+    assert rect_prob(a, b, corr, tol=1e-6, seed=2) == pytest.approx(want, abs=5e-5)
 
 
 def test_mvn_rect_prob_empty_box_is_zero():
-    rect = MvnRect(
-        lower=np.array([0.5, 0.0]),
-        upper=np.array([0.2, 1.0]),
-        mean=np.zeros(2),
-        covariance=np.eye(2),
-    )
-    assert rect.is_empty
-    assert mvn_rect_prob(rect) == 0.0
+    assert rect_prob([0.5, 0.0], [0.2, 1.0], np.eye(2)) == 0.0
+    assert rect_prob([0.5, 0.0], [0.2, 1.0], _corr2(0.3)) == 0.0
 
 
 def test_mvn_rect_validation():
+    # every public entry point that takes a correlation checks it with
+    # statdist._check_corr and raises InputError
+    def query(corr):
+        return MvtPowerQuery(theta=np.zeros(2), sigma1=np.array([0.1, 0.2]),
+                             correlation=corr, nu2=10, t=1.0, c=0.2)
+
     with pytest.raises(InputError):
-        MvnRect(
-            lower=np.array([0.0, 0.0]),
-            upper=np.array([1.0]),
-            mean=np.zeros(2),
-            covariance=np.eye(2),
-        )
+        query(np.eye(3))
     with pytest.raises(InputError):
-        MvnRect(
-            lower=np.zeros(2),
-            upper=np.ones(2),
-            mean=np.zeros(2),
-            covariance=np.array([[1.0, 0.5], [0.2, 1.0]]),
-        )
-    with pytest.raises(np.linalg.LinAlgError):
-        MvnRect(
-            lower=np.zeros(2),
-            upper=np.ones(2),
-            mean=np.zeros(2),
-            covariance=np.array([[1.0, 2.0], [2.0, 1.0]]),
-        )
+        query(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    with pytest.raises(InputError):
+        query(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(InputError):
+        sample_wishart_cov([0.1, 0.2], np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +478,9 @@ def test_norm_quantile_roundtrip_property(p):
 )
 @settings(max_examples=40)
 def test_bvn_rect_prob_is_a_probability(a1, w1, a2, w2, rho):
-    p = bvn_rect_prob(a1, a1 + w1, a2, a2 + w2, rho)
+    corr = _corr2(rho)
+    p = rect_prob([a1, a2], [a1 + w1, a2 + w2], corr)
     assert -1e-12 <= p <= 1.0 + 1e-12
     # expanding the box can only increase the probability
-    p_bigger = bvn_rect_prob(a1 - 0.5, a1 + w1 + 0.5, a2 - 0.5, a2 + w2 + 0.5, rho)
+    p_bigger = rect_prob([a1 - 0.5, a2 - 0.5], [a1 + w1 + 0.5, a2 + w2 + 0.5], corr)
     assert p_bigger >= p - 1e-10
