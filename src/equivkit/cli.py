@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,6 +27,7 @@ from .base import (
     NonConvergenceError,
 )
 from .ingest import (
+    _identity_correlation,
     case_study_labels,
     load_case_study,
     read_paired_csv,
@@ -44,7 +44,6 @@ from .simkit import (
 )
 from .statdist import t_quantile
 from .univariate import (
-    TABLE_ENV_VAR,
     CalibrationTable,
     UnivSummary,
     alpha_tost_adjust,
@@ -144,27 +143,10 @@ def _spec(args, method="ctost"):
     return EquivalenceSpec(c0=args.c0, alpha0=args.alpha0, method=method)
 
 
-def _table_from_args(args):
-    path = getattr(args, "table_path", None)
-    if path:
-        return CalibrationTable.from_csv(path)
-    return None
-
-
 def _calibrate_kwargs(args):
     """Keyword arguments for ctost_star_calibrate drawn from CLI flags."""
-    kwargs = {"seed": args.seed}
-    strategy = getattr(args, "strategy", None)
-    table = _table_from_args(args)
-    if table is not None and strategy is None:
-        strategy = "table-lookup"
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-    if table is not None:
-        kwargs["table"] = table
-    if getattr(args, "mc_n", None):
-        kwargs["mc_n"] = args.mc_n
-    return kwargs
+    strategy = args.strategy or ("quadrature" if args.table is None else "table-lookup")
+    return {"strategy": strategy, "table": args.table}
 
 
 def _load_summary(args, default_theta=None):
@@ -193,8 +175,7 @@ def _load_summary(args, default_theta=None):
         return UnivSummary(theta[0], sigma[0], int(args.nu2)), None
     if len(theta) != len(sigma):
         raise InputError("--theta-hat and --sigma1-hat lengths differ")
-    # inline multivariate input carries no dependence information
-    corr = np.eye(len(theta))
+    corr = _identity_correlation(len(theta), "--theta-hat/--sigma1-hat")
     return MvtSummary(np.array(theta), np.array(sigma), corr, int(args.nu2)), None
 
 
@@ -409,9 +390,6 @@ def cmd_size(args):
 
 def cmd_simulate(args):
     scale = "full" if args.full else "desk"
-    if args.table_path:
-        # the sweep consults the default table; point it at the override
-        os.environ[TABLE_ENV_VAR] = os.path.abspath(args.table_path)
     common = {"scale": scale, "seed": args.seed, "c0": args.c0, "alpha0": args.alpha0}
     if args.replicates is not None:
         common["replicates"] = args.replicates
@@ -428,7 +406,7 @@ def cmd_simulate(args):
         replacements["rho_set"] = _parse_floats(args.rho, "--rho")
     if replacements:
         cfg = dataclasses.replace(cfg, **replacements)
-    result = run_simulation(cfg)
+    result = run_simulation(cfg, table=args.table)
     emit_plot_data(result, args.out)
     _print_json({
         "design": cfg.design,
@@ -446,14 +424,12 @@ def cmd_simulate(args):
 def cmd_table(args):
     spec = EquivalenceSpec(c0=args.c0, alpha0=args.alpha0)
     sigma_grid = nu_grid = None
-    if not args.default_grid:
-        if args.sigma_grid:
-            sigma_grid = np.array(_parse_floats(args.sigma_grid, "--sigma-grid"))
-        if args.nu_grid:
-            nu_grid = np.array(_parse_ints(args.nu_grid, "--nu-grid"))
+    if args.sigma_grid:
+        sigma_grid = np.array(_parse_floats(args.sigma_grid, "--sigma-grid"))
+    if args.nu_grid:
+        nu_grid = np.array(_parse_ints(args.nu_grid, "--nu-grid"))
     table = build_calibration_table(
-        spec=spec, sigma_grid=sigma_grid, nu_grid=nu_grid,
-        strategy=args.strategy, seed=args.seed, mc_n=args.mc_n, path=args.out)
+        spec=spec, sigma_grid=sigma_grid, nu_grid=nu_grid, path=args.out)
     _print_json({
         "out": args.out,
         "sigma_points": len(table.sigma_grid),
@@ -461,7 +437,6 @@ def cmd_table(args):
         "strategy": table.strategy,
         "c0": table.c0,
         "alpha0": table.alpha0,
-        "seed": args.seed,
     })
     return 0
 
@@ -494,11 +469,9 @@ def _add_method_flags(sp, default="ctost", multi=False):
 
 
 def _add_star_flags(sp):
-    sp.add_argument("--strategy", choices=("quadrature", "monte-carlo", "table-lookup"),
+    sp.add_argument("--strategy", choices=("quadrature", "table-lookup"),
                     default=None, help="ctost-star calibration strategy "
                     "(default quadrature; table-lookup when --table-path is given)")
-    sp.add_argument("--mc-n", type=int, default=None,
-                    help="Monte Carlo draws for --strategy monte-carlo")
 
 
 def build_parser():
@@ -520,8 +493,8 @@ def build_parser():
                      help="output format (default json)")
     tbl = argparse.ArgumentParser(add_help=False)
     tbl.add_argument("--table-path", metavar="FILE", default=None,
-                     help="calibration table CSV; beats the "
-                          f"{TABLE_ENV_VAR} environment variable")
+                     help="ctost-star calibration table CSV "
+                          "(default: the bundled table)")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -584,16 +557,10 @@ def build_parser():
                         help="precompute a ctost-star calibration table")
     sp.add_argument("--out", default="alpha_c_table.csv", metavar="FILE",
                     help="output CSV path (default alpha_c_table.csv)")
-    sp.add_argument("--default-grid", action="store_true",
-                    help="use the standard grid (sigma 0.01..0.3, nu2 5..100)")
     sp.add_argument("--sigma-grid", default=None, metavar="S[,S...]",
-                    help="custom sigma1 grid")
+                    help="sigma1 grid (default 0.01 to 0.3 in steps of 0.005)")
     sp.add_argument("--nu-grid", default=None, metavar="N[,N...]",
-                    help="custom nu2 grid")
-    sp.add_argument("--strategy", choices=("quadrature", "monte-carlo"),
-                    default="quadrature", help="calibration strategy")
-    sp.add_argument("--mc-n", type=int, default=100_000,
-                    help="Monte Carlo draws per cell for monte-carlo strategy")
+                    help="nu2 grid (default every integer from 5 to 100)")
     return parser
 
 
@@ -616,6 +583,8 @@ def main(argv=None):
         args.input = None
         args.scale = "raw"
     try:
+        path = getattr(args, "table_path", None)
+        args.table = CalibrationTable.from_csv(path) if path else None
         return _DISPATCH[args.command](args)
     except NonConvergenceError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -221,6 +221,19 @@ def read_paired_csv(path, scale="raw"):
     return PairedDataset(tuple(subjects), ref, tst, tuple(dims), scale=scale)
 
 
+def _identity_correlation(k, origin):
+    """Identity correlation for K >= 2 summaries that give none, with a warning.
+
+    The warning is attributed to the caller of the public reader.
+    """
+    warnings.warn(
+        f"{origin}: no correlation given for {k} dimensions; assuming "
+        "independence (identity correlation)",
+        stacklevel=4,
+    )
+    return np.eye(k)
+
+
 def _parse_summary_payload(payload, origin):
     if not isinstance(payload, dict):
         raise InputError(f"{origin}: summary JSON must be an object")
@@ -251,8 +264,7 @@ def _parse_summary_payload(payload, origin):
     if "correlation" in payload and payload["correlation"] is not None:
         corr = np.asarray(payload["correlation"], dtype=float)
     else:
-        # no dependence information supplied: fall back to independence
-        corr = np.eye(k)
+        corr = _identity_correlation(k, origin)
     return MvtSummary(theta, sigma, corr, nu2)
 
 
@@ -261,9 +273,9 @@ def read_summary_json(path):
 
     Required keys: ``theta_hat`` (scalar or vector), ``sigma1_hat``
     (matching shape), ``nu2`` (integer).  Optional: ``correlation`` (K x K;
-    identity assumed when omitted) and ``scale`` (must be ``"log"``).
-    Unknown keys are ignored.  Returns UnivSummary for one dimension,
-    MvtSummary otherwise.
+    identity assumed, with a UserWarning, when omitted) and ``scale``
+    (must be ``"log"``).  Unknown keys are ignored.  Returns UnivSummary
+    for one dimension, MvtSummary otherwise.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -290,10 +302,11 @@ def load_case_study():
     Log-scale concentration contrasts of an econazole nitrate cream versus
     its reference in four porcine skin layers, n = 12 subject pairs
     (nu2 = 11).  The published summary carries per-layer standard errors
-    only, so the correlation falls back to identity.  Under that fallback
-    the joint alpha-tost declares equivalence (shared level alpha* ~ 0.379);
-    the published non-equivalent verdict for that method needs the
-    estimated cross-region correlation, which the bundled data lack.
+    only, so the correlation falls back to identity, with a UserWarning
+    saying so.  Under that fallback the joint alpha-tost declares
+    equivalence (shared level alpha* ~ 0.379); the published non-equivalent
+    verdict for that method needs the estimated cross-region correlation,
+    which the bundled data lack.
     """
     return _parse_summary_payload(_case_study_payload(), _CASE_STUDY_RESOURCE)
 

@@ -36,8 +36,10 @@ from .statdist import SigmaHatLaw, rng_stream, sample_wishart_diag, t_quantile
 from .univariate import (
     _alpha_star,
     _calibrate_level,
+    _check_table,
     _delta_margin,
     _match_margin,
+    _table_fits,
     default_calibration_table,
 )
 
@@ -276,17 +278,6 @@ def _record(cfg, K, rho, sigma_config, nu2, x, method, n_reject):
     }
 
 
-def _sweep_table(cfg):
-    """Calibration table for ctost-star cells, or None when unusable."""
-    try:
-        table = default_calibration_table()
-    except Exception:
-        return None
-    if abs(table.c0 - cfg.c0) > 1e-12 or abs(table.alpha0 - cfg.alpha0) > 1e-12:
-        return None
-    return table
-
-
 def _ctost_star_levels(sh, nu2, cfg, table):
     """Calibrated target level per replicate: table lookup, quadrature off-grid."""
     if table is not None:
@@ -297,8 +288,7 @@ def _ctost_star_levels(sh, nu2, cfg, table):
         level = np.empty_like(sh)
         miss = np.ones(sh.shape, dtype=bool)
     if np.any(miss):
-        filled, _, _, _ = _calibrate_level(sh[miss], nu2, cfg.c0, cfg.alpha0)
-        level[miss] = filled
+        level[miss], _ = _calibrate_level(sh[miss], nu2, cfg.c0, cfg.alpha0)
     return level
 
 
@@ -335,15 +325,25 @@ def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
     return out
 
 
-def run_univariate_sweep(cfg):
+def run_univariate_sweep(cfg, table=None):
     """Run the univariate size/power sweep described by cfg.
+
+    ctost-star cells look their calibrated levels up in ``table`` (which
+    must be built for cfg's c0 and alpha0, else InputError) and fall back
+    to quadrature off its grid.  Without a table they use the bundled one
+    when it fits cfg's c0 and alpha0, and quadrature otherwise.
 
     Raises NonConvergenceError, naming the method and nu2, when an
     alpha-tost or delta-tost solve stops at its iteration cap.
     """
     if cfg.design != "univariate-sweep":
         raise InputError(f"config design is {cfg.design!r}, expected univariate-sweep")
-    table = _sweep_table(cfg) if "ctost-star" in cfg.methods else None
+    if table is not None:
+        _check_table(table, cfg.c0, cfg.alpha0)
+    elif "ctost-star" in cfg.methods:
+        table = default_calibration_table()
+        if not _table_fits(table, cfg.c0, cfg.alpha0):
+            table = None
     records = []
     for i_n, nu2 in enumerate(cfg.nu2_set):
         t_tost = float(t_quantile(cfg.alpha0, nu2))
@@ -430,10 +430,12 @@ def run_mvt_kappa(cfg):
                             _code_version())
 
 
-def run_simulation(cfg):
-    """Dispatch on cfg.design."""
+def run_simulation(cfg, table=None):
+    """Dispatch on cfg.design; ``table`` serves the univariate sweep only."""
     if cfg.design == "univariate-sweep":
-        return run_univariate_sweep(cfg)
+        return run_univariate_sweep(cfg, table)
+    if table is not None:
+        raise InputError("the mvt-kappa design takes no calibration table")
     return run_mvt_kappa(cfg)
 
 

@@ -19,7 +19,6 @@ re-evaluation through :mod:`equivkit.powerkernel` closes the loop.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +35,7 @@ from .base import (
     NonConvergenceError,
 )
 from .powerkernel import _omega_batch, _unit_chi_bounds
-from .statdist import _leggauss, rng_stream, t_quantile
+from .statdist import _leggauss, t_quantile
 
 __all__ = [
     "UnivSummary",
@@ -54,10 +53,7 @@ __all__ = [
     "decide",
 ]
 
-STRATEGIES = ("quadrature", "monte-carlo", "table-lookup")
-
-# environment override for the bundled calibration table
-TABLE_ENV_VAR = "EQUIVKIT_CALIBRATION_TABLE"
+STRATEGIES = ("quadrature", "table-lookup")
 
 
 @dataclass(frozen=True)
@@ -358,78 +354,58 @@ def _expected_size(sigma, level, nu2, c0, u, wu):
 
     The margin is matched at ``level`` using the perturbed scale sigma*u,
     then its realized size is evaluated at the observed sigma; the
-    expectation over u is the quadrature inner product.
+    expectation over u is a row-wise weighted sum, so each row's value
+    does not depend on how many rows share the call.
     """
     sigma = np.asarray(sigma, dtype=float)
     lv = np.asarray(level, dtype=float)
     chat, _, _ = _match_margin(sigma[..., None] * u, lv[..., None], c0)
     om = _size_fixed(chat, sigma[..., None], c0)
-    return om @ wu
+    return (om * wu).sum(axis=-1)
 
 
-def _calibrate_level(sigma, nu2, c0, alpha0, strategy="quadrature",
-                     iterations=1, to_convergence=False, conv_tol=1e-5,
-                     max_iterations=50, mc_n=100_000, seed=0):
-    """Shared cTOST* level iteration; vectorized over sigma.
+def _calibrate_level(sigma, nu2, c0, alpha0):
+    """One cTOST* calibration round by quadrature; vectorized over sigma.
 
-    Returns (alpha_c, iterations_run, clamped_mask, converged_mask).
-    converged is meaningful only in ``to_convergence`` mode; in fixed-count
-    mode it is all-True.
+    The target level drops from alpha0 by the excess of the expected
+    realized size over alpha0: alpha_c = 2 alpha0 - E[size](alpha0).  A
+    level above alpha0 is clamped to alpha0; one at or below zero (very
+    noisy small samples) is floored at 1e-10, so the matched margin
+    collapses instead of erroring.  Returns (alpha_c, clamped_mask).
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if strategy == "quadrature":
-        u, wu = _conditional_chi_rule(nu2)
-    elif strategy == "monte-carlo":
-        rng = rng_stream(seed, "ctost-star-mc")
-        u = np.sqrt(rng.chisquare(nu2, size=mc_n) / nu2)
-        wu = np.full(mc_n, 1.0 / mc_n)
-    else:
-        raise InputError(f"unknown calibration strategy {strategy!r}")
+    u, wu = _conditional_chi_rule(nu2)
+    a = alpha0 + alpha0 - _expected_size(sigma, alpha0, nu2, c0, u, wu)
+    clamped = a > alpha0
+    return np.maximum(np.where(clamped, alpha0, a), 1e-10), clamped
 
-    a = np.full(sigma.shape, alpha0)
-    clamped = np.zeros(sigma.shape, dtype=bool)
-    frozen = np.zeros(sigma.shape, dtype=bool)
-    n_rounds = max_iterations if to_convergence else iterations
-    it_run = 0
-    for _ in range(n_rounds):
-        e = _expected_size(sigma, a, nu2, c0, u, wu)
-        a_new = alpha0 + a - e
-        over = a_new > alpha0
-        clamped |= over
-        a_new = np.where(over, alpha0, a_new)
-        # very noisy small samples can overshoot past zero; keep the level
-        # positive so the matched margin collapses instead of erroring
-        a_new = np.maximum(a_new, 1e-10)
-        delta = np.abs(a_new - a)
-        a = np.where(frozen, a, a_new)
-        it_run += 1
-        if to_convergence:
-            frozen |= delta <= conv_tol
-            if frozen.all():
-                break
-    converged = frozen if to_convergence else np.ones(sigma.shape, dtype=bool)
-    return a, it_run, clamped, converged
+
+def _table_fits(table, c0, alpha0) -> bool:
+    """Whether ``table`` was built for the margin c0 and level alpha0."""
+    return bool(np.isclose(table.c0, c0) and np.isclose(table.alpha0, alpha0))
+
+
+def _check_table(table, c0, alpha0):
+    """Raise InputError unless ``table`` was built for (c0, alpha0)."""
+    if not _table_fits(table, c0, alpha0):
+        raise InputError(
+            f"table was built for (c0={table.c0}, alpha0={table.alpha0}), "
+            f"spec has (c0={c0}, alpha0={alpha0})")
 
 
 def ctost_star_calibrate(sigma1_hat: float, nu2: int,
                          spec: EquivalenceSpec = None,
                          strategy: str = "quadrature",
-                         iterations: int = 1,
-                         to_convergence: bool = False,
-                         conv_tol: float = 1e-5,
-                         max_iterations: int = 50,
-                         mc_n: int = 100_000,
-                         seed: int = 0,
                          table: "CalibrationTable" = None) -> UnivAdjustment:
     """Calibrated level alpha_c and the refined margin solved at that level.
 
     The plug-in margin treats sigma1_hat as exact; its realized size,
     averaged over the sampling variation of the standard error, exceeds
-    alpha0 for small nu2.  The calibration shifts the target level by the
-    exceedance, by default in a single pass, optionally iterating to a
-    conv_tol fixed point.  Strategies: deterministic quadrature (default),
-    monte-carlo with (mc_n, seed), or table-lookup against a precomputed
-    grid (raising an extrapolation error outside it).
+    alpha0 for small nu2.  The calibration lowers the target level by the
+    exceedance in one pass (see :func:`_calibrate_level`).  Strategies:
+    64-node quadrature over the law of the standard error (default), or
+    table-lookup, which interpolates ``table`` (default: the bundled one)
+    and raises an extrapolation error outside its grid.
     """
     spec = spec or EquivalenceSpec()
     if not (sigma1_hat > 0):
@@ -439,29 +415,20 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
 
     if strategy == "table-lookup":
         tbl = table if table is not None else default_calibration_table()
-        if not (np.isclose(tbl.c0, spec.c0) and np.isclose(tbl.alpha0, spec.alpha0)):
-            raise InputError(
-                f"table was built for (c0={tbl.c0}, alpha0={tbl.alpha0}), "
-                f"spec has (c0={spec.c0}, alpha0={spec.alpha0})")
+        _check_table(tbl, spec.c0, spec.alpha0)
         alpha_c = float(tbl.lookup(sigma1_hat, nu2))
-        it_run, clamped, conv = 0, alpha_c >= spec.alpha0, True
+        it_run, clamped = 0, alpha_c >= spec.alpha0
         alpha_c = min(alpha_c, spec.alpha0)
     else:
-        a, it_run, clamped_m, conv_m = _calibrate_level(
-            sigma1_hat, nu2, spec.c0, spec.alpha0, strategy=strategy,
-            iterations=iterations, to_convergence=to_convergence,
-            conv_tol=conv_tol, max_iterations=max_iterations,
-            mc_n=mc_n, seed=seed)
-        alpha_c = float(a[0])
-        clamped = bool(clamped_m[0])
-        conv = bool(conv_m[0])
+        a, clamped_m = _calibrate_level(sigma1_hat, nu2, spec.c0, spec.alpha0)
+        it_run, alpha_c, clamped = 1, float(a[0]), bool(clamped_m[0])
 
     c, _, _ = _match_margin(sigma1_hat, alpha_c, spec.c0)
     c = float(c)
     resid = float(_size_fixed(c, sigma1_hat, spec.c0) - alpha_c)
     return UnivAdjustment(method="ctost-star", t_used=0.0, c_used=c,
                           alpha_c=alpha_c, iterations=it_run,
-                          converged=conv, clamped=clamped, residual=resid)
+                          clamped=clamped, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +461,9 @@ class CalibrationTable:
             raise InputError("grids must be strictly ascending")
         if ac.shape != (sg.size, ng.size):
             raise InputError("alpha_c must have shape (len(sigma_grid), len(nu_grid))")
+        if not (sg[0] > 0 and ng[0] > 0 and np.isfinite([sg[-1], ng[-1]]).all()
+                and np.isfinite(ac).all()):
+            raise InputError("grids must be positive and finite, alpha_c finite")
         object.__setattr__(self, "sigma_grid", sg)
         object.__setattr__(self, "nu_grid", ng)
         object.__setattr__(self, "alpha_c", ac)
@@ -568,14 +538,18 @@ class CalibrationTable:
             rows = [line.strip().split(",") for line in fh if line.strip()]
         if not rows:
             raise InputError(f"empty calibration table {path}")
+        if any(len(r) != 6 for r in rows):
+            raise InputError(f"calibration table {path}: every row needs 6 fields")
         strategies = {r[3] for r in rows}
         c0s = {r[4] for r in rows}
         alpha0s = {r[5] for r in rows}
         if len(strategies) != 1 or len(c0s) != 1 or len(alpha0s) != 1:
             raise InputError("mixed (strategy, c0, alpha0) in one table")
-        sig = np.array([float(r[0]) for r in rows])
-        nus = np.array([float(r[1]) for r in rows])
-        val = np.array([float(r[2]) for r in rows])
+        try:
+            sig, nus, val = (np.array([float(r[i]) for r in rows]) for i in range(3))
+            c0, alpha0 = float(c0s.pop()), float(alpha0s.pop())
+        except ValueError as exc:
+            raise InputError(f"calibration table {path}: {exc}") from exc
         sg = np.unique(sig)
         ng = np.unique(nus)
         ac = np.full((sg.size, ng.size), np.nan)
@@ -583,21 +557,18 @@ class CalibrationTable:
         if np.isnan(ac).any():
             raise InputError(f"incomplete grid in calibration table {path}")
         return cls(sigma_grid=sg, nu_grid=ng, alpha_c=ac,
-                   strategy=strategies.pop(), c0=float(c0s.pop()),
-                   alpha0=float(alpha0s.pop()))
+                   strategy=strategies.pop(), c0=c0, alpha0=alpha0)
 
 
 def build_calibration_table(spec: EquivalenceSpec = None,
                             sigma_grid=None, nu_grid=None,
-                            strategy: str = "quadrature",
-                            seed: int = 0, mc_n: int = 100_000,
                             path=None) -> CalibrationTable:
     """Tabulate alpha_c over a (sigma1, nu2) grid; optionally persist as CSV.
 
-    Each cell runs the same single-pass calibration as
-    :func:`ctost_star_calibrate` with the same defaults and seed, so direct
-    calls reproduce table entries.  Default grid: sigma1 from 0.01 to 0.3
-    in steps of 0.005, nu2 every integer from 5 to 100.
+    Each cell runs the same quadrature calibration as
+    :func:`ctost_star_calibrate`, so direct calls reproduce table entries
+    exactly.  Default grid: sigma1 from 0.01 to 0.3 in steps of 0.005, nu2
+    every integer from 5 to 100.
     """
     spec = spec or EquivalenceSpec()
     if sigma_grid is None:
@@ -610,34 +581,23 @@ def build_calibration_table(spec: EquivalenceSpec = None,
         raise InputError("grids must be nonempty")
     if np.any(np.diff(sigma_grid) <= 0) or np.any(np.diff(nu_grid) <= 0):
         raise InputError("grids must be sorted ascending")
-    if strategy not in ("quadrature", "monte-carlo"):
-        raise InputError(f"table strategy must be quadrature or monte-carlo, got {strategy!r}")
 
     ac = np.empty((sigma_grid.size, nu_grid.size))
     for j, nu in enumerate(nu_grid):
-        a, _, _, _ = _calibrate_level(sigma_grid, int(nu), spec.c0, spec.alpha0,
-                                      strategy=strategy, mc_n=mc_n, seed=seed)
-        ac[:, j] = a
+        ac[:, j], _ = _calibrate_level(sigma_grid, int(nu), spec.c0, spec.alpha0)
     table = CalibrationTable(sigma_grid=sigma_grid, nu_grid=nu_grid, alpha_c=ac,
-                             strategy=strategy, c0=spec.c0, alpha0=spec.alpha0)
+                             strategy="quadrature", c0=spec.c0, alpha0=spec.alpha0)
     if path is not None:
         table.to_csv(path)
     return table
 
 
-@lru_cache(maxsize=4)
-def _load_table(path: str) -> CalibrationTable:
-    return CalibrationTable.from_csv(path)
-
-
+@lru_cache(maxsize=1)
 def default_calibration_table() -> CalibrationTable:
-    """The bundled table (c0 = log 1.25, alpha0 = 0.05), env-var overridable."""
-    override = os.environ.get(TABLE_ENV_VAR)
-    if override:
-        return _load_table(override)
+    """The bundled table (c0 = log 1.25, alpha0 = 0.05), loaded once."""
     from importlib.resources import files
 
-    return _load_table(str(files("equivkit.data") / "alpha_c_table.csv"))
+    return CalibrationTable.from_csv(str(files("equivkit.data") / "alpha_c_table.csv"))
 
 
 # ---------------------------------------------------------------------------

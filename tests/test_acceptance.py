@@ -406,8 +406,7 @@ def test_13_seeded_commands_byte_identical(tmp_path, capsys):
             "kappa": ("simulate", "--design", "mvt-kappa", "--desk",
                       "--replicates", "150", "--rho", "0.0", "--seed", "4"),
             "table": ("table", "--sigma-grid", "0.08,0.12", "--nu-grid",
-                      "10,20", "--strategy", "monte-carlo", "--mc-n",
-                      "20000", "--seed", "5"),
+                      "10,20"),
             "power": ("power", "--method", "ctost", "--theta", "0,0.05",
                       "--sigma1", "0.08,0.12", "--nu2", "20", "--seed", "1",
                       "--format", "csv"),

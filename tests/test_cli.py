@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main()."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -9,9 +10,9 @@ import pytest
 
 from equivkit.cli import main
 from equivkit.powerkernel import UnivPowerQuery, power_uni
-from equivkit.simkit import CSV_HEADER
+from equivkit.simkit import CSV_HEADER, run_simulation, univariate_sweep_config
 from equivkit.statdist import t_quantile
-from equivkit.univariate import ctost_adjust, ctost_star_calibrate
+from equivkit.univariate import CalibrationTable, ctost_adjust, ctost_star_calibrate
 
 C0 = float(np.log(1.25))
 
@@ -41,6 +42,14 @@ def test_assess_inline_summary(capsys):
     assert payload["margins"][0] == pytest.approx(0.14090086996663614, abs=1e-10)
     assert payload["reject_null"] is True
     assert payload["verdict"] == "equivalent"
+
+
+def test_assess_inline_multivariate_warns_identity(capsys):
+    with pytest.warns(UserWarning, match="assuming independence"):
+        payload = run_json(
+            capsys, "assess", "--method", "ctost",
+            "--theta-hat", "0.01,0.02", "--sigma1-hat", "0.1,0.12", "--nu2", "20")
+    assert payload["meta"]["dim"] == 2
 
 
 def test_assess_matches_library_bit_for_bit(capsys):
@@ -319,6 +328,57 @@ def test_table_lookup_out_of_range_message(tmp_path, capsys):
         "--sigma1", "0.4", "--nu2", "5")
     assert code == 2
     assert "outside table range" in json.loads(err)["error"]["message"]
+
+
+def _toy_table(c0=C0):
+    sg = np.array([0.005, 0.25])
+    ng = np.array([5.0, 40.0])
+    return CalibrationTable(sigma_grid=sg, nu_grid=ng, alpha_c=np.full((2, 2), 0.02),
+                            strategy="quadrature", c0=c0, alpha0=0.05)
+
+
+SWEEP_ARGV = ("simulate", "--design", "univariate-sweep", "--desk",
+              "--replicates", "200", "--methods", "ctost,ctost-star",
+              "--nu2", "10", "--seed", "9")
+
+
+def test_simulate_table_path_is_passed_to_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EQUIVKIT_CALIBRATION_TABLE", raising=False)
+    toy = _toy_table()
+    toy.to_csv(tmp_path / "toy.csv")
+    out_file = tmp_path / "sweep.csv"
+    run_json(capsys, *SWEEP_ARGV, "--table-path", str(tmp_path / "toy.csv"),
+             "--out", str(out_file))
+    assert "EQUIVKIT_CALIBRATION_TABLE" not in os.environ
+    cfg = dataclasses.replace(
+        univariate_sweep_config(seed=9, replicates=200),
+        methods=("ctost", "ctost-star"), nu2_set=(10,))
+    want = [r["rate"] for r in run_simulation(cfg, table=toy).records
+            if r["method"] == "ctost-star"]
+    bundled = [r["rate"] for r in run_simulation(cfg).records
+               if r["method"] == "ctost-star"]
+    rows = list(csv.DictReader(out_file.read_text().splitlines()))
+    got = [float(r["rate"]) for r in rows if r["method"] == "ctost-star"]
+    assert got == want
+    assert got != bundled
+
+
+def test_simulate_corrupt_table_exit_code(tmp_path, capsys):
+    bad = tmp_path / "corrupt.csv"
+    bad.write_text("sigma1,nu2,alpha_c,strategy,c0,alpha0\n0.1,5,oops,quadrature\n")
+    code, _, err = run_cli(capsys, *SWEEP_ARGV, "--table-path", str(bad),
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "InputError"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_mismatched_table_exit_code(tmp_path, capsys):
+    _toy_table(c0=0.3).to_csv(tmp_path / "other.csv")
+    code, _, err = run_cli(capsys, *SWEEP_ARGV, "--table-path", str(tmp_path / "other.csv"),
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "table was built for" in json.loads(err)["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 bundled case study."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,7 +272,8 @@ def test_read_summary_json_multivariate_identity_fallback(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(
         {"theta_hat": [0.05, 0.01], "sigma1_hat": [0.1, 0.2], "nu2": 11}))
-    s = read_summary_json(p)
+    with pytest.warns(UserWarning, match="assuming independence"):
+        s = read_summary_json(p)
     assert isinstance(s, MvtSummary)
     np.testing.assert_array_equal(s.correlation_hat, np.eye(2))
 
@@ -284,7 +286,9 @@ def test_read_summary_json_with_correlation(tmp_path):
         "nu2": 11,
         "correlation": [[1.0, 0.4], [0.4, 1.0]],
     }))
-    s = read_summary_json(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = read_summary_json(p)
     assert s.correlation_hat[0, 1] == pytest.approx(0.4)
 
 
@@ -327,7 +331,8 @@ def test_read_summary_json_list_payload(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_case_study_shape_and_values():
-    s = load_case_study()
+    with pytest.warns(UserWarning, match="no correlation given for 4 dimensions"):
+        s = load_case_study()
     assert isinstance(s, MvtSummary)
     assert s.dim == 4
     assert s.nu2 == 11

@@ -1,6 +1,7 @@
 """Simulation harness: reproducibility, schema discipline, and agreement
 between empirical rates and the analytic rejection probabilities."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -266,6 +267,45 @@ def test_run_simulation_dispatch():
         run_mvt_kappa(_small_univ())
     res = run_simulation(_small_univ())
     assert res.records[0]["design"] == "univariate-sweep"
+
+
+def _flat_table(c0=C0, alpha0=0.05):
+    return univariate.CalibrationTable(
+        sigma_grid=np.array([0.01, 0.3]), nu_grid=np.array([5.0, 100.0]),
+        alpha_c=np.full((2, 2), 0.02), strategy="quadrature", c0=c0, alpha0=alpha0)
+
+
+def test_sweep_uses_the_given_table():
+    cfg = _small_univ(methods=("ctost-star",), replicates=200)
+    table = _flat_table()
+    flat = run_univariate_sweep(cfg, table=table)
+    # every drawn sigma1_hat lies inside the table, so each margin is
+    # matched at the table's level
+    for rec, (i_s, sigma), (i_t, theta) in zip(
+            flat.records, [(0, 0.05), (0, 0.05), (1, 0.15), (1, 0.15)],
+            [(0, 0.0), (1, C0)] * 2):
+        rng = simkit.rng_stream(cfg.seed, "univ", i_s, 0, i_t)
+        th = theta + sigma * rng.standard_normal(cfg.replicates)
+        sh = simkit.SigmaHatLaw(sigma, 10).sample(cfg.replicates, rng)
+        c, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
+        assert rec["rate"] == np.count_nonzero(np.abs(th) < c) / cfg.replicates
+    assert flat.records != run_univariate_sweep(cfg).records
+
+
+def test_sweep_table_must_fit_the_config():
+    cfg = _small_univ(methods=("ctost-star",), replicates=200)
+    with pytest.raises(InputError, match="table was built for"):
+        run_univariate_sweep(cfg, table=_flat_table(c0=0.3))
+    with pytest.raises(InputError, match="table was built for"):
+        run_simulation(cfg, table=_flat_table(alpha0=0.1))
+    # without a table, a config the bundled table does not fit uses quadrature
+    off = dataclasses.replace(cfg, alpha0=0.1)
+    assert run_univariate_sweep(off).records[0]["n"] == 200
+
+
+def test_mvt_kappa_rejects_a_table():
+    with pytest.raises(InputError, match="no calibration table"):
+        run_simulation(_small_mvt(), table=_flat_table())
 
 
 # ---------------------------------------------------------------------------

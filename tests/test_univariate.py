@@ -21,11 +21,9 @@ from equivkit.base import (
     NonConvergenceError,
 )
 from equivkit.univariate import (
-    TABLE_ENV_VAR,
     CalibrationTable,
     UnivSummary,
     _alpha_star,
-    _calibrate_level,
     _delta_margin,
     _match_margin,
     _size_fixed,
@@ -246,12 +244,6 @@ def test_ctost_plugin_size_oracle_matches_one_calibration_round():
         assert adj.alpha_c == pytest.approx(2 * 0.05 - plugin, abs=1e-9)
 
 
-def test_calibration_strategies_agree():
-    q = ctost_star_calibrate(0.08, 10, strategy="quadrature")
-    m = ctost_star_calibrate(0.08, 10, strategy="monte-carlo", mc_n=200_000, seed=3)
-    assert m.alpha_c == pytest.approx(q.alpha_c, abs=5e-4)
-
-
 def test_calibration_clamps_at_nominal():
     # at very large noise the expected realized size drops below the nominal
     # level; the would-be upward correction is clamped at alpha0
@@ -273,28 +265,18 @@ def test_calibration_floors_when_overshooting():
     assert not rep.reject
 
 
-def test_calibration_to_convergence_is_a_fixed_point():
-    adj = ctost_star_calibrate(0.1, 5, to_convergence=True, conv_tol=1e-7)
-    assert adj.converged
-    a, _, _, _ = _calibrate_level(
-        np.array([0.1]), 5, C0, 0.05, strategy="quadrature",
-        iterations=1, to_convergence=False)
-    # iterating moved the level away from the one-pass answer
-    assert adj.alpha_c != pytest.approx(float(a[0]), abs=1e-9)
-    # and a further single round from the fixed point stays put:
-    # alpha0 + a - E[size](a) == a  within the tolerance
-    from equivkit.univariate import _conditional_chi_rule, _expected_size
-
-    u, wu = _conditional_chi_rule(5)
-    e = _expected_size(np.array([0.1]), np.array([adj.alpha_c]), 5, C0, u, wu)
-    assert 0.05 + adj.alpha_c - float(e[0]) == pytest.approx(adj.alpha_c, abs=2e-6)
-
-
 def test_calibrate_rejects_unknown_strategy():
-    with pytest.raises(InputError):
-        ctost_star_calibrate(0.1, 5, strategy="bootstrap")
-    with pytest.raises(InputError):
-        _calibrate_level(np.array([0.1]), 5, C0, 0.05, strategy="bootstrap")
+    for strategy in ("bootstrap", "monte-carlo"):
+        with pytest.raises(InputError):
+            ctost_star_calibrate(0.1, 5, strategy=strategy)
+
+
+@pytest.mark.parametrize("nu2", [5, 20, 100])
+def test_calibration_does_not_depend_on_batch_size(nu2):
+    # a one-row calibration equals the same row of a whole-grid build
+    tbl = build_calibration_table(nu_grid=(nu2, nu2 + 1))
+    for i, s in enumerate(tbl.sigma_grid):
+        assert ctost_star_calibrate(float(s), nu2).alpha_c == tbl.alpha_c[i, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +356,23 @@ def test_table_from_csv_errors(tmp_path):
         CalibrationTable.from_csv(p3)
 
 
+@pytest.mark.parametrize("row", [
+    "0.1,5,oops,quadrature,0.22,0.05",
+    "0.1,5,0.02,quadrature,0.22",
+    "0.1,5,0.02,quadrature,0.22,0.05,extra",
+    "0.1,5,inf,quadrature,0.22,0.05",
+])
+def test_table_from_csv_malformed_rows(tmp_path, row):
+    p = tmp_path / "corrupt.csv"
+    p.write_text("sigma1,nu2,alpha_c,strategy,c0,alpha0\n"
+                 f"{row}\n"
+                 "0.1,10,0.02,quadrature,0.22,0.05\n"
+                 "0.2,5,0.02,quadrature,0.22,0.05\n"
+                 "0.2,10,0.02,quadrature,0.22,0.05\n")
+    with pytest.raises(InputError):
+        CalibrationTable.from_csv(p)
+
+
 def test_table_validation():
     with pytest.raises(InputError):
         CalibrationTable(sigma_grid=np.array([0.2, 0.1]), nu_grid=np.array([5.0, 10.0]),
@@ -382,6 +381,10 @@ def test_table_validation():
     with pytest.raises(InputError):
         CalibrationTable(sigma_grid=np.array([0.1, 0.2]), nu_grid=np.array([5.0, 10.0]),
                          alpha_c=np.zeros((3, 2)), strategy="quadrature",
+                         c0=C0, alpha0=0.05)
+    with pytest.raises(InputError):
+        CalibrationTable(sigma_grid=np.array([-0.1, 0.2]), nu_grid=np.array([5.0, 10.0]),
+                         alpha_c=np.zeros((2, 2)), strategy="quadrature",
                          c0=C0, alpha0=0.05)
 
 
@@ -401,15 +404,6 @@ def test_bundled_table_covers_defaults_and_matches_quadrature():
     got = ctost_star_calibrate(0.0731, 17, strategy="table-lookup")
     want = ctost_star_calibrate(0.0731, 17, strategy="quadrature")
     assert got.alpha_c == pytest.approx(want.alpha_c, abs=1e-4)
-
-
-def test_table_env_override(tmp_path, monkeypatch):
-    tbl = _toy_table()
-    p = tmp_path / "override.csv"
-    tbl.to_csv(p)
-    monkeypatch.setenv(TABLE_ENV_VAR, str(p))
-    got = default_calibration_table()
-    np.testing.assert_array_equal(got.sigma_grid, tbl.sigma_grid)
 
 
 def test_table_spec_mismatch_raises(tmp_path):
