@@ -27,14 +27,14 @@ from .base import (
     NonConvergenceError,
 )
 from .ingest import (
-    _identity_correlation,
+    _independent_summary,
     case_study_labels,
     load_case_study,
     read_paired_csv,
     read_summary_json,
     summarize,
 )
-from .mvt import MvtAdjustment, MvtSummary, ctost_mvt_adjust, mvt_decide
+from .mvt import MvtAdjustment, ctost_mvt_adjust, mvt_decide
 from .powerkernel import UnivPowerQuery, power_uni
 from .simkit import (
     emit_plot_data,
@@ -175,8 +175,8 @@ def _load_summary(args, default_theta=None):
         return UnivSummary(theta[0], sigma[0], int(args.nu2)), None
     if len(theta) != len(sigma):
         raise InputError("--theta-hat and --sigma1-hat lengths differ")
-    corr = _identity_correlation(len(theta), "--theta-hat/--sigma1-hat")
-    return MvtSummary(np.array(theta), np.array(sigma), corr, int(args.nu2)), None
+    return _independent_summary(np.array(theta), np.array(sigma), int(args.nu2),
+                                "--theta-hat/--sigma1-hat"), None
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +481,14 @@ def build_parser():
                     "procedures: assessment, margin adjustment, exact power "
                     "and size, simulation studies, calibration tables.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha0", type=float, default=ALPHA0_DEFAULT, help=_ALPHA0_HELP)
-    common.add_argument("--c0", type=float, default=C0_DEFAULT, help=_C0_HELP)
-    common.add_argument("--seed", type=int, default=0,
+    # table reads only the levels, simulate adds the seed, the rest the tol
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--alpha0", type=float, default=ALPHA0_DEFAULT, help=_ALPHA0_HELP)
+    levels.add_argument("--c0", type=float, default=C0_DEFAULT, help=_C0_HELP)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[levels])
+    seeded.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized step (default 0)")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--tol", type=float, default=None,
                         help="solver tolerance override (default per solver)")
     fmt = argparse.ArgumentParser(add_help=False)
@@ -531,7 +534,7 @@ def build_parser():
         sp.add_argument("--out", metavar="FILE", default=None,
                         help="also write the table to FILE (csv format only)")
 
-    sp = sub.add_parser("simulate", parents=[common, tbl],
+    sp = sub.add_parser("simulate", parents=[seeded, tbl],
                         help="run a Monte Carlo study and write tidy CSV")
     sp.add_argument("--design", required=True,
                     choices=("univariate-sweep", "mvt-kappa"))
@@ -553,7 +556,7 @@ def build_parser():
     sp.add_argument("--rho", default=None, metavar="R[,R...]",
                     help="override the correlation set for mvt-kappa")
 
-    sp = sub.add_parser("table", parents=[common],
+    sp = sub.add_parser("table", parents=[levels],
                         help="precompute a ctost-star calibration table")
     sp.add_argument("--out", default="alpha_c_table.csv", metavar="FILE",
                     help="output CSV path (default alpha_c_table.csv)")

@@ -221,17 +221,20 @@ def read_paired_csv(path, scale="raw"):
     return PairedDataset(tuple(subjects), ref, tst, tuple(dims), scale=scale)
 
 
-def _identity_correlation(k, origin):
-    """Identity correlation for K >= 2 summaries that give none, with a warning.
+def _independent_summary(theta, sigma, nu2, origin):
+    """MvtSummary for a K >= 2 summary that gives no correlation.
 
-    The warning is attributed to the caller of the public reader.
+    The identity correlation is assumed, with a warning attributed to the
+    caller of the public reader, and the summary is marked
+    ``correlation_assumed``.
     """
+    k = len(theta)
     warnings.warn(
         f"{origin}: no correlation given for {k} dimensions; assuming "
         "independence (identity correlation)",
         stacklevel=4,
     )
-    return np.eye(k)
+    return MvtSummary(theta, sigma, np.eye(k), nu2, correlation_assumed=True)
 
 
 def _parse_summary_payload(payload, origin):
@@ -261,11 +264,9 @@ def _parse_summary_payload(payload, origin):
             if corr.shape != (1, 1) or abs(corr[0, 0] - 1.0) > 1e-12:
                 raise InputError(f"{origin}: scalar problem takes no correlation")
         return UnivSummary(float(theta[0]), float(sigma[0]), nu2)
-    if "correlation" in payload and payload["correlation"] is not None:
-        corr = np.asarray(payload["correlation"], dtype=float)
-    else:
-        corr = _identity_correlation(k, origin)
-    return MvtSummary(theta, sigma, corr, nu2)
+    if payload.get("correlation") is None:
+        return _independent_summary(theta, sigma, nu2, origin)
+    return MvtSummary(theta, sigma, payload["correlation"], nu2)
 
 
 def read_summary_json(path):
@@ -273,7 +274,8 @@ def read_summary_json(path):
 
     Required keys: ``theta_hat`` (scalar or vector), ``sigma1_hat``
     (matching shape), ``nu2`` (integer).  Optional: ``correlation`` (K x K;
-    identity assumed, with a UserWarning, when omitted) and ``scale``
+    identity assumed, with a UserWarning and ``correlation_assumed`` set,
+    when omitted) and ``scale``
     (must be ``"log"``).  Unknown keys are ignored.  Returns UnivSummary
     for one dimension, MvtSummary otherwise.
     """
@@ -303,10 +305,11 @@ def load_case_study():
     its reference in four porcine skin layers, n = 12 subject pairs
     (nu2 = 11).  The published summary carries per-layer standard errors
     only, so the correlation falls back to identity, with a UserWarning
-    saying so.  Under that fallback the joint alpha-tost declares
-    equivalence (shared level alpha* ~ 0.379); the published non-equivalent
-    verdict for that method needs the estimated cross-region correlation,
-    which the bundled data lack.
+    saying so, and the summary is marked ``correlation_assumed``.  Under
+    that fallback the joint alpha-tost declares equivalence (shared level
+    alpha* ~ 0.379); the published non-equivalent verdict for that method
+    needs the estimated cross-region correlation, which the bundled data
+    lack.
     """
     return _parse_summary_payload(_case_study_payload(), _CASE_STUDY_RESOURCE)
 

@@ -26,7 +26,7 @@ from .base import (
     NonConvergenceError,
 )
 from .powerkernel import MvtPowerQuery, _omega_joint, power_mvt
-from .statdist import _check_corr, t_quantile
+from .statdist import _check_corr, _is_diagonal, t_quantile
 from .univariate import _match_margin, _size_fixed
 
 __all__ = [
@@ -49,13 +49,15 @@ class MvtSummary:
     sigma1_hat holds the per-dimension standard errors and correlation_hat
     their estimated correlation; together they encode the covariance of
     theta_hat.  nu2 is shared across dimensions (same error degrees of
-    freedom).
+    freedom).  correlation_assumed marks an identity correlation supplied
+    because the input gave none; decisions carry it in their meta.
     """
 
     theta_hat: np.ndarray
     sigma1_hat: np.ndarray
     correlation_hat: np.ndarray
     nu2: int
+    correlation_assumed: bool = False
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta_hat, dtype=float))
@@ -161,13 +163,24 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
                   n_wishart: int = 4000) -> LambdaResult:
     """Worst point of the null boundary for the margins c (and multipliers t).
 
-    Searches the K faces {theta_h = +c0} (the negative faces follow by
-    symmetry): per face, projected coordinate ascent with golden-section
-    line searches (tolerance 1e-6 * c0 per coordinate) from the face center
-    and from a second interior start, plus every axis candidate +-c0 e_k
-    evaluated directly.  The best point wins; an axis candidate matching the
-    ascent value within the objective's resolution is preferred, which
-    reproduces the exact axis solution in the independent case.
+    Every axis candidate +-c0 e_h is evaluated first, in that order.
+
+    If the correlation is diagonal (:func:`statdist._is_diagonal`) the best
+    axis candidate is the answer, at t = 0 and t > 0 alike, after 2K
+    objective calls.  With independent coordinates the joint rejection
+    probability is a product of one-dimensional factors, each symmetric and
+    non-increasing in |theta_k|: at t = 0 a factor is a centred interval
+    probability of a normal (Anderson 1955), and at t > 0 a mixture of such
+    probabilities over the standard-error estimate.  On the face
+    {theta_h = +-c0} the product is therefore largest with every other
+    coordinate at 0.
+
+    Otherwise the K faces {theta_h = +c0} are searched as well (the
+    negative faces follow by symmetry): per face, projected coordinate
+    ascent with golden-section line searches (tolerance 1e-6 * c0 per
+    coordinate) from the face center and from a second interior start.
+    The best point wins; an axis candidate matching the ascent value within
+    the objective's resolution is preferred.
 
     t defaults to all zeros (fixed-margin tests); nonzero multipliers
     switch the objective to the standard-error-averaged rejection
@@ -187,10 +200,6 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
         raise InputError("margins c must be positive")
     c0 = spec.c0
     xtol = 1e-6 * c0
-    randomized = np.any(t > 0) and k >= 2 and np.max(np.abs(corr - np.eye(k))) >= 1e-14
-    # resolution of one objective evaluation: deterministic paths (all of
-    # K <= 4 at t = 0) resolve machine-level differences, sampled paths ~tol
-    snap = tol if (randomized or (k >= 5 and np.max(np.abs(corr - np.eye(k))) >= 1e-14)) else 1e-12
 
     count = [0]
 
@@ -222,16 +231,21 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
             v = objective(theta)
             if v > best_axis_val:
                 best_axis_val, best_axis = v, (h, sgn, theta)
+    if _is_diagonal(corr):
+        h, sgn, theta = best_axis
+        return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
+                            sign=sgn, candidates_evaluated=count[0])
 
+    # resolution of one objective evaluation for correlated coordinates: the
+    # deterministic K <= 4 rectangles at t = 0 resolve machine-level
+    # differences, the sampled ones (t > 0 or K >= 5) about tol
+    snap = tol if (np.any(t > 0) or k >= 5) else 1e-12
     best_val = -1.0
     best_face = 0
-    best_free = np.zeros(max(k - 1, 0))
+    best_free = np.zeros(k - 1)
     converged = True
     for face in range(k):
-        starts = [np.zeros(k - 1)]
-        if k > 1:
-            starts.append(np.full(k - 1, 0.5 * c0))
-        for start in starts:
+        for start in (np.zeros(k - 1), np.full(k - 1, 0.5 * c0)):
             free = start.copy()
             val = objective(embed(face, free))
             for _sweep in range(8):
@@ -380,7 +394,8 @@ def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
     alpha-tost solves one shared adjusted level against the worst-case
     joint size; ctost uses the per-dimension matched margins, reporting
     interval-inclusion form intervals theta_hat_k +- (c0 - c*_k) whenever
-    every margin sits below c0.
+    every margin sits below c0.  Every report's meta carries the summary's
+    correlation_assumed flag.
     """
     spec = spec or EquivalenceSpec()
     method = method or spec.method
@@ -401,7 +416,8 @@ def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
         return DecisionReport(
             method="tost", reject=reject, theta_hat=theta, margins=tuple(margins),
             intervals=ivs, iip=True, c0=c0, alpha0=alpha0,
-            meta={"t_used": t, "nu2": s.nu2, "dim": s.dim})
+            meta={"t_used": t, "nu2": s.nu2, "dim": s.dim,
+                  "correlation_assumed": s.correlation_assumed})
 
     if method == "alpha-tost":
         alpha, lam, saturated, resid = _alpha_star_joint(
@@ -416,7 +432,8 @@ def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
             margins=tuple(margins), intervals=ivs, iip=True, c0=c0, alpha0=alpha0,
             meta={"alpha_adj": alpha, "t_used": t, "saturated": saturated,
                   "size_residual": resid, "lambda": lam.lambda_.tolist(),
-                  "nu2": s.nu2, "dim": s.dim})
+                  "nu2": s.nu2, "dim": s.dim,
+                  "correlation_assumed": s.correlation_assumed})
 
     adj = ctost_mvt_adjust(s, spec, tol=tol, seed=seed)
     margins = adj.c_star
@@ -433,4 +450,5 @@ def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
               "inner_iterations": adj.inner_iterations,
               "lambda": adj.lambda_.lambda_.tolist(),
               "lambda_objective": adj.lambda_.objective,
-              "nu2": s.nu2, "dim": s.dim})
+              "nu2": s.nu2, "dim": s.dim,
+              "correlation_assumed": s.correlation_assumed})

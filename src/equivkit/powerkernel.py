@@ -23,6 +23,7 @@ from scipy import special
 from .base import C0_DEFAULT, InputError
 from .statdist import (
     _check_corr,
+    _is_diagonal,
     _leggauss,
     _scaled_chi_logpdf,
     chi2_quantile,
@@ -277,8 +278,7 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
     if np.all(q.t == 0.0):
         return _omega_joint(q.theta, q.sigma1, q.correlation, q.c, tol=tol, seed=seed)
 
-    offdiag = np.max(np.abs(q.correlation - np.eye(q.dim)))
-    if offdiag < 1e-14:
+    if _is_diagonal(q.correlation):
         # independent coordinates: both the estimates and their standard
         # errors factor, so the joint rejection probability is a product
         vals = _omega_batch(q.theta, q.sigma1, q.nu2, q.t, q.c)

@@ -204,11 +204,23 @@ def rect_prob(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     return out if out.ndim else float(out)
 
 
+def _is_diagonal(corr: np.ndarray) -> bool:
+    """Whether the correlation matrix ``corr`` makes its coordinates independent.
+
+    True when every off-diagonal entry is below 1e-14 in magnitude.  The
+    diagonal, which :func:`_check_corr` holds at 1 to within 1e-12, supplies
+    exactly K entries at or above 1e-14, so counting those is the
+    off-diagonal test in the fewest array operations: it runs on every
+    rectangle call.  Every independence shortcut in the package uses this
+    one rule.
+    """
+    return bool(np.count_nonzero(np.abs(corr) >= 1e-14) == corr.shape[0])
+
+
 def _live_boxes(a, b, corr, tol, seed, n_points):
     """rect_prob for non-empty boxes (m, K)."""
     k = a.shape[1]
-    # only the unit diagonal reaching 1e-14 means independent coordinates
-    if k == 1 or np.count_nonzero(np.abs(corr) >= 1e-14) == k:
+    if _is_diagonal(corr):
         return np.prod(special.ndtr(b) - special.ndtr(a), axis=1)
     if k == 2:
         return _bvn_rect(a[:, 0], b[:, 0], a[:, 1], b[:, 1], corr[0, 1])

@@ -297,11 +297,11 @@ def delta_tost_adjust(sigma1_hat: float, nu2: int,
     if not (sigma1_hat > 0):
         raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
     t = float(t_quantile(spec.alpha0, nu2))
-    c, resid, _, conv = _delta_margin(sigma1_hat, nu2, t, spec.c0, spec.alpha0,
-                                      tol=tol)
+    c, resid, iters, conv = _delta_margin(sigma1_hat, nu2, t, spec.c0,
+                                          spec.alpha0, tol=tol)
     c, resid = _scalar_root("margin", c, resid, conv)
     return UnivAdjustment(method="delta-tost", t_used=t, c_used=c,
-                          converged=True, residual=resid)
+                          iterations=iters, residual=resid)
 
 
 def alpha_tost_adjust(sigma1_hat: float, nu2: int,
@@ -671,8 +671,8 @@ def decide(s: UnivSummary, spec: EquivalenceSpec = None,
             intervals=((s.theta_hat - half, s.theta_hat + half),), iip=True,
             c0=spec.c0, alpha0=spec.alpha0,
             meta={"alpha_adj": adj.alpha_adj, "t_used": adj.t_used,
-                  "saturated": adj.saturated, "sigma1_hat": s.sigma1_hat,
-                  "nu2": s.nu2})
+                  "saturated": adj.saturated, "iterations": adj.iterations,
+                  "sigma1_hat": s.sigma1_hat, "nu2": s.nu2})
     if m == "delta-tost":
         adj = delta_tost_adjust(s.sigma1_hat, s.nu2, spec)
         half = adj.t_used * s.sigma1_hat
@@ -685,5 +685,6 @@ def decide(s: UnivSummary, spec: EquivalenceSpec = None,
             intervals=((s.theta_hat - half, s.theta_hat + half),), iip=False,
             c0=spec.c0, alpha0=spec.alpha0,
             meta={"c_star": adj.c_used, "t_used": adj.t_used,
+                  "iterations": adj.iterations,
                   "sigma1_hat": s.sigma1_hat, "nu2": s.nu2})
     raise InputError(f"unknown method {m!r}")

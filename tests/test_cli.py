@@ -12,7 +12,12 @@ from equivkit.cli import main
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import CSV_HEADER, run_simulation, univariate_sweep_config
 from equivkit.statdist import t_quantile
-from equivkit.univariate import CalibrationTable, ctost_adjust, ctost_star_calibrate
+from equivkit.univariate import (
+    CalibrationTable,
+    ctost_adjust,
+    ctost_star_calibrate,
+    delta_tost_adjust,
+)
 
 C0 = float(np.log(1.25))
 
@@ -50,6 +55,7 @@ def test_assess_inline_multivariate_warns_identity(capsys):
             capsys, "assess", "--method", "ctost",
             "--theta-hat", "0.01,0.02", "--sigma1-hat", "0.1,0.12", "--nu2", "20")
     assert payload["meta"]["dim"] == 2
+    assert payload["meta"]["correlation_assumed"] is True
 
 
 def test_assess_matches_library_bit_for_bit(capsys):
@@ -66,6 +72,12 @@ def test_assess_case_study_all_layers(capsys):
     assert len(payload["dimension_names"]) == 4
     assert payload["verdict"] == "equivalent"
     assert payload["meta"]["gamma"] == pytest.approx(0.3089, abs=5e-4)
+
+
+def test_assess_case_study_marks_assumed_correlation(capsys):
+    for method in ("tost", "alpha-tost"):
+        payload = run_json(capsys, "assess", "--case-study", "--method", method)
+        assert payload["meta"]["correlation_assumed"] is True
 
 
 def test_case_study_alias(capsys):
@@ -159,6 +171,13 @@ def test_adjust_ctost(capsys):
     assert payload["c_used"] == pytest.approx(0.14090086996663614, abs=1e-12)
     assert payload["t_used"] == 0
     assert payload["converged"] is True
+
+
+def test_adjust_delta_tost_reports_iterations(capsys):
+    payload = run_json(
+        capsys, "adjust", "--method", "delta-tost", "--sigma1", "0.1",
+        "--nu2", "20")
+    assert payload["iterations"] == delta_tost_adjust(0.1, 20).iterations > 0
 
 
 def test_adjust_refined_small_sample(capsys):
@@ -384,6 +403,18 @@ def test_simulate_mismatched_table_exit_code(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # interface conventions
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--seed", "5"),
+    ("table", "--tol", "1e-3"),
+    ("simulate", "--design", "mvt-kappa", "--tol", "1e-1"),
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exc:

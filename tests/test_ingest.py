@@ -16,7 +16,7 @@ from equivkit.ingest import (
     read_summary_json,
     summarize,
 )
-from equivkit.mvt import MvtSummary
+from equivkit.mvt import MvtSummary, mvt_decide
 from equivkit.univariate import UnivSummary
 
 
@@ -276,6 +276,8 @@ def test_read_summary_json_multivariate_identity_fallback(tmp_path):
         s = read_summary_json(p)
     assert isinstance(s, MvtSummary)
     np.testing.assert_array_equal(s.correlation_hat, np.eye(2))
+    assert s.correlation_assumed
+    assert mvt_decide(s, method="tost").meta["correlation_assumed"] is True
 
 
 def test_read_summary_json_with_correlation(tmp_path):
@@ -290,6 +292,8 @@ def test_read_summary_json_with_correlation(tmp_path):
         warnings.simplefilter("error")
         s = read_summary_json(p)
     assert s.correlation_hat[0, 1] == pytest.approx(0.4)
+    assert not s.correlation_assumed
+    assert mvt_decide(s, method="tost").meta["correlation_assumed"] is False
 
 
 @pytest.mark.parametrize(
@@ -339,6 +343,13 @@ def test_case_study_shape_and_values():
     np.testing.assert_array_equal(s.correlation_hat, np.eye(4))
     assert np.all(s.sigma1_hat > 0)
     assert np.all(np.abs(s.theta_hat) < 0.15)
+
+
+def test_case_study_reports_mark_the_assumed_correlation():
+    s = load_case_study()
+    assert s.correlation_assumed
+    for method in ("tost", "alpha-tost", "ctost"):
+        assert mvt_decide(s, method=method).meta["correlation_assumed"] is True
 
 
 def test_case_study_labels_align():

@@ -21,6 +21,7 @@ from equivkit.mvt import (
     mvt_decide,
     repair_correlation,
 )
+from equivkit.powerkernel import MvtPowerQuery, power_mvt
 from equivkit.univariate import UnivSummary, _size_fixed, alpha_tost_adjust, ctost_adjust
 from equivkit.statdist import norm_cdf, t_quantile
 
@@ -137,6 +138,50 @@ def test_lambda_argsup_matches_dense_face_scan(rho):
             best = max(best, v)
     assert lam.objective == pytest.approx(best, abs=2e-6)
     assert lam.objective >= best - 2e-6
+
+
+def _axis_closed_form(sigma, nu2, t, c):
+    """max_h size_h * prod_{j != h} P_j(0) for independent coordinates."""
+    edge = [oracles.omega_quad(C0, s, nu2, t, ck) for s, ck in zip(sigma, c)]
+    centre = [oracles.omega_quad(0.0, s, nu2, t, ck) for s, ck in zip(sigma, c)]
+    per_face = [edge[h] * np.prod(np.delete(centre, h)) for h in range(len(c))]
+    return max(per_face)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.7])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_lambda_argsup_diagonal_takes_closed_form(k, t):
+    rng = np.random.default_rng(100 * k + int(10 * t))
+    sigma = rng.uniform(0.05, 0.2, size=k)
+    c = rng.uniform(0.18, 0.3, size=k)
+    nu2 = 20
+    lam = lambda_argsup(sigma, np.eye(k), nu2, c, t=t)
+    # an axis point, found from the 2K axis candidates alone
+    assert lam.candidates_evaluated == 2 * k
+    assert lam.converged
+    assert abs(lam.lambda_[lam.face]) == C0
+    assert lam.lambda_[lam.face] == lam.sign * C0
+    assert np.all(np.delete(lam.lambda_, lam.face) == 0.0)
+    assert lam.objective == pytest.approx(_axis_closed_form(sigma, nu2, t, c),
+                                          rel=1e-8)
+    # no point of the null boundary does better
+    for _ in range(500):
+        theta = rng.uniform(-C0, C0, size=k)
+        theta[rng.integers(k)] = rng.choice([-C0, C0])
+        probe = power_mvt(MvtPowerQuery(theta, sigma, np.eye(k), nu2,
+                                        np.full(k, t), c))
+        assert lam.objective >= probe - 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_mvt_decide_alpha_tost_diagonal_matches_oracle(k):
+    rng = np.random.default_rng(7 + k)
+    sigma = rng.uniform(0.08, 0.3, size=k)
+    s = _summary(np.zeros(k), sigma, np.eye(k), nu2=11)
+    rep = mvt_decide(s, EquivalenceSpec(method="alpha-tost"))
+    ref = oracles.alpha_star_joint_indep(sigma, 11)
+    assert rep.meta["alpha_adj"] == pytest.approx(ref["alpha"], abs=1e-5)
+    np.testing.assert_allclose(rep.margins, ref["margins"], atol=1e-5)
 
 
 def test_lambda_argsup_rejects_bad_margins():

@@ -208,6 +208,19 @@ def test_power_mvt_diagonal_random_margins_factorizes():
     assert power_mvt(q) == pytest.approx(want, abs=5e-8)
 
 
+def test_power_mvt_near_unit_diagonal_takes_the_product():
+    # a unit diagonal off by 1e-13 passes validation and leaves the
+    # coordinates independent, so the exact product applies as it does at I
+    theta = np.array([C0, 0.0])
+    sigma1 = np.array([0.1, 0.14])
+    t = np.full(2, 1.7)
+    c = np.full(2, C0)
+    exact = power_mvt(MvtPowerQuery(theta, sigma1, np.eye(2), 20, t, c))
+    near = power_mvt(MvtPowerQuery(theta, sigma1, np.eye(2) + np.diag([1e-13, 0.0]),
+                                   20, t, c))
+    assert near == exact
+
+
 def test_power_mvt_mc_route_agrees_with_product_on_diagonal():
     # force the Monte Carlo path on a case whose exact value the product
     # route gives, so the two disagree only by sampling noise

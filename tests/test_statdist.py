@@ -14,6 +14,7 @@ from equivkit import statdist
 from equivkit.statdist import (
     SigmaHatLaw,
     _genz_qmc,
+    _is_diagonal,
     _leggauss,
     chi2_quantile,
     norm_cdf,
@@ -195,6 +196,16 @@ def test_bvn_rect_independence_factorizes():
     # Owen's T must give the same value
     assert rect_prob([a1, a2], [b1, b2], np.eye(2)) == pytest.approx(want, rel=1e-10)
     assert rect_prob([a1, a2], [b1, b2], _corr2(1e-13)) == pytest.approx(want, rel=1e-10)
+
+
+def test_is_diagonal_reads_off_diagonals_only():
+    assert _is_diagonal(np.eye(1))
+    assert _is_diagonal(np.eye(3))
+    # the unit diagonal may be off by what validation accepts
+    assert _is_diagonal(np.eye(3) + np.diag([1e-13, 0.0, -1e-13]))
+    assert _is_diagonal(_corr2(1e-15))
+    assert not _is_diagonal(_corr2(1e-14))
+    assert not _is_diagonal(_corr2(-0.3))
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -182,6 +182,16 @@ def test_delta_star_frozen_value():
     assert adj.c_used == pytest.approx(0.22643625291570546, abs=1e-8)
 
 
+def test_delta_star_reports_bisection_iterations():
+    t0 = float(t_quantile(0.05, 20))
+    _, _, iters, _ = _delta_margin(0.1, 20, t0, C0, 0.05)
+    adj = delta_tost_adjust(0.1, 20)
+    assert adj.iterations > 0
+    assert adj.iterations == iters
+    rep = decide(UnivSummary(0.0, 0.1, 20), EquivalenceSpec(method="delta-tost"))
+    assert rep.meta["iterations"] == iters
+
+
 def test_delta_star_agrees_with_scipy_root():
     t0 = float(t_quantile(0.05, 20))
 
