@@ -293,6 +293,8 @@ def cmd_adjust(args):
             kwargs["tol"] = args.tol
         adj = ctost_mvt_adjust(summary, spec=spec, **kwargs)
     payload = _adjustment_payload(adj)
+    if isinstance(adj, MvtAdjustment):
+        payload["correlation_assumed"] = summary.correlation_assumed
     payload["c0"] = spec.c0
     payload["alpha0"] = spec.alpha0
     if args.format == "text":

@@ -25,7 +25,13 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import MvtPowerQuery, _omega_joint, power_mvt
+from .powerkernel import (
+    MvtPowerQuery,
+    _JointRejection,
+    _omega_joint,
+    _power_mvt_mc,
+    power_mvt,
+)
 from .statdist import _check_corr, _is_diagonal, t_quantile
 from .univariate import _match_margin, _size_fixed
 
@@ -39,7 +45,12 @@ __all__ = [
     "mvt_decide",
 ]
 
-_INVPHI = 0.5 * (np.sqrt(5.0) - 1.0)
+# face search: iteration cap, Armijo constant, and the stopping rules, in
+# the units of theta_j / sigma_j (gradient) and of c0 (step)
+_ASCENT_MAX_ITER = 50
+_ARMIJO = 1e-4
+_PG_TOL = 1e-7
+_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,10 @@ class LambdaResult:
     """Worst boundary point found for a given margin vector.
 
     lambda_ lies on the face {theta_face = sign * c0}; objective is the
-    joint rejection probability there.  candidates_evaluated counts
-    objective calls spent in the search.
+    joint rejection probability there.  candidates_evaluated counts the
+    objective values the search took (each accepted point of a face search
+    also takes a gradient); converged is False when a face search stopped
+    at its iteration cap.
     """
 
     lambda_: np.ndarray
@@ -137,31 +150,86 @@ class MvtAdjustment:
     converged: bool
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        evals += 1
-    x = 0.5 * (a + b)
-    return x, f(x), evals + 1
+def _face_ascent(obj: _JointRejection, face: int, start, c0: float):
+    """Projected BFGS ascent of log obj.value on the face {theta_face = c0}.
+
+    The free coordinates stay in [-c0, c0]: a coordinate at a bound whose
+    gradient points outward is held, the others take the quasi-Newton
+    direction, and a backtracking (Armijo) line search projects each trial
+    onto the box and accepts only a gain.  The inverse Hessian of -log P
+    starts at diag(sigma^2), the scale of a normal rectangle's curvature,
+    and restarts there when a quasi-Newton direction finds no gain.
+
+    Stops, converged, when the projected gradient of log P falls below
+    _PG_TOL per standardized coordinate or no trial step longer than
+    _STEP_TOL * c0 gains; else after _ASCENT_MAX_ITER steps, not converged.
+    Returns (theta, value, values evaluated, converged).
+    """
+    k = obj.sigma1.size
+    rest = np.arange(k) != face
+    scale = obj.sigma1[rest]
+
+    def at(x):
+        theta = np.full(k, c0)
+        theta[rest] = x
+        return theta
+
+    x = np.array(start, dtype=float)
+    val = obj.value(at(x))
+    evals = 1
+    if not val > 0:
+        # every box is empty or beyond reach: log P has no gradient here
+        return at(x), val, evals, True
+    g = obj.grad(at(x))[rest] / val
+    hinv0 = np.diag(scale * scale)
+    hinv, fresh = hinv0, True
+    for _ in range(_ASCENT_MAX_ITER):
+        blocked = ((x >= c0) & (g > 0)) | ((x <= -c0) & (g < 0))
+        if np.max(np.abs(np.where(blocked, 0.0, g)) * scale) <= _PG_TOL:
+            return at(x), val, evals, True
+        free = ~blocked
+        p = np.zeros_like(x)
+        p[free] = hinv[np.ix_(free, free)] @ g[free]
+        step, moved = 1.0, False
+        while not moved:
+            x_new = np.clip(x + step * p, -c0, c0)
+            s = x_new - x
+            if np.max(np.abs(s)) <= _STEP_TOL * c0:
+                break
+            v_new = obj.value(at(x_new))
+            evals += 1
+            moved = v_new > val and np.log(v_new / val) >= _ARMIJO * (g @ s)
+            step *= 0.5
+        if not moved:
+            # no step above the step tolerance gains: stationary at that
+            # resolution, unless a quasi-Newton direction missed the ascent
+            if fresh:
+                return at(x), val, evals, True
+            hinv, fresh = hinv0, True
+            continue
+        g_new = obj.grad(at(x_new))[rest] / v_new
+        # curvature along the coordinates that moved: the held ones carry
+        # gradient changes no step can follow
+        y = np.where(free, g - g_new, 0.0)
+        sy = s @ y
+        if sy > 0:
+            # BFGS update of the inverse Hessian of -log P
+            m = np.eye(x.size) - np.outer(s, y) / sy
+            hinv, fresh = m @ hinv @ m.T + np.outer(s, s) / sy, False
+        x, val, g = x_new, v_new, g_new
+    return at(x), val, evals, False
 
 
 def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None,
                   tol: float = 1e-5, seed: int = 0, t=None,
                   n_wishart: int = 4000) -> LambdaResult:
     """Worst point of the null boundary for the margins c (and multipliers t).
+
+    The objective is the joint rejection probability: at t = 0 (the
+    default; fixed-margin tests) one normal rectangle, :func:`_omega_joint`
+    to ``tol``; with multipliers t > 0 the Monte Carlo average of
+    :func:`power_mvt` over ``n_wishart`` standard-error draws, drawn once
+    per search from ``seed`` so that every value equals ``power_mvt``'s.
 
     Every axis candidate +-c0 e_h is evaluated first, in that order.
 
@@ -176,15 +244,15 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     coordinate at 0.
 
     Otherwise the K faces {theta_h = +c0} are searched as well (the
-    negative faces follow by symmetry): per face, projected coordinate
-    ascent with golden-section line searches (tolerance 1e-6 * c0 per
-    coordinate) from the face center and from a second interior start.
-    The best point wins; an axis candidate matching the ascent value within
-    the objective's resolution is preferred.
-
-    t defaults to all zeros (fixed-margin tests); nonzero multipliers
-    switch the objective to the standard-error-averaged rejection
-    probability, evaluated with common random numbers across calls.
+    negative faces follow by symmetry) by projected quasi-Newton ascent of
+    the log objective with analytic gradients (:func:`_face_ascent`,
+    :func:`statdist.rect_grad`).  At t = 0 the normal probability of a box
+    is log-concave in its centre (Prekopa 1973), so each face has a single
+    maximizer and one start, the face centre, finds it.  At t > 0 the
+    mixture is not known to be log-concave, and a second start at 0.5 c0
+    runs as well.  The best point wins; an axis candidate matching it
+    within the objective's resolution is preferred.  converged is False
+    when some face search stopped at its iteration cap.
     """
     spec = spec or EquivalenceSpec()
     sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
@@ -199,87 +267,64 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     if np.any(c <= 0):
         raise InputError("margins c must be positive")
     c0 = spec.c0
-    xtol = 1e-6 * c0
+    sampled = bool(np.any(t != 0))
 
-    count = [0]
-
-    if np.all(t == 0):
-        def objective(theta):
-            count[0] += 1
-            return _omega_joint(theta, sigma1, corr, c, tol=tol, seed=seed,
-                                n_points=(1 << 12) if k >= 5 else None)
+    if not sampled:
+        obj = _JointRejection(c[None, :], sigma1, corr,
+                              {"tol": tol, "seed": seed,
+                               "n_points": (1 << 12) if k >= 5 else None})
+        value = obj.value
+    elif _is_diagonal(corr):
+        # independent coordinates: power_mvt's exact product, axes only
+        def value(theta):
+            return power_mvt(MvtPowerQuery(theta, sigma1, corr, nu2, t, c),
+                             tol=tol, seed=seed, n_wishart=n_wishart)
     else:
-        def objective(theta):
-            count[0] += 1
-            q = MvtPowerQuery(theta, sigma1, corr, nu2, t, c)
-            return power_mvt(q, tol=tol, seed=seed, n_wishart=n_wishart)
-
-    def embed(face, free):
-        theta = np.empty(k)
-        theta[face] = c0
-        theta[np.arange(k) != face] = free
-        return theta
+        obj = _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart)
+        value = obj.value
 
     # axis candidates; by symmetry the negative axes duplicate the positive
     # ones, but they are cheap and keep the audit contract literal
+    count = 0
     best_axis_val = -1.0
     best_axis = None
     for h in range(k):
         for sgn in (1, -1):
             theta = np.zeros(k)
             theta[h] = sgn * c0
-            v = objective(theta)
+            v = value(theta)
+            count += 1
             if v > best_axis_val:
                 best_axis_val, best_axis = v, (h, sgn, theta)
     if _is_diagonal(corr):
         h, sgn, theta = best_axis
         return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
-                            sign=sgn, candidates_evaluated=count[0])
+                            sign=sgn, candidates_evaluated=count)
 
     # resolution of one objective evaluation for correlated coordinates: the
     # deterministic K <= 4 rectangles at t = 0 resolve machine-level
     # differences, the sampled ones (t > 0 or K >= 5) about tol
-    snap = tol if (np.any(t > 0) or k >= 5) else 1e-12
+    snap = tol if (sampled or k >= 5) else 1e-12
+    starts = (np.zeros(k - 1), np.full(k - 1, 0.5 * c0)) if sampled else (np.zeros(k - 1),)
     best_val = -1.0
-    best_face = 0
-    best_free = np.zeros(k - 1)
+    best = None
     converged = True
     for face in range(k):
-        for start in (np.zeros(k - 1), np.full(k - 1, 0.5 * c0)):
-            free = start.copy()
-            val = objective(embed(face, free))
-            for _sweep in range(8):
-                sweep_gain = 0.0
-                for j in range(k - 1):
-                    def line(y, j=j, free=free):
-                        pt = free.copy()
-                        pt[j] = y
-                        return objective(embed(face, pt))
-
-                    y, fy, _ = _golden_max(line, -c0, c0, xtol)
-                    f0 = line(0.0)
-                    if f0 >= fy:
-                        y, fy = 0.0, f0
-                    if fy > val:
-                        sweep_gain += fy - val
-                        free[j] = y
-                        val = fy
-                if sweep_gain <= 1e-12:
-                    break
-            else:
-                converged = False
+        for start in starts:
+            theta, val, evals, ok = _face_ascent(obj, face, start, c0)
+            count += evals
+            converged = converged and ok
             if val > best_val:
-                best_val, best_face = val, face
-                best_free = free.copy()
+                best_val, best = val, (face, theta)
 
     if best_axis_val >= best_val - snap:
         h, sgn, theta = best_axis
         return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
-                            sign=sgn, candidates_evaluated=count[0],
+                            sign=sgn, candidates_evaluated=count,
                             converged=converged)
-    theta = embed(best_face, best_free)
-    return LambdaResult(lambda_=theta, objective=best_val, face=best_face,
-                        sign=1, candidates_evaluated=count[0],
+    face, theta = best
+    return LambdaResult(lambda_=theta, objective=best_val, face=face,
+                        sign=1, candidates_evaluated=count,
                         converged=converged)
 
 
@@ -298,7 +343,8 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     alpha0 and the joint rejection probability, re-solving each margin at
     the new gamma, until gamma settles (|change| <= inner_tol); the outer
     loop then relocates the worst point for the updated margins.  Stops
-    when the joint size residual is within tol.  gamma can only move
+    when the joint size residual is within tol; the result's converged is
+    then the final worst-point search's flag.  gamma can only move
     upward from alpha0: each dimension's test runs at a level at least as
     large as the nominal one.
     """
@@ -321,7 +367,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
         if abs(resid) <= tol:
             return MvtAdjustment(c_star=c, gamma=gamma, lambda_=lam,
                                  outer_iterations=r, inner_iterations=inner_total,
-                                 converged=True)
+                                 converged=lam.converged)
         if r == r_max:
             break
         gamma = alpha0

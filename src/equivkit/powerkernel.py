@@ -27,6 +27,7 @@ from .statdist import (
     _leggauss,
     _scaled_chi_logpdf,
     chi2_quantile,
+    rect_grad,
     rect_prob,
     rng_stream,
     sample_wishart_diag,
@@ -227,21 +228,50 @@ def _omega_joint(theta, sigma1, corr, c, tol: float = 2.5e-7, seed: int = 0,
                      tol=tol, seed=seed, n_points=n_points)
 
 
-def _power_mvt_mc(q: MvtPowerQuery, seed, n_wishart: int) -> float:
-    """Monte Carlo over standard-error draws, exact conditional rectangle.
+@dataclass(frozen=True)
+class _JointRejection:
+    """Mean joint rejection probability over boxes, as a function of theta.
 
-    A draw whose box is empty (some c_k - t_k s_k <= 0) contributes 0.
+    Row i of ``half`` holds the half-widths of one rejection box
+    {|theta_hat_k| < half_ik} (a row with a non-positive entry is empty);
+    theta_hat ~ N(theta, D corr D) with D = diag(sigma1).  :meth:`value`
+    averages the rows' :func:`rect_prob` values and :meth:`grad` is its
+    gradient in theta from :func:`rect_grad`; ``rect`` holds the tol, seed
+    and n_points both take.  A fixed-margin test has one row, c.
     """
-    s = sample_wishart_diag(q.sigma1, q.correlation, q.nu2, n_wishart,
+
+    half: np.ndarray
+    sigma1: np.ndarray
+    corr: np.ndarray
+    rect: dict
+
+    def _limits(self, theta):
+        return (-self.half - theta) / self.sigma1, (self.half - theta) / self.sigma1
+
+    def value(self, theta) -> float:
+        probs = rect_prob(*self._limits(theta), self.corr, **self.rect)
+        return float(np.sum(probs) / len(self.half))
+
+    def grad(self, theta) -> np.ndarray:
+        da, db = rect_grad(*self._limits(theta), self.corr, **self.rect)
+        return -np.sum(da + db, axis=0) / (len(self.half) * self.sigma1)
+
+
+def _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart: int) -> _JointRejection:
+    """The Monte Carlo objective of :func:`power_mvt` at t > 0.
+
+    Its rows are the boxes of ``n_wishart`` standard-error draws s, with
+    half-widths c - t s, and its rectangles are exact.  The draws depend
+    only on (sigma1, corr, nu2, seed), so one objective serves every theta.
+    """
+    s = sample_wishart_diag(sigma1, corr, nu2, n_wishart,
                             rng_stream(seed, "power-mvt"))
-    half = q.c - q.t * s
     # n_points reaches only K >= 5: a fixed 2^8 points in each scrambled
     # set keeps the average smooth across calls
-    probs = rect_prob((-half - q.theta) / q.sigma1, (half - q.theta) / q.sigma1,
-                      q.correlation,
-                      seed=rng_stream(seed, "power-mvt", "qmc").integers(1 << 62),
-                      n_points=1 << 8)
-    return float(np.sum(probs) / n_wishart)
+    return _JointRejection(
+        c - t * s, sigma1, corr,
+        {"seed": rng_stream(seed, "power-mvt", "qmc").integers(1 << 62),
+         "n_points": 1 << 8})
 
 
 def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
@@ -284,4 +314,5 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
         vals = _omega_batch(q.theta, q.sigma1, q.nu2, q.t, q.c)
         return float(np.prod(vals))
 
-    return _power_mvt_mc(q, seed, n_wishart)
+    return _power_mvt_mc(q.sigma1, q.correlation, q.nu2, q.t, q.c, seed,
+                         n_wishart).value(q.theta)

@@ -25,6 +25,7 @@ __all__ = [
     "chi2_quantile",
     "SigmaHatLaw",
     "rect_prob",
+    "rect_grad",
     "sample_wishart_diag",
     "sample_wishart_cov",
     "rng_stream",
@@ -204,6 +205,51 @@ def rect_prob(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     return out if out.ndim else float(out)
 
 
+def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None):
+    """Partial derivatives of :func:`rect_prob` in the box limits.
+
+    Returns (da, db), each of the shape of ``a``: for X ~ N(0, corr),
+    db[..., j] = phi(b_j) P(a_i < X_i < b_i for i != j | X_j = b_j) and
+    da[..., j] = -phi(a_j) P(... | X_j = a_j) (Genz & Bretz 2009, sec. 2).
+    Given X_j = x the other coordinates are normal with means corr_ij x and
+    the conditional correlation, so each coordinate's conditionals at both
+    limits of every box are one ``rect_prob`` call of dimension K - 1,
+    taking ``tol``, ``seed`` and ``n_points`` as given; at K = 2 that is a
+    difference of normal CDFs.  An empty box has zero derivatives.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = a.shape[-1]
+    corr = np.asarray(corr, dtype=float)
+    if b.shape != a.shape or corr.shape != (k, k):
+        raise InputError("rect_grad needs a and b of one shape (..., K) and a K x K corr")
+    lo = a.reshape(-1, k)
+    hi = b.reshape(-1, k)
+    live = (hi > lo).all(axis=1)
+    lo, hi = lo[live], hi[live]
+    da = np.zeros((live.size, k))
+    db = np.zeros((live.size, k))
+    for j in range(k if live.any() else 0):
+        # the limits of coordinate j, lower then upper, one row each
+        x = np.concatenate([lo[:, j], hi[:, j]])
+        dens = np.exp(-0.5 * x * x) / _SQRT2PI
+        if k > 1:
+            rest = np.arange(k) != j
+            r = corr[rest, j]
+            sd = np.sqrt((1.0 - r) * (1.0 + r))
+            cond_corr = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
+            np.fill_diagonal(cond_corr, 1.0)
+            mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT)[:, None] * r
+            rest_lo = np.concatenate([lo[:, rest], lo[:, rest]])
+            rest_hi = np.concatenate([hi[:, rest], hi[:, rest]])
+            dens = dens * rect_prob((rest_lo - mean) / sd, (rest_hi - mean) / sd,
+                                    cond_corr, tol=tol, seed=seed,
+                                    n_points=n_points).reshape(-1)
+        da[live, j] = -dens[:lo.shape[0]]
+        db[live, j] = dens[lo.shape[0]:]
+    return da.reshape(a.shape), db.reshape(a.shape)
+
+
 def _is_diagonal(corr: np.ndarray) -> bool:
     """Whether the correlation matrix ``corr`` makes its coordinates independent.
 
@@ -226,17 +272,8 @@ def _live_boxes(a, b, corr, tol, seed, n_points):
         return _bvn_rect(a[:, 0], b[:, 0], a[:, 1], b[:, 1], corr[0, 1])
     if k <= 4:
         return _gl_cond(a, b, np.linalg.cholesky(corr))
-    n = n_points or (1 << 10)
-    est, err = _genz_qmc(a, b, corr, seed, n)
-    while n_points is None and not 3.0 * np.max(err) < tol:
-        if n >= _QMC_MAX:
-            raise NonConvergenceError(
-                f"quasi-Monte Carlo rectangle probability reached {n} points "
-                f"with standard error {np.max(err):.3g}; tol {tol} needs "
-                f"3 standard errors below it", last=est)
-        n *= 2
-        est, err = _genz_qmc(a, b, corr, seed, n)
-    return est
+    return _genz_qmc(a, b, corr, seed, n_points or (1 << 10),
+                     None if n_points else tol)[0]
 
 
 # row i of the corner stack in _bvn_rect holds the other coordinate of row i
@@ -305,13 +342,19 @@ def _gl_cond(a, b, chol):
     return out
 
 
-def _genz_qmc(a, b, corr, seed, n_points: int):
-    """Randomized-QMC estimates and standard errors for boxes (m, K), K >= 2.
+def _genz_qmc(a, b, corr, seed, n_points: int, tol: float = None):
+    """Randomized-QMC estimates for boxes (m, K), K >= 2.
 
     Genz's sequential conditioning along the Cholesky factor, each box with
     its variables ordered tightest first, averaged over _QMC_SCRAMBLES
     scrambled Sobol sets of n_points.  All boxes share the point sets, so
     their errors are common-random-number coupled.
+
+    With ``tol`` the sets are extended by as many points again, keeping
+    their running sums (a scrambled Sobol sequence's first 2n points are
+    its first n followed by its next n), until three standard errors fall
+    below ``tol``; NonConvergenceError past _QMC_MAX points per set.
+    Returns (estimates, standard errors, points per set).
     """
     from scipy.stats import qmc
 
@@ -320,28 +363,43 @@ def _genz_qmc(a, b, corr, seed, n_points: int):
     a = np.take_along_axis(a, order, axis=1)
     b = np.take_along_axis(b, order, axis=1)
     chol = np.linalg.cholesky(corr[order[:, :, None], order[:, None, :]])
-    # one row per box, so each box reduces alone whatever m is
-    ests = np.empty((m, _QMC_SCRAMBLES))
     seeds = np.random.SeedSequence(int(seed) & ((1 << 63) - 1)).spawn(_QMC_SCRAMBLES)
-    step = max(1, (1 << 18) // n_points)
+    engines = [qmc.Sobol(d=k - 1, scramble=True, seed=np.random.default_rng(ss))
+               for ss in seeds]
+    # one row per box, so each box reduces alone whatever m is
+    sums = np.zeros((m, _QMC_SCRAMBLES))
     tiny = 1e-15
-    for i, ss in enumerate(seeds):
-        u = qmc.Sobol(d=k - 1, scramble=True, seed=np.random.default_rng(ss)).random(n_points)
-        for start in range(0, m, step):
-            al, bl, lc = a[start:start + step], b[start:start + step], chol[start:start + step]
-            d = special.ndtr(al[:, :1] / lc[:, 0, :1])
-            e = special.ndtr(bl[:, :1] / lc[:, 0, :1])
-            f = e - d
-            y = []
-            for j in range(1, k):
-                q = np.clip(d + u[:, j - 1] * (e - d), tiny, 1.0 - tiny)
-                y.append(special.ndtri(q))
-                drift = sum(lc[:, j, i, None] * yi for i, yi in enumerate(y))
-                d = special.ndtr((al[:, j, None] - drift) / lc[:, j, j, None])
-                e = special.ndtr((bl[:, j, None] - drift) / lc[:, j, j, None])
-                f = f * np.clip(e - d, 0.0, 1.0)
-            ests[start:start + step, i] = f.mean(axis=1)
-    return ests.mean(axis=1), ests.std(axis=1, ddof=1) / np.sqrt(_QMC_SCRAMBLES)
+    n, new = 0, n_points
+    while True:
+        step = max(1, (1 << 18) // new)
+        for i, engine in enumerate(engines):
+            u = engine.random(new)
+            for start in range(0, m, step):
+                al, bl, lc = a[start:start + step], b[start:start + step], chol[start:start + step]
+                d = special.ndtr(al[:, :1] / lc[:, 0, :1])
+                e = special.ndtr(bl[:, :1] / lc[:, 0, :1])
+                f = e - d
+                y = []
+                for j in range(1, k):
+                    q = np.clip(d + u[:, j - 1] * (e - d), tiny, 1.0 - tiny)
+                    y.append(special.ndtri(q))
+                    drift = sum(lc[:, j, h, None] * yh for h, yh in enumerate(y))
+                    d = special.ndtr((al[:, j, None] - drift) / lc[:, j, j, None])
+                    e = special.ndtr((bl[:, j, None] - drift) / lc[:, j, j, None])
+                    f = f * np.clip(e - d, 0.0, 1.0)
+                sums[start:start + step, i] += f.sum(axis=1)
+        n += new
+        ests = sums / n
+        est = ests.mean(axis=1)
+        err = ests.std(axis=1, ddof=1) / np.sqrt(_QMC_SCRAMBLES)
+        if tol is None or 3.0 * np.max(err) < tol:
+            return est, err, n
+        if n >= _QMC_MAX:
+            raise NonConvergenceError(
+                f"quasi-Monte Carlo rectangle probability reached {n} points "
+                f"with standard error {np.max(err):.3g}; tol {tol} needs "
+                f"3 standard errors below it", last=est)
+        new = n
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,14 @@ def test_adjust_mvt(capsys):
     assert payload["gamma"] >= 0.05
 
 
+def test_adjust_mvt_marks_assumed_correlation(capsys):
+    with pytest.warns(UserWarning, match="assuming independence"):
+        payload = run_json(
+            capsys, "adjust", "--sigma1-hat", "0.1,0.15", "--nu2", "20")
+    assert payload["correlation_assumed"] is True
+    assert payload["converged"] is True
+
+
 # ---------------------------------------------------------------------------
 # power / size
 # ---------------------------------------------------------------------------

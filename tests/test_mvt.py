@@ -140,6 +140,38 @@ def test_lambda_argsup_matches_dense_face_scan(rho):
     assert lam.objective >= best - 2e-6
 
 
+@pytest.mark.parametrize("rho, c", [(0.5, 0.12), (0.9, 0.15)])
+def test_lambda_argsup_face_search_converges(rho, c):
+    # K = 4 faces on which coordinate ascent stopped at its sweep cap
+    sigma = np.array([0.12, 0.12, 0.16, 0.16])
+    c = np.full(4, c)
+    lam = lambda_argsup(sigma, _equicorr(4, rho), 20, c)
+    assert lam.converged
+    # the objective is the fit's own rectangle at the returned point
+    assert lam.objective == _omega_joint(lam.lambda_, sigma, _equicorr(4, rho), c)
+    assert lam.lambda_[lam.face] == C0
+    assert np.all(np.abs(lam.lambda_) <= C0)
+
+
+def test_adjust_k3_high_correlation_reports_converged_search():
+    s = _summary(np.zeros(3), [0.1, 0.12, 0.15], _equicorr(3, 0.8))
+    adj = ctost_mvt_adjust(s)
+    assert adj.lambda_.converged
+    assert adj.converged
+
+
+def test_lambda_argsup_sampled_objective_point():
+    # the mvt-kappa cell's tost direction: sigma (0.08, 0.12), rho 0.5
+    t = np.full(2, t_quantile(0.05, 20))
+    lam = lambda_argsup(np.array([0.08, 0.12]), _equicorr(2, 0.5), 20,
+                        np.full(2, C0), tol=1e-3, seed=123, t=t)
+    assert lam.converged
+    np.testing.assert_allclose(lam.lambda_, [0.0697884, C0], atol=1e-6)
+    q = MvtPowerQuery(lam.lambda_, np.array([0.08, 0.12]), _equicorr(2, 0.5),
+                      20, t, np.full(2, C0))
+    assert lam.objective == power_mvt(q, tol=1e-3, seed=123, n_wishart=4000)
+
+
 def _axis_closed_form(sigma, nu2, t, c):
     """max_h size_h * prod_{j != h} P_j(0) for independent coordinates."""
     edge = [oracles.omega_quad(C0, s, nu2, t, ck) for s, ck in zip(sigma, c)]

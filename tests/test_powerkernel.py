@@ -231,7 +231,8 @@ def test_power_mvt_mc_route_agrees_with_product_on_diagonal():
     q = MvtPowerQuery(theta=theta, sigma1=sigma1, correlation=np.eye(2), nu2=20,
                       t=t, c=c)
     exact = power_mvt(q)
-    mc = _power_mvt_mc(q, seed=17, n_wishart=200_000)
+    mc = _power_mvt_mc(sigma1, np.eye(2), 20, t, c, seed=17,
+                       n_wishart=200_000).value(theta)
     assert mc == pytest.approx(exact, abs=4e-3)
 
 
@@ -250,6 +251,28 @@ def test_power_mvt_correlated_random_margins_deterministic():
     assert a == b
     c2 = power_mvt(q, tol=1e-5, seed=5)
     assert abs(a - c2) < 5e-3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_power_mvt_mc_objective_value_and_gradient(k):
+    # the sampled objective is power_mvt's value bit for bit, and its
+    # gradient is that of the same average over the same draws
+    rng = np.random.default_rng(60 + k)
+    corr = np.full((k, k), 0.5)
+    np.fill_diagonal(corr, 1.0)
+    sigma1 = rng.uniform(0.08, 0.15, size=k)
+    t, c = np.full(k, 1.7), np.full(k, C0)
+    obj = _power_mvt_mc(sigma1, corr, 20, t, c, seed=9, n_wishart=300)
+    for _ in range(2):
+        theta = rng.uniform(-C0, C0, size=k)
+        q = MvtPowerQuery(theta, sigma1, corr, 20, t, c)
+        assert obj.value(theta) == power_mvt(q, seed=9, n_wishart=300)
+        fd = np.empty(k)
+        for j in range(k):
+            e = np.zeros(k)
+            e[j] = 1e-6
+            fd[j] = (obj.value(theta + e) - obj.value(theta - e)) / 2e-6
+        np.testing.assert_allclose(obj.grad(theta), fd, atol=1e-9)
 
 
 def test_power_mvt_correlated_vs_brute_force_mc():

@@ -19,6 +19,7 @@ from equivkit.statdist import (
     chi2_quantile,
     norm_cdf,
     norm_quantile,
+    rect_grad,
     rect_prob,
     rng_stream,
     sample_wishart_cov,
@@ -214,7 +215,7 @@ def test_genz_qmc_matches_scipy(k):
     rng = np.random.default_rng(5 + k)
     corr = _random_corr(rng, k)
     a, b = _random_box(rng, k)
-    got, err = _genz_qmc(a[None], b[None], corr, seed=11, n_points=1 << 13)
+    got, err, _ = _genz_qmc(a[None], b[None], corr, seed=11, n_points=1 << 13)
     want = oracles.rect_prob_scipy(a, b, corr)
     assert got[0] == pytest.approx(want, abs=5e-5)
     assert abs(got[0] - want) < max(10.0 * err[0], 5e-5)
@@ -227,6 +228,18 @@ def test_rect_prob_k5_matches_scipy():
         a, b = _equivalence_box(rng, 5)
         got = rect_prob(a, b, corr, tol=1e-5, seed=3)
         assert got == pytest.approx(oracles.rect_prob_scipy(a, b, corr), abs=5e-5)
+
+
+def test_rect_prob_qmc_doubling_extends_the_point_sets():
+    # the adaptive estimate at its final point count is the fixed-count one:
+    # doubling extends each scrambled Sobol set instead of redrawing it
+    rng = np.random.default_rng(56)
+    corr = _random_corr(rng, 5)
+    a, b = _equivalence_box(rng, 5)
+    est, _, n = _genz_qmc(a[None], b[None], corr, seed=3, n_points=1 << 10, tol=1e-5)
+    assert n > 1 << 10
+    assert est[0] == pytest.approx(rect_prob(a, b, corr, seed=3, n_points=n), abs=1e-15)
+    assert est[0] == rect_prob(a, b, corr, tol=1e-5, seed=3)
 
 
 def test_rect_prob_qmc_cap_raises():
@@ -319,6 +332,45 @@ def test_rect_prob_many_boxes_match_single_calls(k, n_points):
     # leading axes are kept
     assert rect_prob(a.reshape(7, 1, k), b.reshape(7, 1, k), corr, seed=9,
                      n_points=n_points).shape == (7, 1)
+
+
+def _central_differences(f, a, b, h=1e-5):
+    """Central differences of f(a, b) in each limit, as (da, db)."""
+    da, db = np.empty_like(a), np.empty_like(b)
+    for j in range(a.size):
+        e = np.zeros_like(a)
+        e[j] = h
+        da[j] = (f(a + e, b) - f(a - e, b)) / (2 * h)
+        db[j] = (f(a, b + e) - f(a, b - e)) / (2 * h)
+    return da, db
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rect_grad_matches_finite_differences(k):
+    rng = np.random.default_rng(90 + k)
+    corr = _random_corr(rng, k)
+    boxes = [_equivalence_box(rng, k) for _ in range(3)]
+    da, db = rect_grad(np.array([a for a, _ in boxes]),
+                       np.array([b for _, b in boxes]), corr)
+    for i, (a, b) in enumerate(boxes):
+        fd_a, fd_b = _central_differences(lambda lo, hi: rect_prob(lo, hi, corr), a, b)
+        np.testing.assert_allclose(da[i], fd_a, atol=1e-9)
+        np.testing.assert_allclose(db[i], fd_b, atol=1e-9)
+        # one box alone gives the same derivatives as within the batch
+        one_a, one_b = rect_grad(a, b, corr)
+        np.testing.assert_array_equal(one_a, da[i])
+        np.testing.assert_array_equal(one_b, db[i])
+    assert np.all(da <= 0.0) and np.all(db >= 0.0)
+
+
+def test_rect_grad_empty_box_and_shapes():
+    corr = _corr2(0.4)
+    da, db = rect_grad(np.array([[0.5, -1.0], [-1.0, -1.0]]),
+                       np.array([[0.5, 1.0], [1.0, 1.0]]), corr)
+    assert np.all(da[0] == 0.0) and np.all(db[0] == 0.0)
+    assert np.all(db[1] > 0.0)
+    with pytest.raises(InputError):
+        rect_grad(np.zeros(2), np.ones(3), corr)
 
 
 def test_mvn_rect_prob_univariate_exact():
