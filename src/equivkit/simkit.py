@@ -316,11 +316,13 @@ def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
             _require_converged(conv, method, nu2)
             out[method] = ath < c_delta - t_tost * sh
         elif method == "ctost":
-            c_hat, _, _ = _match_margin(sh, alpha0, c0)
+            c_hat, _, conv = _match_margin(sh, alpha0, c0)
+            _require_converged(conv, method, nu2)
             out[method] = ath < c_hat
         else:  # ctost-star
             level = _ctost_star_levels(sh, nu2, cfg, table)
-            c_star, _, _ = _match_margin(sh, level, c0)
+            c_star, _, conv = _match_margin(sh, level, c0)
+            _require_converged(conv, method, nu2)
             out[method] = ath < c_star
     return out
 
@@ -333,8 +335,8 @@ def run_univariate_sweep(cfg, table=None):
     to quadrature off its grid.  Without a table they use the bundled one
     when it fits cfg's c0 and alpha0, and quadrature otherwise.
 
-    Raises NonConvergenceError, naming the method and nu2, when an
-    alpha-tost or delta-tost solve stops at its iteration cap.
+    Raises NonConvergenceError, naming the method and nu2, when a margin or
+    level solve stops at its iteration cap.
     """
     if cfg.design != "univariate-sweep":
         raise InputError(f"config design is {cfg.design!r}, expected univariate-sweep")

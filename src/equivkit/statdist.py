@@ -43,6 +43,54 @@ def _leggauss(n: int):
     return x, w
 
 
+@lru_cache(maxsize=16)
+def _gauss_kronrod(n: int):
+    """Gauss-Kronrod rule of 2n + 1 points on [-1, 1], cached read-only.
+
+    Returns (x, wk, wg): the Kronrod nodes in increasing order, their
+    weights (exact to degree 3n + 1), and the weights of the embedded
+    n-point Gauss rule on its nodes x[1::2], zero on the others.  The
+    Jacobi-Kronrod matrix comes from Laurie's mixed-moment recurrence
+    (Laurie 1997, Math. Comp. 66) on the Legendre coefficients, the rule
+    from its eigen-decomposition (Golub-Welsch).  The recurrence runs on
+    [-2, 2], where those coefficients tend to 1, so nothing underflows;
+    the diagonal is zero for a symmetric weight.
+    """
+    # b[k] is the k-th recurrence coefficient: the Legendre ones up to
+    # ceil(3n/2), the recurrence's own above
+    top = (3 * n + 1) // 2
+    k = np.arange(1.0, top + 1)
+    b = np.zeros(2 * n + 1)
+    b[1:top + 1] = k * k / (k * k - 0.25)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # average each node with its mirror image so the rule is exactly
+    # symmetric, and map [-2, 2] (mass 1) to [-1, 1] (mass 2)
+    x = 0.25 * (x - x[::-1])
+    wk = v[0] ** 2 + v[0, ::-1] ** 2
+    wg = np.zeros_like(wk)
+    wg[1::2] = _leggauss(n)[1]
+    for arr in (x, wk, wg):
+        arr.flags.writeable = False
+    return x, wk, wg
+
+
 # ---------------------------------------------------------------------------
 # scalar/vector special functions
 # ---------------------------------------------------------------------------

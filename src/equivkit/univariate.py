@@ -13,8 +13,12 @@ size alpha0 exactly, each moving a different dial:
   bias introduced by plugging in an estimated standard error.
 
 All solvers push the size residual below strict tolerances (1e-10 for the
-cTOST margin, 1e-8 for the bisections) and report iteration counts, so a
-re-evaluation through :mod:`equivkit.powerkernel` closes the loop.
+cTOST margin, 1e-8 for the bisections) and report iteration counts.  At a
+nonzero multiplier each size comes from :mod:`equivkit.powerkernel`, whose
+Gauss-Kronrod value agrees with its embedded Gauss value to 1e-9, so a
+re-evaluation there closes the loop.  A solve that stops at its cap raises
+NonConvergenceError, and so does a size whose rule pair still disagrees at
+the largest rule.
 """
 
 from __future__ import annotations

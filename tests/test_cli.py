@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from equivkit import powerkernel
 from equivkit.cli import main
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import CSV_HEADER, run_simulation, univariate_sweep_config
@@ -246,6 +247,19 @@ def test_size_exactness_contrast(capsys):
             assert row["size"] == pytest.approx(0.05, abs=1e-8)
         else:
             assert row["size"] <= 0.05 + 1e-10
+
+
+def test_power_nonconvergence_exit_code(monkeypatch, capsys):
+    # this row's 65-point Gauss-Kronrod pair disagrees; with the largest
+    # rule cut to that pair the probability cannot be certified
+    monkeypatch.setattr(powerkernel, "_GK_LAST", 32)
+    code, out, err = run_cli(
+        capsys, "power", "--method", "tost", "--sigma1", "0.006",
+        "--nu2", "1", "--theta", "0.1")
+    assert code == 3
+    body = json.loads(err)
+    assert body["error"]["type"] == "NonConvergenceError"
+    assert "sigma1=0.006, nu2=1" in body["error"]["message"]
 
 
 def test_power_grid_shape(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivkit.base import InputError
+from equivkit import powerkernel
+from equivkit.base import InputError, NonConvergenceError
 from equivkit.powerkernel import (
     MvtPowerQuery,
     UnivPowerQuery,
@@ -85,6 +86,9 @@ def test_fixed_margin_closed_form():
         (0.05, 0.2, 5, 2.015048372669157, 0.35),
         (-0.1, 0.15, 80, 1.664124578531249, 0.3),
         (0.22, 0.02, 12, 1.782287555649159, 0.25),
+        (0.1, 0.006, 1, 6.313751514675037, 0.2231435513142097),
+        (0.03, 0.08, 2, 2.9199855803537242, 0.25),
+        (0.15, 0.1, 1000, 1.6463788172854643, 0.3),
     ],
 )
 def test_random_margin_matches_adaptive_quadrature(theta, sigma1, nu2, t, c):
@@ -124,6 +128,31 @@ def test_omega_batch_broadcasts_and_matches_scalar():
     for i, th in enumerate(theta):
         one = power_uni(UnivPowerQuery(theta=float(th), sigma1=sigma1, nu2=20, t=t, c=c))
         assert batch[i] == pytest.approx(one, rel=1e-12)
+    # each row is summed on its own: a row's value does not depend on the
+    # rows that share the call, to the last bit
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(-0.4, 0.4, 300)
+    sigma1 = np.exp(rng.uniform(np.log(0.005), np.log(1.0), 300))
+    t = rng.uniform(0.0, 4.0, 300)
+    t[::10] = 0.0
+    c = rng.uniform(0.05, 0.6, 300)
+    batch = _omega_batch(theta, sigma1, 7, t, c)
+    one = [_omega_batch(*v, 7, *w) for v, w in zip(zip(theta, sigma1), zip(t, c))]
+    np.testing.assert_array_equal(batch, one)
+
+
+def test_omega_batch_refines_a_row_and_raises_at_the_largest_rule(monkeypatch):
+    # a sharp rejection edge at nu2 = 1: the 65-point pair disagrees, the
+    # 129-point pair agrees
+    row = dict(theta=0.1, sigma1=0.006, nu2=1, t=6.313751514675037,
+               c=0.2231435513142097)
+    assert power_uni(UnivPowerQuery(**row)) == pytest.approx(
+        oracles.omega_quad(*row.values()), abs=2e-9)
+    monkeypatch.setattr(powerkernel, "_GK_LAST", 32)
+    with pytest.raises(NonConvergenceError,
+                       match=r"65 points.*theta=0\.1, sigma1=0\.006, nu2=1, "
+                             r"t=6\.31375.*, c=0\.22314"):
+        power_uni(UnivPowerQuery(**row))
 
 
 def test_omega_batch_mixed_fixed_and_random_margins():

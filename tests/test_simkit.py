@@ -260,6 +260,18 @@ def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver)
         run_univariate_sweep(cfg)
 
 
+@pytest.mark.parametrize("method", ["ctost", "ctost-star"])
+def test_sweep_raises_when_a_margin_match_fails(monkeypatch, method):
+    def unconverged(sigma, level, c0):
+        c, iters, conv = univariate._match_margin(sigma, level, c0)
+        return c, iters, np.zeros_like(conv)
+
+    monkeypatch.setattr(simkit, "_match_margin", unconverged)
+    cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
+    with pytest.raises(NonConvergenceError, match=f"{method}.*nu2=20"):
+        run_univariate_sweep(cfg)
+
+
 def test_run_simulation_dispatch():
     with pytest.raises(InputError):
         run_univariate_sweep(_small_mvt())

@@ -13,6 +13,7 @@ from scipy import stats
 from equivkit import statdist
 from equivkit.statdist import (
     SigmaHatLaw,
+    _gauss_kronrod,
     _genz_qmc,
     _is_diagonal,
     _leggauss,
@@ -496,6 +497,36 @@ def test_gauss_legendre_rule_is_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [7, 15, 32])
+def test_gauss_kronrod_rule_exactness_and_embedding(n):
+    x, wk, wg = _gauss_kronrod(n)
+    assert x.shape == wk.shape == wg.shape == (2 * n + 1,)
+    # the Kronrod rule is exact to degree 3n + 1, the Gauss rule to 2n - 1
+    for deg in range(3 * n + 2):
+        exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+        assert abs(np.sum(wk * x ** deg) - exact) <= 1e-14
+        if deg < 2 * n:
+            assert abs(np.sum(wg * x ** deg) - exact) <= 1e-14
+    xg, wgg = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x[1::2], xg, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(wg[1::2], wgg)
+    assert np.all(wg[::2] == 0.0)
+    assert np.all(wk > 0) and np.all(np.diff(x) > 0)
+    for arr in (x, wk, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_gauss_kronrod_g7k15_matches_quadpack_constants():
+    # QUADPACK qk15 (Piessens et al. 1983): outermost node and its weight,
+    # and the weight of the centre
+    x, wk, _ = _gauss_kronrod(7)
+    assert x[-1] == pytest.approx(0.991455371120812639, abs=1e-15)
+    assert wk[-1] == pytest.approx(0.022935322010529225, abs=1e-15)
+    assert wk[7] == pytest.approx(0.209482141084727828, abs=1e-15)
+    assert x[7] == 0.0
 
 
 # ---------------------------------------------------------------------------
