@@ -51,6 +51,9 @@ _ASCENT_MAX_ITER = 50
 _ARMIJO = 1e-4
 _PG_TOL = 1e-7
 _STEP_TOL = 1e-9
+# joint fit: the secant slopes of the joint size in gamma the inner loop
+# trusts (about 1 near the solution); others take the fixed-point step
+_SECANT_SLOPES = (0.25, 4.0)
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,9 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     the log objective with analytic gradients (:func:`_face_ascent`,
     :func:`statdist.rect_grad`).  At t = 0 the normal probability of a box
     is log-concave in its centre (Prekopa 1973), so each face has a single
-    maximizer and one start, the face centre, finds it.  At t > 0 the
+    maximizer and one start, the face centre, finds it; the t = 0 search
+    is :func:`_argsup_fixed`, which :func:`ctost_mvt_adjust` also calls
+    with each face's previous maximizer as its start.  At t > 0 the
     mixture is not known to be log-concave, and a second start at 0.5 c0
     runs as well.  The best point wins; an axis candidate matching it
     within the objective's resolution is preferred.  converged is False
@@ -267,22 +272,55 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     if np.any(c <= 0):
         raise InputError("margins c must be positive")
     c0 = spec.c0
-    sampled = bool(np.any(t != 0))
+    if not np.any(t != 0):
+        return _argsup_fixed(sigma1, corr, c, c0, tol, seed)[0]
 
-    if not sampled:
-        obj = _JointRejection(c[None, :], sigma1, corr,
-                              {"tol": tol, "seed": seed,
-                               "n_points": (1 << 12) if k >= 5 else None})
-        value = obj.value
-    elif _is_diagonal(corr):
+    if _is_diagonal(corr):
         # independent coordinates: power_mvt's exact product, axes only
         def value(theta):
             return power_mvt(MvtPowerQuery(theta, sigma1, corr, nu2, t, c),
                              tol=tol, seed=seed, n_wishart=n_wishart)
+        obj = None
     else:
         obj = _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart)
         value = obj.value
+    # two starts per face; the sampled objective resolves about tol
+    starts = (np.zeros(k - 1), np.full(k - 1, 0.5 * c0))
+    return _argsup(value, obj, corr, c0, tol, [starts] * k)[0]
 
+
+def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
+                  starts=None):
+    """The t = 0 search of :func:`lambda_argsup`, from given face starts.
+
+    ``starts[h]`` holds the free coordinates (theta without entry h) from
+    which the ascent on face h begins; by default every face starts at its
+    centre.  Returns (LambdaResult, ends), where ``ends[h]`` is the point
+    the ascent on face h reached, in the same coordinates, or None for a
+    diagonal correlation, whose search has no face ascent.
+    """
+    k = sigma1.size
+    obj = _JointRejection(c[None, :], sigma1, corr,
+                          {"tol": tol, "seed": seed,
+                           "n_points": (1 << 12) if k >= 5 else None})
+    if starts is None:
+        starts = [np.zeros(k - 1)] * k
+    # the deterministic K <= 4 rectangles resolve machine-level
+    # differences, the K >= 5 quasi-Monte Carlo ones about tol
+    snap = tol if k >= 5 else 1e-12
+    return _argsup(obj.value, obj, corr, c0, snap, [(x,) for x in starts])
+
+
+def _argsup(value, obj, corr, c0: float, snap: float, starts):
+    """Axis candidates, then (correlated coordinates) the face ascents.
+
+    ``value`` is the objective; ``obj``, the same objective with a
+    gradient, is searched on each face h from every start in ``starts[h]``.
+    An axis candidate within ``snap`` of the best face point wins.  Returns
+    (LambdaResult, ends) with ``ends[h]`` the free coordinates of the best
+    point face h reached (None when the correlation is diagonal).
+    """
+    k = corr.shape[0]
     # axis candidates; by symmetry the negative axes duplicate the positive
     # ones, but they are cheap and keep the audit contract literal
     count = 0
@@ -299,33 +337,33 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     if _is_diagonal(corr):
         h, sgn, theta = best_axis
         return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
-                            sign=sgn, candidates_evaluated=count)
+                            sign=sgn, candidates_evaluated=count), None
 
-    # resolution of one objective evaluation for correlated coordinates: the
-    # deterministic K <= 4 rectangles at t = 0 resolve machine-level
-    # differences, the sampled ones (t > 0 or K >= 5) about tol
-    snap = tol if (sampled or k >= 5) else 1e-12
-    starts = (np.zeros(k - 1), np.full(k - 1, 0.5 * c0)) if sampled else (np.zeros(k - 1),)
     best_val = -1.0
     best = None
     converged = True
+    ends = []
     for face in range(k):
-        for start in starts:
+        face_val = -1.0
+        for start in starts[face]:
             theta, val, evals, ok = _face_ascent(obj, face, start, c0)
             count += evals
             converged = converged and ok
+            if val > face_val:
+                face_val, end = val, np.delete(theta, face)
             if val > best_val:
                 best_val, best = val, (face, theta)
+        ends.append(end)
 
     if best_axis_val >= best_val - snap:
         h, sgn, theta = best_axis
         return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
                             sign=sgn, candidates_evaluated=count,
-                            converged=converged)
+                            converged=converged), ends
     face, theta = best
     return LambdaResult(lambda_=theta, objective=best_val, face=face,
                         sign=1, candidates_evaluated=count,
-                        converged=converged)
+                        converged=converged), ends
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +376,53 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                      search_tol: float = 1e-5) -> MvtAdjustment:
     """Solve for per-dimension margins with joint size alpha0.
 
-    Alternates two levels: given the current worst boundary point, the
-    inner loop raises the shared marginal size gamma by the gap between
-    alpha0 and the joint rejection probability, re-solving each margin at
-    the new gamma, until gamma settles (|change| <= inner_tol); the outer
-    loop then relocates the worst point for the updated margins.  Stops
-    when the joint size residual is within tol; the result's converged is
-    then the final worst-point search's flag.  gamma can only move
-    upward from alpha0: each dimension's test runs at a level at least as
-    large as the nominal one.
+    Alternates two levels.  Given the current worst boundary point, the
+    inner loop solves for the shared marginal size gamma at which the joint
+    rejection probability there equals alpha0, re-solving each margin at
+    every new gamma, until gamma settles (|change| <= inner_tol).  Its
+    steps are secant steps on that residual, the slope taken from the last
+    two iterates (from the previous inner loop on its first step); a step
+    whose slope lies outside _SECANT_SLOPES (not positive, implausibly
+    large, or so small that the step would run far past the fixed-point
+    step) takes the fixed-point step instead: gamma plus the gap between
+    alpha0 and the joint probability.  The outer loop then relocates the
+    worst point for the updated margins.  Stops when the joint size
+    residual is within tol; the result's converged is then the final
+    worst-point search's flag.
+
+    The first inner loop starts from gamma = alpha0; each later one resumes
+    from the gamma the previous one ended at, whose joint probability the
+    outer loop has just evaluated.  Every worst-point search after the
+    first starts each face's ascent at that face's maximizer in the
+    previous search (:func:`_argsup_fixed`); at t = 0 each face has a
+    single maximizer, so the start does not change what is found.  gamma
+    can only move upward from alpha0: each dimension's test runs at a
+    level at least as large as the nominal one.
+
+    Raises NonConvergenceError when the outer loop does not reach tol in
+    r_max rounds, when an inner loop does not settle in inner_max steps,
+    and when a margin does not match its marginal size.
     """
     spec = spec or EquivalenceSpec()
     sig = s.sigma1_hat
     corr = s.correlation_hat
     c0, alpha0 = spec.c0, spec.alpha0
     eval_tol = 0.25 * tol
+    trace = []
+
+    def margins(gamma):
+        cg, _, conv = _match_margin(sig, gamma, c0)
+        if not np.all(conv):
+            raise NonConvergenceError(
+                f"margin at marginal size {gamma!r} did not converge",
+                last=cg, trace=trace)
+        return cg
 
     c = np.full(s.dim, c0)
-    lam = lambda_argsup(sig, corr, s.nu2, c, spec, tol=search_tol, seed=seed)
+    lam, ends = _argsup_fixed(sig, corr, c, c0, search_tol, seed)
     gamma = float(np.max(_size_fixed(c, sig, c0)))
-    trace = []
     inner_total = 0
+    slope = 0.0
     for r in range(r_max + 1):
         om = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol, seed=seed)
         resid = om - alpha0
@@ -370,21 +434,34 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                                  converged=lam.converged)
         if r == r_max:
             break
-        gamma = alpha0
-        cg, _, _ = _match_margin(sig, gamma, c0)
+        if r == 0:
+            # the starting margins c0 share no marginal size
+            gamma = alpha0
+            c = margins(gamma)
+            resid = None
+        prev = None
         for _u in range(inner_max):
-            om_in = _omega_joint(lam.lambda_, sig, corr, cg, tol=eval_tol,
-                                 seed=seed)
-            gamma_new = max(gamma + alpha0 - om_in, alpha0)
-            cg, _, _ = _match_margin(sig, gamma_new, c0)
+            if resid is None:
+                resid = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol,
+                                     seed=seed) - alpha0
+            if prev is not None:
+                slope = (resid - prev[1]) / (gamma - prev[0])
+            step = -resid
+            if _SECANT_SLOPES[0] <= slope <= _SECANT_SLOPES[1]:
+                step = -resid / slope
+            prev = (gamma, resid)
+            gamma = max(gamma + step, alpha0)
+            c = margins(gamma)
             inner_total += 1
-            step = abs(gamma_new - gamma)
-            gamma = gamma_new
-            if step <= inner_tol:
+            resid = None
+            if abs(gamma - prev[0]) <= inner_tol:
                 break
-        c = cg
-        lam = lambda_argsup(sig, corr, s.nu2, c, spec, tol=search_tol,
-                            seed=seed + r + 1)
+        else:
+            raise NonConvergenceError(
+                f"marginal size gamma did not settle to {inner_tol} within "
+                f"{inner_max} inner steps", last=c, trace=trace)
+        lam, ends = _argsup_fixed(sig, corr, c, c0, search_tol, seed + r + 1,
+                                  ends)
     raise NonConvergenceError(
         f"joint margin iteration did not reach |residual| <= {tol} "
         f"within {r_max} outer rounds", last=c, trace=trace)

@@ -48,6 +48,12 @@ SIGMA_DEGENERATE = 1e-12
 # chi-square tail mass dropped on each side when truncating the s integral
 _TAIL_MASS = 5e-11
 
+# a multiplier t at or below this acts as 0: t * s / sigma1 is then below
+# 1e-288, which moves no normal CDF in the integrand, so the integral is the
+# fixed-margin value up to the dropped tail mass; and the upper limit c / t
+# of s cannot overflow for any margin c below 1e18
+_T_ZERO = 1e-290
+
 # Gauss-Kronrod orders n of the first and the largest rule (2n + 1 points)
 # of the t > 0 integral; building a 4097-point rule would take a dense
 # eigen-decomposition of some 15 s and 270 MB, against 2 s and 70 MB here
@@ -143,12 +149,13 @@ class MvtPowerQuery:
 def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9):
     """Vectorized rejection probability; broadcasts theta, sigma1, t, c.
 
-    nu2 is a single integer for the whole batch.  Elements with t = 0 use
-    the closed normal-CDF form.  For t > 0 the conditional rejection
-    probability is integrated against the scaled-chi density of s over
-    (0, c/t), truncated to the central chi-square mass, by a Gauss-Kronrod
-    pair: a row returns its (2n + 1)-point Kronrod value once that value and
-    the embedded n-point Gauss value agree to rtol (absolute below 1).
+    nu2 is a single integer for the whole batch.  Elements with t = 0 (or
+    t <= _T_ZERO) use the closed normal-CDF form.  For t > 0 the
+    conditional rejection probability is integrated against the scaled-chi
+    density of s over (0, c/t), truncated to the central chi-square mass,
+    by a Gauss-Kronrod pair: a row returns its (2n + 1)-point Kronrod value
+    once that value and the embedded n-point Gauss value agree to rtol
+    (absolute below 1).
     Every row starts at n = _GK_FIRST; rows that disagree re-run with n
     doubled, and a row still disagreeing at _GK_LAST raises
     NonConvergenceError.  Each row is summed on its own, so its value does
@@ -164,12 +171,12 @@ def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9):
     degen = sigma1 <= SIGMA_DEGENERATE
     out[degen] = (np.abs(theta[degen]) < c[degen]).astype(float)
 
-    fixed = (~degen) & (t == 0.0)
+    fixed = (~degen) & (t <= _T_ZERO)
     if np.any(fixed):
         th, sg, cc = theta[fixed], sigma1[fixed], c[fixed]
         out[fixed] = special.ndtr((cc - th) / sg) - special.ndtr((-cc - th) / sg)
 
-    rand = np.flatnonzero((~degen) & (t > 0.0))
+    rand = np.flatnonzero((~degen) & (t > _T_ZERO))
     if rand.size:
         # central-mass interval of s, then truncated by the width constraint
         unit_lo, unit_hi = _unit_chi_bounds(nu2)

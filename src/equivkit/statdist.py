@@ -262,8 +262,9 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     Given X_j = x the other coordinates are normal with means corr_ij x and
     the conditional correlation, so each coordinate's conditionals at both
     limits of every box are one ``rect_prob`` call of dimension K - 1,
-    taking ``tol``, ``seed`` and ``n_points`` as given; at K = 2 that is a
-    difference of normal CDFs.  An empty box has zero derivatives.
+    taking ``tol``, ``seed`` and ``n_points`` as given.  At K = 2 each
+    conditional is one normal interval, and both coordinates at both limits
+    take one pass of normal CDFs.  An empty box has zero derivatives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -277,6 +278,19 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     lo, hi = lo[live], hi[live]
     da = np.zeros((live.size, k))
     db = np.zeros((live.size, k))
+    if k == 2:
+        # x[l, i, j]: limit l (lower, upper) of coordinate j of box i; the
+        # other coordinate's interval is read in reversed column order
+        x = np.stack([lo, hi])
+        r = corr[[1, 0], [0, 1]]
+        sd = np.sqrt((1.0 - r) * (1.0 + r))
+        mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT) * r
+        cond = (special.ndtr((hi[:, ::-1] - mean) / sd)
+                - special.ndtr((lo[:, ::-1] - mean) / sd))
+        dens = np.exp(-0.5 * x * x) / _SQRT2PI * np.minimum(np.maximum(cond, 0.0), 1.0)
+        da[live] = -dens[0]
+        db[live] = dens[1]
+        return da.reshape(a.shape), db.reshape(a.shape)
     for j in range(k if live.any() else 0):
         # the limits of coordinate j, lower then upper, one row each
         x = np.concatenate([lo[:, j], hi[:, j]])

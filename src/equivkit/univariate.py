@@ -409,7 +409,8 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
     exceedance in one pass (see :func:`_calibrate_level`).  Strategies:
     64-node quadrature over the law of the standard error (default), or
     table-lookup, which interpolates ``table`` (default: the bundled one)
-    and raises an extrapolation error outside its grid.
+    and raises an extrapolation error outside its grid.  Raises
+    NonConvergenceError when the margin does not match the calibrated level.
     """
     spec = spec or EquivalenceSpec()
     if not (sigma1_hat > 0):
@@ -427,8 +428,11 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
         a, clamped_m = _calibrate_level(sigma1_hat, nu2, spec.c0, spec.alpha0)
         it_run, alpha_c, clamped = 1, float(a[0]), bool(clamped_m[0])
 
-    c, _, _ = _match_margin(sigma1_hat, alpha_c, spec.c0)
+    c, _, conv = _match_margin(sigma1_hat, alpha_c, spec.c0)
     c = float(c)
+    if not bool(conv):
+        raise NonConvergenceError(
+            f"margin at calibrated level {alpha_c!r} did not converge", last=c)
     resid = float(_size_fixed(c, sigma1_hat, spec.c0) - alpha_c)
     return UnivAdjustment(method="ctost-star", t_used=0.0, c_used=c,
                           alpha_c=alpha_c, iterations=it_run,

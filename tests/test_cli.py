@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from equivkit import powerkernel
+from equivkit import mvt, powerkernel
 from equivkit.cli import main
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import CSV_HEADER, run_simulation, univariate_sweep_config
@@ -247,6 +247,22 @@ def test_size_exactness_contrast(capsys):
             assert row["size"] == pytest.approx(0.05, abs=1e-8)
         else:
             assert row["size"] <= 0.05 + 1e-10
+
+
+def test_adjust_joint_margin_nonconvergence_exit_code(monkeypatch, capsys):
+    def unmatched(sigma, level, c0, **kw):
+        c, iters, conv = match_margin(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv)
+
+    match_margin = mvt._match_margin
+    monkeypatch.setattr(mvt, "_match_margin", unmatched)
+    with pytest.warns(UserWarning, match="assuming independence"):
+        code, out, err = run_cli(capsys, "adjust", "--sigma1-hat", "0.1,0.15",
+                                 "--nu2", "20")
+    assert code == 3
+    body = json.loads(err)
+    assert body["error"]["type"] == "NonConvergenceError"
+    assert "marginal size" in body["error"]["message"]
 
 
 def test_power_nonconvergence_exit_code(monkeypatch, capsys):

@@ -9,7 +9,8 @@ the scalar one.
 import numpy as np
 import pytest
 
-from equivkit.base import EquivalenceSpec, InputError
+from equivkit import mvt
+from equivkit.base import EquivalenceSpec, InputError, NonConvergenceError
 from equivkit.ingest import load_case_study
 from equivkit.mvt import (
     LambdaResult,
@@ -21,8 +22,14 @@ from equivkit.mvt import (
     mvt_decide,
     repair_correlation,
 )
-from equivkit.powerkernel import MvtPowerQuery, power_mvt
-from equivkit.univariate import UnivSummary, _size_fixed, alpha_tost_adjust, ctost_adjust
+from equivkit.powerkernel import MvtPowerQuery, power_mvt, size_uni
+from equivkit.univariate import (
+    UnivSummary,
+    _match_margin,
+    _size_fixed,
+    alpha_tost_adjust,
+    ctost_adjust,
+)
 from equivkit.statdist import norm_cdf, t_quantile
 
 import oracles
@@ -291,6 +298,93 @@ def test_adjust_margins_beat_marginal_correction():
     adj = ctost_mvt_adjust(s)
     for k in range(2):
         assert adj.c_star[k] >= ctost_adjust(float(sigma[k]), 20).c_used - 1e-9
+
+
+# ctost_mvt_adjust(seed=0) on acceptance 9's correlated cells, frozen from
+# the fit that reset gamma to alpha0 and searched from the face centres in
+# every outer round: (K, rho, sigma pair, (c*_1, c*_2), gamma); at K = 4 the
+# sigmas and margins are (a, a, b, b)
+FROZEN_FITS = [
+    (2, 0.5, (0.08, 0.08), (0.09865493799269447, 0.09865493799269447), 0.059812452006608764),
+    (2, 0.5, (0.12, 0.12), (0.07273020686855278, 0.07273020686855278), 0.09818306616292574),
+    (2, 0.5, (0.16, 0.16), (0.06859280727852393, 0.06859280727852393), 0.13291153524664107),
+    (2, 0.5, (0.08, 0.12), (0.09839844169106571, 0.04739188942876044), 0.05943186646100779),
+    (2, 0.5, (0.08, 0.16), (0.0983067791605502, 0.03126008203801557), 0.05929631781224791),
+    (2, 0.5, (0.12, 0.16), (0.07243195637717043, 0.0510087703169525), 0.09768416975972002),
+    (2, 0.9, (0.08, 0.08), (0.09298092358202978, 0.09298092358202978), 0.05182623856550796),
+    (2, 0.9, (0.12, 0.12), (0.0578203142367178, 0.0578203142367178), 0.07454227505864387),
+    (2, 0.9, (0.16, 0.16), (0.05131437242022425, 0.05131437242022425), 0.09828706064575374),
+    (2, 0.9, (0.08, 0.12), (0.09211865155983111, 0.041019706802779846), 0.050689928379437435),
+    (2, 0.9, (0.08, 0.16), (0.09196328764145541, 0.026658821922001388), 0.05048729726744215),
+    (2, 0.9, (0.12, 0.16), (0.055936574096328934, 0.037716029513220575), 0.07173257871752665),
+    (4, 0.5, (0.08, 0.08), (0.10717467746804465, 0.10717467746804465), 0.07356530515532772),
+    (4, 0.5, (0.12, 0.12), (0.10273678635535621, 0.10273678635535621), 0.1545293383110391),
+    (4, 0.5, (0.16, 0.16), (0.11397969064109652, 0.11397969064109652), 0.22997490266877005),
+    (4, 0.5, (0.08, 0.12), (0.12337177032812051, 0.07741284778812253), 0.10616434618749175),
+    (4, 0.5, (0.08, 0.16), (0.13622398729484408, 0.07139085510534705), 0.1386265990147147),
+    (4, 0.5, (0.12, 0.16), (0.11469971224528543, 0.09147280750006237), 0.18064147820843002),
+    (4, 0.9, (0.08, 0.08), (0.0945019999583731, 0.0945019999583731), 0.05387961534254533),
+    (4, 0.9, (0.12, 0.12), (0.07157938107713453, 0.07157938107713453), 0.09626416520726434),
+    (4, 0.9, (0.16, 0.16), (0.07346651042203409, 0.07346651042203409), 0.14288713790204738),
+    (4, 0.9, (0.08, 0.12), (0.10781633217930311, 0.05791960597473429), 0.07469140790282122),
+    (4, 0.9, (0.08, 0.16), (0.11984847772776958, 0.05132606612496282), 0.09831013599429239),
+    (4, 0.9, (0.12, 0.16), (0.0801412458314006, 0.0576948580972425), 0.11094625463218397),
+]
+
+
+@pytest.mark.parametrize("k, rho, pair, c_star, gamma", FROZEN_FITS)
+def test_adjust_matches_frozen_fits(k, rho, pair, c_star, gamma):
+    sigma = np.array(pair if k == 2 else (pair[0], pair[0], pair[1], pair[1]))
+    adj = ctost_mvt_adjust(_summary(np.zeros(k), sigma, _equicorr(k, rho)),
+                           seed=0)
+    assert adj.converged
+    want = np.array(c_star if k == 2 else (c_star[0],) * 2 + (c_star[1],) * 2)
+    np.testing.assert_allclose(adj.c_star, want, rtol=0, atol=1e-8)
+    assert adj.gamma == pytest.approx(gamma, abs=2e-8)
+
+
+def test_argsup_warm_start_finds_the_same_point():
+    # the fit restarts each face at its last maximizer; at t = 0 a face has
+    # one maximizer, so the start does not move what is found
+    sigma = np.array([0.08, 0.08, 0.12, 0.12])
+    corr = _equicorr(4, 0.5)
+    c = np.array([0.12, 0.12, 0.08, 0.08])
+    cold, ends = mvt._argsup_fixed(sigma, corr, c, C0, 1e-5, 0)
+    c_next = c + np.array([0.004, 0.004, 0.002, 0.002])
+    want, _ = mvt._argsup_fixed(sigma, corr, c_next, C0, 1e-5, 0)
+    got, _ = mvt._argsup_fixed(sigma, corr, c_next, C0, 1e-5, 0, ends)
+    assert cold.converged and got.converged
+    assert got.face == want.face
+    np.testing.assert_allclose(got.lambda_, want.lambda_, atol=1e-6)
+    assert got.objective == pytest.approx(want.objective, abs=1e-12)
+    assert got.candidates_evaluated < want.candidates_evaluated
+
+
+def test_adjust_k5_correlated_fit_converges():
+    sigma = np.array([0.08, 0.08, 0.1, 0.12, 0.12])
+    adj = ctost_mvt_adjust(_summary(np.zeros(5), sigma, _equicorr(5, 0.5)))
+    assert adj.converged
+    assert adj.gamma >= 0.05
+    marginal = [size_uni(float(s), 20, 0.0, float(c))
+                for s, c in zip(sigma, adj.c_star)]
+    np.testing.assert_allclose(marginal, adj.gamma, rtol=0, atol=1e-8)
+
+
+def test_adjust_raises_when_the_inner_loop_hits_its_cap():
+    s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
+    with pytest.raises(NonConvergenceError, match="1 inner steps"):
+        ctost_mvt_adjust(s, inner_max=1)
+
+
+def test_adjust_raises_when_a_margin_does_not_match(monkeypatch):
+    def unmatched(sigma, level, c0, **kw):
+        c, iters, conv = _match_margin(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv)
+
+    monkeypatch.setattr(mvt, "_match_margin", unmatched)
+    s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
+    with pytest.raises(NonConvergenceError, match="marginal size"):
+        ctost_mvt_adjust(s)
 
 
 def test_case_study_margins_frozen():

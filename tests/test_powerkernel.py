@@ -1,6 +1,8 @@
 """Rejection-probability engine, cross-checked against adaptive quadrature
 and scipy rectangle probabilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,15 @@ def test_omega_batch_refines_a_row_and_raises_at_the_largest_rule(monkeypatch):
                        match=r"65 points.*theta=0\.1, sigma1=0\.006, nu2=1, "
                              r"t=6\.31375.*, c=0\.22314"):
         power_uni(UnivPowerQuery(**row))
+
+
+def test_omega_batch_subnormal_multiplier_does_not_overflow():
+    # the upper limit c / t of s would overflow at a subnormal t, which
+    # moves no normal CDF in the integrand: the value is the t = 0 one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _omega_batch(0.2, 0.1, 20, 5e-324, C0)
+    assert got == pytest.approx(_omega_batch(0.2, 0.1, 20, 0.0, C0), abs=1e-9)
 
 
 def test_omega_batch_mixed_fixed_and_random_margins():

@@ -374,6 +374,33 @@ def test_rect_grad_empty_box_and_shapes():
         rect_grad(np.zeros(2), np.ones(3), corr)
 
 
+@pytest.mark.parametrize("rho", [-0.99, -0.4, 0.0, 0.7, 0.99])
+def test_rect_grad_k2_is_the_conditional_interval(rho):
+    # d/db_j P = phi(b_j) [Phi((b'' - rho b_j)/s) - Phi((a'' - rho b_j)/s)]
+    # with (a'', b'') the other coordinate's limits and s = sqrt(1 - rho^2);
+    # d/da_j is minus the same at a_j
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-4.0, 1.0, (40, 2))
+    b = a + rng.uniform(0.0, 5.0, (40, 2))
+    b[:3, 0] = a[:3, 0]  # empty boxes
+    b[3:5, 1] = a[3:5, 1] - 0.5
+    da, db = rect_grad(a, b, _corr2(rho))
+    s = np.sqrt(1.0 - rho * rho)
+    phi = stats.norm.pdf
+    cdf = stats.norm.cdf
+    for i in range(40):
+        live = np.all(b[i] > a[i])
+        for j in range(2):
+            lo, hi = a[i, 1 - j], b[i, 1 - j]
+            want_b = phi(b[i, j]) * (cdf((hi - rho * b[i, j]) / s)
+                                     - cdf((lo - rho * b[i, j]) / s))
+            want_a = -phi(a[i, j]) * (cdf((hi - rho * a[i, j]) / s)
+                                      - cdf((lo - rho * a[i, j]) / s))
+            assert db[i, j] == pytest.approx(want_b if live else 0.0, abs=1e-15)
+            assert da[i, j] == pytest.approx(want_a if live else 0.0, abs=1e-15)
+    assert np.all(da[:5] == 0.0) and np.all(db[:5] == 0.0)
+
+
 def test_mvn_rect_prob_univariate_exact():
     mean, sd = 0.1, 0.5
     want = norm_cdf((1.2 - mean) / sd) - norm_cdf((-0.7 - mean) / sd)

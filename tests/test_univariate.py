@@ -20,6 +20,7 @@ from equivkit.base import (
     InputError,
     NonConvergenceError,
 )
+from equivkit import univariate
 from equivkit.univariate import (
     CalibrationTable,
     UnivSummary,
@@ -273,6 +274,17 @@ def test_calibration_floors_when_overshooting():
     rep = decide(UnivSummary(theta_hat=0.01, sigma1_hat=0.125, nu2=3),
                  EquivalenceSpec(method="ctost-star"))
     assert not rep.reject
+
+
+@pytest.mark.parametrize("strategy", ["quadrature", "table-lookup"])
+def test_calibration_raises_when_the_margin_does_not_match(monkeypatch, strategy):
+    def unmatched(sigma, level, c0, **kw):
+        c, iters, conv = _match_margin(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv)
+
+    monkeypatch.setattr(univariate, "_match_margin", unmatched)
+    with pytest.raises(NonConvergenceError, match="calibrated level"):
+        ctost_star_calibrate(0.1, 20, strategy=strategy)
 
 
 def test_calibrate_rejects_unknown_strategy():
