@@ -24,7 +24,7 @@ def main():
     elapsed = time.perf_counter() - start
     print(f"wrote {OUT}")
     print(f"grid: {len(table.sigma_grid)} sigma x {len(table.nu_grid)} nu, "
-          f"strategy {table.strategy}, {elapsed:.1f}s")
+          f"{elapsed:.1f}s")
     print(f"alpha_c range: [{table.alpha_c.min():.6f}, {table.alpha_c.max():.6f}]")
 
 

@@ -436,7 +436,6 @@ def cmd_table(args):
         "out": args.out,
         "sigma_points": len(table.sigma_grid),
         "nu_points": len(table.nu_grid),
-        "strategy": table.strategy,
         "c0": table.c0,
         "alpha0": table.alpha0,
     })

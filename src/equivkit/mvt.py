@@ -54,6 +54,14 @@ _STEP_TOL = 1e-9
 # joint fit: the secant slopes of the joint size in gamma the inner loop
 # trusts (about 1 near the solution); others take the fixed-point step
 _SECANT_SLOPES = (0.25, 4.0)
+# joint fit: the outer-round cap, the inner loop's settling tolerance on
+# gamma and its step cap, and the worst-point search's tolerance
+_OUTER_MAX = 50
+_INNER_TOL = 1e-8
+_INNER_MAX = 200
+_SEARCH_TOL = 1e-5
+# repair_correlation clips eigenvalues below this multiple of the largest
+_MIN_EIG_RATIO = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,8 @@ class MvtSummary:
         return self.theta_hat.size
 
 
-def repair_correlation(corr, min_ratio: float = 1e-8) -> np.ndarray:
-    """Clip eigenvalues to min_ratio * max eigenvalue and renormalize.
+def repair_correlation(corr) -> np.ndarray:
+    """Clip eigenvalues to _MIN_EIG_RATIO * max eigenvalue and renormalize.
 
     Sample correlations with few degrees of freedom can be numerically
     singular; clipping restores positive definiteness with the smallest
@@ -105,7 +113,7 @@ def repair_correlation(corr, min_ratio: float = 1e-8) -> np.ndarray:
     corr = np.atleast_2d(np.asarray(corr, dtype=float))
     corr = 0.5 * (corr + corr.T)
     vals, vecs = np.linalg.eigh(corr)
-    floor = min_ratio * vals[-1]
+    floor = _MIN_EIG_RATIO * vals[-1]
     if vals[0] >= floor:
         return corr
     warnings.warn(
@@ -371,15 +379,13 @@ def _argsup(value, obj, corr, c0: float, snap: float, starts):
 # ---------------------------------------------------------------------------
 
 def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
-                     tol: float = 1e-6, seed: int = 0, r_max: int = 50,
-                     inner_tol: float = 1e-8, inner_max: int = 200,
-                     search_tol: float = 1e-5) -> MvtAdjustment:
+                     tol: float = 1e-6, seed: int = 0) -> MvtAdjustment:
     """Solve for per-dimension margins with joint size alpha0.
 
     Alternates two levels.  Given the current worst boundary point, the
     inner loop solves for the shared marginal size gamma at which the joint
     rejection probability there equals alpha0, re-solving each margin at
-    every new gamma, until gamma settles (|change| <= inner_tol).  Its
+    every new gamma, until gamma settles (|change| <= _INNER_TOL).  Its
     steps are secant steps on that residual, the slope taken from the last
     two iterates (from the previous inner loop on its first step); a step
     whose slope lies outside _SECANT_SLOPES (not positive, implausibly
@@ -400,8 +406,8 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     level at least as large as the nominal one.
 
     Raises NonConvergenceError when the outer loop does not reach tol in
-    r_max rounds, when an inner loop does not settle in inner_max steps,
-    and when a margin does not match its marginal size.
+    _OUTER_MAX rounds, when an inner loop does not settle in _INNER_MAX
+    steps, and when a margin does not match its marginal size.
     """
     spec = spec or EquivalenceSpec()
     sig = s.sigma1_hat
@@ -419,11 +425,11 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
         return cg
 
     c = np.full(s.dim, c0)
-    lam, ends = _argsup_fixed(sig, corr, c, c0, search_tol, seed)
+    lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed)
     gamma = float(np.max(_size_fixed(c, sig, c0)))
     inner_total = 0
     slope = 0.0
-    for r in range(r_max + 1):
+    for r in range(_OUTER_MAX + 1):
         om = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol, seed=seed)
         resid = om - alpha0
         trace.append({"outer": r, "gamma": gamma, "residual": resid,
@@ -432,7 +438,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
             return MvtAdjustment(c_star=c, gamma=gamma, lambda_=lam,
                                  outer_iterations=r, inner_iterations=inner_total,
                                  converged=lam.converged)
-        if r == r_max:
+        if r == _OUTER_MAX:
             break
         if r == 0:
             # the starting margins c0 share no marginal size
@@ -440,7 +446,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
             c = margins(gamma)
             resid = None
         prev = None
-        for _u in range(inner_max):
+        for _u in range(_INNER_MAX):
             if resid is None:
                 resid = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol,
                                      seed=seed) - alpha0
@@ -454,17 +460,17 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
             c = margins(gamma)
             inner_total += 1
             resid = None
-            if abs(gamma - prev[0]) <= inner_tol:
+            if abs(gamma - prev[0]) <= _INNER_TOL:
                 break
         else:
             raise NonConvergenceError(
-                f"marginal size gamma did not settle to {inner_tol} within "
-                f"{inner_max} inner steps", last=c, trace=trace)
-        lam, ends = _argsup_fixed(sig, corr, c, c0, search_tol, seed + r + 1,
+                f"marginal size gamma did not settle to {_INNER_TOL} within "
+                f"{_INNER_MAX} inner steps", last=c, trace=trace)
+        lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed + r + 1,
                                   ends)
     raise NonConvergenceError(
         f"joint margin iteration did not reach |residual| <= {tol} "
-        f"within {r_max} outer rounds", last=c, trace=trace)
+        f"within {_OUTER_MAX} outer rounds", last=c, trace=trace)
 
 
 # ---------------------------------------------------------------------------

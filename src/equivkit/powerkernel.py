@@ -15,7 +15,6 @@ does exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -26,7 +25,7 @@ from .statdist import (
     _gauss_kronrod,
     _is_diagonal,
     _scaled_chi_logpdf,
-    chi2_quantile,
+    _unit_chi_bounds,
     rect_grad,
     rect_prob,
     rng_stream,
@@ -45,9 +44,6 @@ __all__ = [
 # rejection event degenerates to the indicator |theta| < c
 SIGMA_DEGENERATE = 1e-12
 
-# chi-square tail mass dropped on each side when truncating the s integral
-_TAIL_MASS = 5e-11
-
 # a multiplier t at or below this acts as 0: t * s / sigma1 is then below
 # 1e-288, which moves no normal CDF in the integrand, so the integral is the
 # fixed-margin value up to the dropped tail mass; and the upper limit c / t
@@ -59,17 +55,8 @@ _T_ZERO = 1e-290
 # eigen-decomposition of some 15 s and 270 MB, against 2 s and 70 MB here
 _GK_FIRST = 32
 _GK_LAST = 1024
-
-
-@lru_cache(maxsize=128)
-def _unit_chi_bounds(nu2):
-    """Central-mass interval of s / sigma1 = sqrt(chi2(nu2) / nu2).
-
-    Drops _TAIL_MASS on each side.  The bounds depend on nu2 alone, so they
-    are computed once per nu2 (as passed) and shared by every solve.
-    """
-    return (np.sqrt(chi2_quantile(_TAIL_MASS, nu2) / nu2),
-            np.sqrt(chi2_quantile(1.0 - _TAIL_MASS, nu2) / nu2))
+# agreement the Kronrod and Gauss values of a row must reach (absolute below 1)
+_GK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,7 @@ class MvtPowerQuery:
         return self.theta.size
 
 
-def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9):
+def _omega_batch(theta, sigma1, nu2, t, c):
     """Vectorized rejection probability; broadcasts theta, sigma1, t, c.
 
     nu2 is a single integer for the whole batch.  Elements with t = 0 (or
@@ -154,7 +141,7 @@ def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9):
     conditional rejection probability is integrated against the scaled-chi
     density of s over (0, c/t), truncated to the central chi-square mass,
     by a Gauss-Kronrod pair: a row returns its (2n + 1)-point Kronrod value
-    once that value and the embedded n-point Gauss value agree to rtol
+    once that value and the embedded n-point Gauss value agree to _GK_RTOL
     (absolute below 1).
     Every row starts at n = _GK_FIRST; rows that disagree re-run with n
     doubled, and a row still disagreeing at _GK_LAST raises
@@ -194,7 +181,7 @@ def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9):
         half = half[:, 0]
         kron = half * (f * wk).sum(axis=1)
         gauss = half * (f * wg).sum(axis=1)
-        done = np.abs(kron - gauss) <= rtol * np.maximum(1.0, np.abs(kron))
+        done = np.abs(kron - gauss) <= _GK_RTOL * np.maximum(1.0, np.abs(kron))
         out[rand[done]] = np.clip(kron[done], 0.0, 1.0)
         rand = rand[~done]
         if rand.size and n == _GK_LAST:
@@ -210,20 +197,19 @@ def _omega_batch(theta, sigma1, nu2, t, c, rtol: float = 1e-9):
     return out if out.ndim else float(out)
 
 
-def power_uni(q: UnivPowerQuery, rtol: float = 1e-9) -> float:
+def power_uni(q: UnivPowerQuery) -> float:
     """Probability that the univariate test described by ``q`` rejects."""
-    return float(_omega_batch(q.theta, q.sigma1, q.nu2, q.t, q.c, rtol=rtol))
+    return float(_omega_batch(q.theta, q.sigma1, q.nu2, q.t, q.c))
 
 
 def size_uni(sigma1: float, nu2: int, t: float, c: float,
-             c0: float = C0_DEFAULT, rtol: float = 1e-9) -> float:
+             c0: float = C0_DEFAULT) -> float:
     """Rejection probability at the null boundary theta = c0.
 
     By symmetry of the rejection region the boundary -c0 gives the same
     value, so this is the size of the test with margins c and multiplier t.
     """
-    return power_uni(UnivPowerQuery(theta=c0, sigma1=sigma1, nu2=nu2, t=t, c=c),
-                     rtol=rtol)
+    return power_uni(UnivPowerQuery(theta=c0, sigma1=sigma1, nu2=nu2, t=t, c=c))
 
 
 def _omega_joint(theta, sigma1, corr, c, tol: float = 2.5e-7, seed: int = 0,

@@ -32,7 +32,7 @@ from .base import (
     NonConvergenceError,
 )
 from .mvt import MvtSummary, ctost_mvt_adjust, lambda_argsup
-from .statdist import SigmaHatLaw, rng_stream, sample_wishart_diag, t_quantile
+from .statdist import rng_stream, sample_wishart_diag, t_quantile
 from .univariate import (
     _alpha_star,
     _calibrate_level,
@@ -278,6 +278,11 @@ def _record(cfg, K, rho, sigma_config, nu2, x, method, n_reject):
     }
 
 
+def _sigma_hat_draws(sigma, nu2, n, rng):
+    """n standard-error estimates s with nu2 s^2 / sigma^2 ~ chi2(nu2)."""
+    return sigma * np.sqrt(rng.chisquare(nu2, size=n) / nu2)
+
+
 def _ctost_star_levels(sh, nu2, cfg, table):
     """Calibrated target level per replicate: table lookup, quadrature off-grid."""
     if table is not None:
@@ -349,13 +354,11 @@ def run_univariate_sweep(cfg, table=None):
     records = []
     for i_n, nu2 in enumerate(cfg.nu2_set):
         t_tost = float(t_quantile(cfg.alpha0, nu2))
-        law_cache = {}
         for i_s, sigma in enumerate(cfg.sigma_grid):
-            law = law_cache.setdefault(sigma, SigmaHatLaw(sigma, nu2))
             for i_t, theta in enumerate(cfg.theta_or_kappa_grid):
                 rng = rng_stream(cfg.seed, "univ", i_s, i_n, i_t)
                 th = theta + sigma * rng.standard_normal(cfg.replicates)
-                sh = law.sample(cfg.replicates, rng)
+                sh = _sigma_hat_draws(sigma, nu2, cfg.replicates, rng)
                 rejects = _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh)
                 for method in cfg.methods:
                     records.append(_record(

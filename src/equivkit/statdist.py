@@ -10,7 +10,6 @@ Everything here is pure given its inputs.  Sampling takes an explicit
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,11 +18,8 @@ from scipy import special
 from .base import InputError, NonConvergenceError
 
 __all__ = [
-    "norm_cdf",
-    "norm_quantile",
     "t_quantile",
     "chi2_quantile",
-    "SigmaHatLaw",
     "rect_prob",
     "rect_grad",
     "sample_wishart_diag",
@@ -95,20 +91,6 @@ def _gauss_kronrod(n: int):
 # scalar/vector special functions
 # ---------------------------------------------------------------------------
 
-def norm_cdf(x):
-    """Standard normal CDF, accurate in both tails (erfc based)."""
-    return special.ndtr(x)
-
-
-def norm_quantile(p):
-    """Inverse standard normal CDF; requires 0 < p < 1."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise InputError("norm_quantile requires 0 < p < 1")
-    out = special.ndtri(p)
-    return out if out.ndim else float(out)
-
-
 def t_quantile(alpha, nu2):
     """Upper-tail Student t quantile: survival(t) = alpha.
 
@@ -136,8 +118,24 @@ def chi2_quantile(p, nu):
 
 
 # ---------------------------------------------------------------------------
-# the sampling law of a standard-error estimate
+# the sampling law of a standard-error estimate: nu2 s^2 / sigma1^2 is
+# chi-square(nu2), so s = sigma1 * sqrt(chi2(nu2) / nu2)
 # ---------------------------------------------------------------------------
+
+# chi-square tail mass dropped on each side when truncating an integral over s
+_TAIL_MASS = 5e-11
+
+
+@lru_cache(maxsize=128)
+def _unit_chi_bounds(nu2):
+    """Central-mass interval of s / sigma1 = sqrt(chi2(nu2) / nu2).
+
+    Drops _TAIL_MASS on each side.  The bounds depend on nu2 alone, so they
+    are computed once per nu2 (as passed) and shared by every solve.
+    """
+    return (np.sqrt(chi2_quantile(_TAIL_MASS, nu2) / nu2),
+            np.sqrt(chi2_quantile(1.0 - _TAIL_MASS, nu2) / nu2))
+
 
 def _scaled_chi_logpdf(x, sigma1, nu2):
     """Log density of s = sigma1 * sqrt(chi2(nu2) / nu2); broadcasts over all args."""
@@ -150,47 +148,6 @@ def _scaled_chi_logpdf(x, sigma1, nu2):
         - nu * x * x / (2.0 * s2)
         - special.gammaln(0.5 * nu)
     )
-
-
-@dataclass(frozen=True)
-class SigmaHatLaw:
-    """Law of a standard-error estimate s with nu2 * s^2 / sigma1^2 ~ chi2(nu2).
-
-    Equivalently s = sigma1 * sqrt(V / nu2) for V chi-square with nu2
-    degrees of freedom.
-    """
-
-    sigma1: float
-    nu2: int
-
-    def __post_init__(self):
-        if not (self.sigma1 > 0):
-            raise InputError(f"sigma1 must be positive, got {self.sigma1}")
-        if self.nu2 < 1:
-            raise InputError(f"nu2 must be >= 1, got {self.nu2}")
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise InputError("density support is x > 0")
-        return _scaled_chi_logpdf(x, self.sigma1, self.nu2)
-
-    def pdf(self, x):
-        out = np.exp(self.logpdf(x))
-        return out if out.ndim else float(out)
-
-    def quantile(self, p):
-        """Quantile of s itself (monotone map of the chi-square quantile)."""
-        return self.sigma1 * np.sqrt(chi2_quantile(p, self.nu2) / self.nu2)
-
-    def mode(self):
-        if self.nu2 < 2:
-            return 0.0
-        return self.sigma1 * np.sqrt((self.nu2 - 1.0) / self.nu2)
-
-    def sample(self, n, rng):
-        v = rng.chisquare(self.nu2, size=n)
-        return self.sigma1 * np.sqrt(v / self.nu2)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import _omega_batch, _unit_chi_bounds
-from .statdist import _leggauss, t_quantile
+from .powerkernel import _omega_batch
+from .statdist import _leggauss, _scaled_chi_logpdf, _unit_chi_bounds, t_quantile
 
 __all__ = [
     "UnivSummary",
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 STRATEGIES = ("quadrature", "table-lookup")
+
+# Gauss-Legendre nodes of the cTOST* calibration's rule over s* / s
+_CALIBRATION_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -332,25 +335,17 @@ def alpha_tost_adjust(sigma1_hat: float, nu2: int,
 # small-sample calibration of the target level (cTOST*)
 # ---------------------------------------------------------------------------
 
-def _conditional_chi_rule(nu2: int, n_nodes: int = 64):
+def _conditional_chi_rule(nu2: int):
     """Nodes and density-weighted weights for u = s*/s given s.
 
     u is sigma-free: u = sqrt(V / nu2) with V chi-square(nu2).  The rule
     covers the central mass, leaving ~1e-10 in the tails.
     """
     lo, hi = _unit_chi_bounds(nu2)
-    x, w = _leggauss(n_nodes)
+    x, w = _leggauss(_CALIBRATION_NODES)
     half = 0.5 * (hi - lo)
     u = lo + half * (x + 1.0)
-    nu = float(nu2)
-    logpdf = (
-        np.log(2.0)
-        + 0.5 * nu * (np.log(nu) - np.log(2.0))
-        + (nu - 1.0) * np.log(u)
-        - 0.5 * nu * u * u
-        - special.gammaln(0.5 * nu)
-    )
-    return u, half * w * np.exp(logpdf)
+    return u, half * w * np.exp(_scaled_chi_logpdf(u, 1.0, nu2))
 
 
 def _expected_size(sigma, level, nu2, c0, u, wu):
@@ -359,13 +354,14 @@ def _expected_size(sigma, level, nu2, c0, u, wu):
     The margin is matched at ``level`` using the perturbed scale sigma*u,
     then its realized size is evaluated at the observed sigma; the
     expectation over u is a row-wise weighted sum, so each row's value
-    does not depend on how many rows share the call.
+    does not depend on how many rows share the call.  Returns the
+    expectations and a mask of the rows whose margins all converged.
     """
     sigma = np.asarray(sigma, dtype=float)
     lv = np.asarray(level, dtype=float)
-    chat, _, _ = _match_margin(sigma[..., None] * u, lv[..., None], c0)
+    chat, _, conv = _match_margin(sigma[..., None] * u, lv[..., None], c0)
     om = _size_fixed(chat, sigma[..., None], c0)
-    return (om * wu).sum(axis=-1)
+    return (om * wu).sum(axis=-1), conv.all(axis=-1)
 
 
 def _calibrate_level(sigma, nu2, c0, alpha0):
@@ -376,10 +372,19 @@ def _calibrate_level(sigma, nu2, c0, alpha0):
     level above alpha0 is clamped to alpha0; one at or below zero (very
     noisy small samples) is floored at 1e-10, so the matched margin
     collapses instead of erroring.  Returns (alpha_c, clamped_mask).
+    Raises NonConvergenceError when a margin inside the expectation does
+    not match its level.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     u, wu = _conditional_chi_rule(nu2)
-    a = alpha0 + alpha0 - _expected_size(sigma, alpha0, nu2, c0, u, wu)
+    size, conv = _expected_size(sigma, alpha0, nu2, c0, u, wu)
+    if not conv.all():
+        bad = sigma[~conv]
+        raise NonConvergenceError(
+            f"calibrated level at nu2={nu2}: the expected-size margins did "
+            f"not converge for {bad.size} of {sigma.size} standard errors, "
+            f"first at sigma1={float(bad[0])!r}")
+    a = alpha0 + alpha0 - size
     clamped = a > alpha0
     return np.maximum(np.where(clamped, alpha0, a), 1e-10), clamped
 
@@ -455,7 +460,6 @@ class CalibrationTable:
     sigma_grid: np.ndarray
     nu_grid: np.ndarray
     alpha_c: np.ndarray
-    strategy: str
     c0: float
     alpha0: float
 
@@ -527,12 +531,13 @@ class CalibrationTable:
         return float(v[0]) if scalar else v
 
     def to_csv(self, path):
+        # the strategy column is always quadrature, the only way tables are built
         lines = ["sigma1,nu2,alpha_c,strategy,c0,alpha0"]
         for i, s in enumerate(self.sigma_grid):
             for j, nu in enumerate(self.nu_grid):
                 lines.append(
                     f"{s:.17g},{nu:.17g},{self.alpha_c[i, j]:.17g},"
-                    f"{self.strategy},{self.c0:.17g},{self.alpha0:.17g}")
+                    f"quadrature,{self.c0:.17g},{self.alpha0:.17g}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         return path
@@ -548,10 +553,9 @@ class CalibrationTable:
             raise InputError(f"empty calibration table {path}")
         if any(len(r) != 6 for r in rows):
             raise InputError(f"calibration table {path}: every row needs 6 fields")
-        strategies = {r[3] for r in rows}
         c0s = {r[4] for r in rows}
         alpha0s = {r[5] for r in rows}
-        if len(strategies) != 1 or len(c0s) != 1 or len(alpha0s) != 1:
+        if len({r[3] for r in rows}) != 1 or len(c0s) != 1 or len(alpha0s) != 1:
             raise InputError("mixed (strategy, c0, alpha0) in one table")
         try:
             sig, nus, val = (np.array([float(r[i]) for r in rows]) for i in range(3))
@@ -564,8 +568,7 @@ class CalibrationTable:
         ac[np.searchsorted(sg, sig), np.searchsorted(ng, nus)] = val
         if np.isnan(ac).any():
             raise InputError(f"incomplete grid in calibration table {path}")
-        return cls(sigma_grid=sg, nu_grid=ng, alpha_c=ac,
-                   strategy=strategies.pop(), c0=c0, alpha0=alpha0)
+        return cls(sigma_grid=sg, nu_grid=ng, alpha_c=ac, c0=c0, alpha0=alpha0)
 
 
 def build_calibration_table(spec: EquivalenceSpec = None,
@@ -594,7 +597,7 @@ def build_calibration_table(spec: EquivalenceSpec = None,
     for j, nu in enumerate(nu_grid):
         ac[:, j], _ = _calibrate_level(sigma_grid, int(nu), spec.c0, spec.alpha0)
     table = CalibrationTable(sigma_grid=sigma_grid, nu_grid=nu_grid, alpha_c=ac,
-                             strategy="quadrature", c0=spec.c0, alpha0=spec.alpha0)
+                             c0=spec.c0, alpha0=spec.alpha0)
     if path is not None:
         table.to_csv(path)
     return table

@@ -391,7 +391,7 @@ def _toy_table(c0=C0):
     sg = np.array([0.005, 0.25])
     ng = np.array([5.0, 40.0])
     return CalibrationTable(sigma_grid=sg, nu_grid=ng, alpha_c=np.full((2, 2), 0.02),
-                            strategy="quadrature", c0=c0, alpha0=0.05)
+                            c0=c0, alpha0=0.05)
 
 
 SWEEP_ARGV = ("simulate", "--design", "univariate-sweep", "--desk",

@@ -1,0 +1,20 @@
+"""Every name a module exports resolves, so a deletion cannot leave a stale
+entry in a public ``__all__``."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import equivkit
+
+MODULES = ["equivkit"] + [f"equivkit.{m.name}"
+                          for m in pkgutil.iter_modules(equivkit.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+

@@ -284,7 +284,7 @@ def test_run_simulation_dispatch():
 def _flat_table(c0=C0, alpha0=0.05):
     return univariate.CalibrationTable(
         sigma_grid=np.array([0.01, 0.3]), nu_grid=np.array([5.0, 100.0]),
-        alpha_c=np.full((2, 2), 0.02), strategy="quadrature", c0=c0, alpha0=alpha0)
+        alpha_c=np.full((2, 2), 0.02), c0=c0, alpha0=alpha0)
 
 
 def test_sweep_uses_the_given_table():
@@ -298,7 +298,7 @@ def test_sweep_uses_the_given_table():
             [(0, 0.0), (1, C0)] * 2):
         rng = simkit.rng_stream(cfg.seed, "univ", i_s, 0, i_t)
         th = theta + sigma * rng.standard_normal(cfg.replicates)
-        sh = simkit.SigmaHatLaw(sigma, 10).sample(cfg.replicates, rng)
+        sh = simkit._sigma_hat_draws(sigma, 10, cfg.replicates, rng)
         c, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
         assert rec["rate"] == np.count_nonzero(np.abs(th) < c) / cfg.replicates
     assert flat.records != run_univariate_sweep(cfg).records

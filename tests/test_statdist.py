@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from equivkit import statdist
+from equivkit import simkit, statdist
 from equivkit.statdist import (
-    SigmaHatLaw,
     _gauss_kronrod,
     _genz_qmc,
     _is_diagonal,
     _leggauss,
+    _scaled_chi_logpdf,
     chi2_quantile,
-    norm_cdf,
-    norm_quantile,
     rect_grad,
     rect_prob,
     rng_stream,
@@ -47,17 +45,16 @@ _ROWS = list(_oracle_rows())
 
 def _eval_special(name, args):
     if name == "norm_cdf":
-        return float(norm_cdf(args[0]))
+        return float(special.ndtr(args[0]))
     if name == "norm_quantile":
-        return float(norm_quantile(args[0]))
+        return float(special.ndtri(args[0]))
     if name == "t_quantile":
         return float(t_quantile(args[0], int(args[1])))
     if name == "chi2_quantile":
         return float(chi2_quantile(args[0], int(args[1])))
     if name == "sigma_hat_pdf":
         x, sigma1, nu2 = args
-        law = SigmaHatLaw(sigma1=sigma1, nu2=int(nu2))
-        return float(law.pdf(x))
+        return float(np.exp(_scaled_chi_logpdf(x, sigma1, int(nu2))))
     raise AssertionError(f"unknown oracle function {name}")
 
 
@@ -77,11 +74,6 @@ def test_special_values_match_high_precision(name, args, expected):
     assert got == pytest.approx(expected, rel=rtol, abs=1e-300)
 
 
-def test_norm_quantile_is_inverse_of_cdf():
-    for p in (1e-12, 1e-6, 0.025, 0.3, 0.5, 0.7, 0.975, 1 - 1e-6):
-        assert norm_cdf(norm_quantile(p)) == pytest.approx(p, rel=1e-11)
-
-
 def test_t_quantile_rejects_bad_input():
     with pytest.raises(InputError):
         t_quantile(0.05, 0)
@@ -92,7 +84,7 @@ def test_t_quantile_rejects_bad_input():
 def test_t_quantile_exceeds_normal_quantile():
     # for a one-sided upper alpha point with alpha < 1/2 the Student
     # quantile always sits above the normal one, approaching it as nu grows
-    z = norm_quantile(1 - 0.05)
+    z = special.ndtri(1 - 0.05)
     prev = np.inf
     for nu in (2, 5, 10, 40, 200, 5000):
         tq = t_quantile(0.05, nu)
@@ -107,44 +99,17 @@ def test_t_quantile_exceeds_normal_quantile():
 
 @pytest.mark.parametrize("sigma1,nu2", [(0.05, 3), (0.1, 20), (0.33, 11), (1.7, 80)])
 def test_sigma_hat_law_matches_scipy_chi(sigma1, nu2):
-    law = SigmaHatLaw(sigma1=sigma1, nu2=nu2)
     ref = oracles.chi_law(sigma1, nu2)
     xs = np.linspace(ref.ppf(1e-6), ref.ppf(1 - 1e-6), 41)
-    np.testing.assert_allclose(law.pdf(xs), ref.pdf(xs), rtol=1e-10)
-    np.testing.assert_allclose(law.logpdf(xs), ref.logpdf(xs), rtol=1e-10, atol=1e-12)
-    for p in (0.001, 0.2, 0.5, 0.9, 0.999):
-        assert law.quantile(p) == pytest.approx(ref.ppf(p), rel=1e-9)
-
-
-def test_sigma_hat_quantile_roundtrip():
-    law = SigmaHatLaw(sigma1=0.12, nu2=7)
-    ref = oracles.chi_law(0.12, 7)
-    for p in (0.01, 0.37, 0.5, 0.93):
-        x = law.quantile(p)
-        assert ref.cdf(x) == pytest.approx(p, abs=1e-10)
-
-
-def test_sigma_hat_mode():
-    law = SigmaHatLaw(sigma1=0.2, nu2=9)
-    m = law.mode()
-    xs = m + np.array([-1e-4, 0.0, 1e-4])
-    dens = law.pdf(xs)
-    assert dens[1] >= dens[0] and dens[1] >= dens[2]
-    assert m == pytest.approx(0.2 * np.sqrt((9 - 1) / 9), rel=1e-12)
+    logpdf = _scaled_chi_logpdf(xs, sigma1, nu2)
+    np.testing.assert_allclose(np.exp(logpdf), ref.pdf(xs), rtol=1e-10)
+    np.testing.assert_allclose(logpdf, ref.logpdf(xs), rtol=1e-10, atol=1e-12)
 
 
 def test_sigma_hat_sample_ks():
-    law = SigmaHatLaw(sigma1=0.15, nu2=12)
-    draws = law.sample(20000, np.random.default_rng(7))
+    draws = simkit._sigma_hat_draws(0.15, 12, 20000, np.random.default_rng(7))
     stat = stats.kstest(draws, oracles.chi_law(0.15, 12).cdf)
     assert stat.pvalue > 1e-4
-
-
-def test_sigma_hat_law_validation():
-    with pytest.raises(InputError):
-        SigmaHatLaw(sigma1=-0.1, nu2=5)
-    with pytest.raises(InputError):
-        SigmaHatLaw(sigma1=0.1, nu2=0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +158,7 @@ def test_bvn_rect_matches_scipy(rho):
 
 def test_bvn_rect_independence_factorizes():
     a1, b1, a2, b2 = -0.4, 1.1, -2.0, 0.3
-    want = (norm_cdf(b1) - norm_cdf(a1)) * (norm_cdf(b2) - norm_cdf(a2))
+    want = (special.ndtr(b1) - special.ndtr(a1)) * (special.ndtr(b2) - special.ndtr(a2))
     # exactly diagonal takes the product; just above the 1e-14 threshold
     # Owen's T must give the same value
     assert rect_prob([a1, a2], [b1, b2], np.eye(2)) == pytest.approx(want, rel=1e-10)
@@ -403,7 +368,7 @@ def test_rect_grad_k2_is_the_conditional_interval(rho):
 
 def test_mvn_rect_prob_univariate_exact():
     mean, sd = 0.1, 0.5
-    want = norm_cdf((1.2 - mean) / sd) - norm_cdf((-0.7 - mean) / sd)
+    want = special.ndtr((1.2 - mean) / sd) - special.ndtr((-0.7 - mean) / sd)
     got = rect_prob([(-0.7 - mean) / sd], [(1.2 - mean) / sd], [[1.0]])
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -582,12 +547,8 @@ def test_rng_stream_part_boundaries_matter():
 
 @given(st.floats(-8.0, 8.0))
 def test_norm_cdf_symmetry(x):
-    assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-14)
-
-
-@given(st.floats(1e-9, 1.0 - 1e-9))
-def test_norm_quantile_roundtrip_property(p):
-    assert norm_cdf(norm_quantile(p)) == pytest.approx(p, rel=1e-9, abs=1e-12)
+    # the package takes every normal CDF from ndtr, in both tails
+    assert special.ndtr(x) + special.ndtr(-x) == pytest.approx(1.0, abs=1e-14)
 
 
 @given(

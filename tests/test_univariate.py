@@ -5,6 +5,7 @@ regressions, and scipy-based reimplementations (bracketing root finder on
 adaptive quadrature) confirm the solved equations independently.
 """
 
+import json
 import os
 
 import numpy as np
@@ -20,7 +21,7 @@ from equivkit.base import (
     InputError,
     NonConvergenceError,
 )
-from equivkit import univariate
+from equivkit import cli, univariate
 from equivkit.univariate import (
     CalibrationTable,
     UnivSummary,
@@ -287,6 +288,24 @@ def test_calibration_raises_when_the_margin_does_not_match(monkeypatch, strategy
         ctost_star_calibrate(0.1, 20, strategy=strategy)
 
 
+def test_calibration_raises_when_an_expected_size_margin_does_not_match(
+        monkeypatch, capsys):
+    # only the margins inside the expectation (one row of nodes per
+    # standard error) report failure; the final margin still converges
+    def unmatched(sigma, level, c0, **kw):
+        c, iters, conv = _match_margin(sigma, level, c0, **kw)
+        return c, iters, conv if np.ndim(conv) < 2 else np.zeros_like(conv)
+
+    monkeypatch.setattr(univariate, "_match_margin", unmatched)
+    with pytest.raises(NonConvergenceError, match="expected-size margins"):
+        ctost_star_calibrate(0.1, 20)
+    code = cli.main(["adjust", "--method", "ctost", "--refined",
+                     "--sigma1", "0.1", "--nu2", "20"])
+    assert code == 3
+    assert "expected-size margins" in json.loads(capsys.readouterr().err)[
+        "error"]["message"]
+
+
 def test_calibrate_rejects_unknown_strategy():
     for strategy in ("bootstrap", "monte-carlo"):
         with pytest.raises(InputError):
@@ -311,8 +330,7 @@ def _toy_table():
     ls = np.log(sg)[:, None]
     inv = (1.0 / ng)[None, :]
     ac = 0.03 + 0.004 * ls + 0.02 * inv + 0.005 * ls * inv
-    return CalibrationTable(sigma_grid=sg, nu_grid=ng, alpha_c=ac,
-                            strategy="quadrature", c0=C0, alpha0=0.05)
+    return CalibrationTable(sigma_grid=sg, nu_grid=ng, alpha_c=ac, c0=C0, alpha0=0.05)
 
 
 def test_table_roundtrip_exact(tmp_path):
@@ -323,7 +341,6 @@ def test_table_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(back.sigma_grid, tbl.sigma_grid)
     np.testing.assert_array_equal(back.nu_grid, tbl.nu_grid)
     np.testing.assert_array_equal(back.alpha_c, tbl.alpha_c)
-    assert back.strategy == tbl.strategy
     assert back.c0 == tbl.c0 and back.alpha0 == tbl.alpha0
 
 
@@ -398,16 +415,13 @@ def test_table_from_csv_malformed_rows(tmp_path, row):
 def test_table_validation():
     with pytest.raises(InputError):
         CalibrationTable(sigma_grid=np.array([0.2, 0.1]), nu_grid=np.array([5.0, 10.0]),
-                         alpha_c=np.zeros((2, 2)), strategy="quadrature",
-                         c0=C0, alpha0=0.05)
+                         alpha_c=np.zeros((2, 2)), c0=C0, alpha0=0.05)
     with pytest.raises(InputError):
         CalibrationTable(sigma_grid=np.array([0.1, 0.2]), nu_grid=np.array([5.0, 10.0]),
-                         alpha_c=np.zeros((3, 2)), strategy="quadrature",
-                         c0=C0, alpha0=0.05)
+                         alpha_c=np.zeros((3, 2)), c0=C0, alpha0=0.05)
     with pytest.raises(InputError):
         CalibrationTable(sigma_grid=np.array([-0.1, 0.2]), nu_grid=np.array([5.0, 10.0]),
-                         alpha_c=np.zeros((2, 2)), strategy="quadrature",
-                         c0=C0, alpha0=0.05)
+                         alpha_c=np.zeros((2, 2)), c0=C0, alpha0=0.05)
 
 
 def test_build_table_small_grid_matches_direct():
@@ -428,11 +442,19 @@ def test_bundled_table_covers_defaults_and_matches_quadrature():
     assert got.alpha_c == pytest.approx(want.alpha_c, abs=1e-4)
 
 
+def test_bundled_table_matches_a_fresh_calibration():
+    tbl = default_calibration_table()
+    for j, nu in enumerate(tbl.nu_grid):
+        fresh, _ = univariate._calibrate_level(tbl.sigma_grid, int(nu),
+                                               tbl.c0, tbl.alpha0)
+        np.testing.assert_allclose(tbl.alpha_c[:, j], fresh, rtol=0, atol=1e-15)
+
+
 def test_table_spec_mismatch_raises(tmp_path):
     sg = np.array([0.02, 0.2])
     ng = np.array([5.0, 40.0])
     tbl = CalibrationTable(sigma_grid=sg, nu_grid=ng, alpha_c=np.full((2, 2), 0.03),
-                           strategy="quadrature", c0=0.3, alpha0=0.05)
+                           c0=0.3, alpha0=0.05)
     with pytest.raises(InputError):
         ctost_star_calibrate(0.1, 10, strategy="table-lookup", table=tbl)
 
