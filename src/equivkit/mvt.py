@@ -33,7 +33,7 @@ from .powerkernel import (
     power_mvt,
 )
 from .statdist import _check_corr, _is_diagonal, t_quantile
-from .univariate import _match_margin, _size_fixed
+from .univariate import _increasing_root, _match_margin, _size_fixed
 
 __all__ = [
     "MvtSummary",
@@ -478,38 +478,32 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
 # ---------------------------------------------------------------------------
 
 def _alpha_star_joint(s: MvtSummary, spec: EquivalenceSpec, tol: float,
-                      seed: int, n_wishart: int, max_iter: int = 60):
-    """Shared level alpha* making the joint size alpha0 with margins c0."""
+                      seed: int, n_wishart: int):
+    """Shared level alpha* making the joint size alpha0 with margins c0.
+
+    Bisection (:func:`_increasing_root`) over (alpha0, 0.5], one worst-point
+    search per point; raises NonConvergenceError if it stops unconverged.
+    """
     c0, alpha0 = spec.c0, spec.alpha0
     cvec = np.full(s.dim, c0)
+    worst = [lambda_argsup(s.sigma1_hat, s.correlation_hat, s.nu2, cvec, spec,
+                           tol=tol, seed=seed)]
+    if worst[0].objective < alpha0:  # short of alpha0 even at t = 0: saturated
+        return 0.5, worst[0], True, worst[0].objective - alpha0
 
-    def joint_size(alpha):
-        if alpha >= 0.5:
-            lam = lambda_argsup(s.sigma1_hat, s.correlation_hat, s.nu2, cvec,
-                                spec, tol=tol, seed=seed)
-        else:
-            t = float(t_quantile(alpha, s.nu2))
-            lam = lambda_argsup(s.sigma1_hat, s.correlation_hat, s.nu2, cvec,
-                                spec, tol=tol, seed=seed,
-                                t=np.full(s.dim, t), n_wishart=n_wishart)
-        return lam.objective, lam
+    def size_gap(alpha, rows):
+        t = np.full(s.dim, float(t_quantile(alpha[0], s.nu2)))
+        worst.append(lambda_argsup(s.sigma1_hat, s.correlation_hat, s.nu2, cvec,
+                                   spec, tol=tol, seed=seed, t=t, n_wishart=n_wishart))
+        return np.array([worst[-1].objective - alpha0])
 
-    sup, lam_sup = joint_size(0.5)
-    if sup < alpha0:
-        return 0.5, lam_sup, True, sup - alpha0
-    lo, hi = alpha0, 0.5
-    alpha, resid, lam = alpha0, sup - alpha0, lam_sup
-    for _ in range(max_iter):
-        alpha = 0.5 * (lo + hi)
-        size, lam = joint_size(alpha)
-        resid = size - alpha0
-        if abs(resid) <= max(1e-6, 0.1 * tol) or hi - lo < 1e-10:
-            break
-        if resid < 0:
-            lo = alpha
-        else:
-            hi = alpha
-    return alpha, lam, False, resid
+    alpha, resid, iters, conv = _increasing_root(
+        size_gap, np.array([alpha0]), np.array([0.5]), max(1e-6, 0.1 * tol))
+    if not conv[0]:
+        raise NonConvergenceError(
+            f"joint alpha* stopped unconverged after {iters} rounds, "
+            f"residual {resid[0]:.3e}", last=float(alpha[0]))
+    return float(alpha[0]), worst[-1], False, float(resid[0])
 
 
 def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,

@@ -12,13 +12,13 @@ size alpha0 exactly, each moving a different dial:
 * cTOST* additionally calibrates the target level to undo the small-sample
   bias introduced by plugging in an estimated standard error.
 
-All solvers push the size residual below strict tolerances (1e-10 for the
-cTOST margin, 1e-8 for the bisections) and report iteration counts.  At a
-nonzero multiplier each size comes from :mod:`equivkit.powerkernel`, whose
-Gauss-Kronrod value agrees with its embedded Gauss value to 1e-9, so a
-re-evaluation there closes the loop.  A solve that stops at its cap raises
-NonConvergenceError, and so does a size whose rule pair still disagrees at
-the largest rule.
+One bracketed root-finder (:func:`_increasing_root`) solves every level and
+margin to a size residual of 1e-10 (cTOST margin, by Newton) or 1e-8 (by
+bisection) and reports iteration counts.  At a nonzero multiplier each size
+comes from :mod:`equivkit.powerkernel`, whose Gauss-Kronrod value agrees
+with its embedded Gauss value to 1e-9, so a re-evaluation there closes the
+loop.  A solve that stops unconverged raises NonConvergenceError, and so
+does a size whose rule pair still disagrees at the largest rule.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ STRATEGIES = ("quadrature", "table-lookup")
 
 # Gauss-Legendre nodes of the cTOST* calibration's rule over s* / s
 _CALIBRATION_NODES = 64
+
+# rounds after which every level and margin solve stops unconverged
+_ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,66 @@ class UnivAdjustment:
 # margin matching at fixed multiplier zero (the cTOST equation)
 # ---------------------------------------------------------------------------
 
+def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
+    """Roots of residuals increasing in x, one per row of the bracket [lo, hi].
+
+    ``resid(x, rows)`` and its derivative ``slope(x, rows)`` evaluate rows
+    ``rows`` at x.  A row tests x (default: the midpoint) and stops once
+    |residual| <= tol; else x replaces the bracket end on its side, and the
+    row tests the Newton step if it lies strictly inside, else the midpoint.
+    Rows stop unconverged once no double lies strictly inside the bracket,
+    or after _ROOT_MAX_ITER rounds.  Returns (last x tested, its residual,
+    rounds, converged_mask).
+    """
+    x_out, r_out, conv = np.empty(lo.size), np.empty(lo.size), np.zeros(lo.size, bool)
+    rows = np.arange(lo.size)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x = (lo + hi) * 0.5 if x is None else x
+    iters = 0
+    # np.copyto and np.count_nonzero keep the rounds of small solves cheap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            r = resid(x, rows)
+            iters += 1
+            hit = np.abs(r) <= tol
+            x_out[rows], r_out[rows], conv[rows] = x, r, hit
+            if np.count_nonzero(hit) == rows.size or iters == _ROOT_MAX_ITER:
+                break
+            below = r < 0
+            np.copyto(lo, x, where=below)
+            np.copyto(hi, x, where=~below)
+            nxt = (lo + hi) * 0.5
+            go = ~hit & (lo < nxt) & (nxt < hi)
+            if np.count_nonzero(go) < rows.size:
+                rows, x, r, lo, hi, nxt = rows[go], x[go], r[go], lo[go], hi[go], nxt[go]
+            if slope is not None and rows.size:
+                step = x - r / slope(x, rows)
+                np.copyto(nxt, step, where=(lo < step) & (step < hi))
+            x = nxt
+    return x_out, r_out, iters, conv
+
+
+def _grow_bracket(resid, hi):
+    """Double each upper end hi until ``resid(hi, rows)`` is nonnegative."""
+    rows = np.flatnonzero(resid(hi, np.arange(hi.size)) < 0)
+    while rows.size:
+        hi[rows] *= 2.0
+        rows = rows[resid(hi[rows], rows) < 0]
+    return hi
+
+
 def _size_fixed(c, sigma, c0):
     """Size of the fixed-margin test: Phi((c0+c)/s) - Phi((c0-c)/s)."""
     return special.ndtr((c0 + c) / sigma) - special.ndtr((c0 - c) / sigma)
 
 
-def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, max_iter=100):
+def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10):
     """Solve Phi((c0+c)/s) - Phi((c0-c)/s) = level for c, elementwise.
 
     Newton iteration started from c0 - s * z_{1-level} (or c0 when that is
-    nonpositive), guarded by a maintained bracket: any step leaving it is
-    replaced by bisection, so the iteration cannot diverge.  Returns
-    (c, iterations, converged_mask) with c matching the broadcast shape.
+    nonpositive), guarded by a bracket (:func:`_increasing_root`), so it
+    cannot diverge.  Returns (c, iterations, converged_mask) with c
+    matching the broadcast shape.
     """
     sigma, level = np.broadcast_arrays(
         np.asarray(sigma, dtype=float), np.asarray(level, dtype=float)
@@ -130,44 +181,29 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, max_iter=100):
     shape = sigma.shape
     sigma = sigma.ravel()
     level = level.ravel()
-    if np.any(sigma <= 0):
+    if (sigma <= 0).any():
         raise InputError("sigma must be positive")
-    if np.any((level <= 0) | (level >= 1)):
+    if ((level <= 0) | (level >= 1)).any():
         raise InputError("level must lie in (0, 1)")
 
-    z = special.ndtri(1.0 - level)
-    c = np.where(c0 - sigma * z > 0, c0 - sigma * z, c0)
-    lo = np.zeros_like(c)
-    hi = np.maximum(c, c0) + 10.0 * sigma
-    grow = _size_fixed(hi, sigma, c0) < level
-    while grow.any():
-        hi[grow] *= 2.0
-        grow = _size_fixed(hi, sigma, c0) < level
+    def size_gap(c, rows):
+        return _size_fixed(c, sigma[rows], c0) - level[rows]
 
-    conv = np.zeros(c.size, dtype=bool)
-    iters = 0
-    for it in range(max_iter):
-        resid = _size_fixed(c, sigma, c0) - level
-        conv |= np.abs(resid) <= tol
-        iters = it + 1
-        if conv.all():
-            break
-        lo = np.where(resid < 0, np.maximum(lo, c), lo)
-        hi = np.where(resid > 0, np.minimum(hi, c), hi)
-        deriv = (
-            np.exp(-0.5 * ((c0 + c) / sigma) ** 2)
-            + np.exp(-0.5 * ((c0 - c) / sigma) ** 2)
-        ) / (sigma * np.sqrt(2.0 * np.pi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = c - resid / deriv
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        c = np.where(conv, c, cand)
+    def slope(c, rows):
+        s = sigma[rows]
+        return (np.exp(-0.5 * ((c0 + c) / s) ** 2)
+                + np.exp(-0.5 * ((c0 - c) / s) ** 2)) / (s * np.sqrt(2.0 * np.pi))
+
+    start = c0 - sigma * special.ndtri(1.0 - level)
+    start = np.where(start > 0, start, c0)
+    hi = _grow_bracket(size_gap, np.maximum(start, c0) + 10.0 * sigma)
+    c, _, iters, conv = _increasing_root(size_gap, np.zeros_like(hi), hi, tol,
+                                         x=start, slope=slope)
     return c.reshape(shape), iters, conv.reshape(shape)
 
 
 def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
-                 tol: float = 1e-10, max_iter: int = 100) -> UnivAdjustment:
+                 tol: float = 1e-10) -> UnivAdjustment:
     """Margin c with multiplier zero matching size alpha0 at sigma1_hat.
 
     The margin always exists and is unique: the size is 0 at c = 0 and
@@ -178,14 +214,13 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
     spec = spec or EquivalenceSpec()
     if not (sigma1_hat > 0):
         raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
-    c, iters, conv = _match_margin(sigma1_hat, spec.alpha0, spec.c0,
-                                   tol=tol, max_iter=max_iter)
+    c, iters, conv = _match_margin(sigma1_hat, spec.alpha0, spec.c0, tol=tol)
     c = float(c)
     resid = float(_size_fixed(c, sigma1_hat, spec.c0) - spec.alpha0)
     if not bool(conv):
         raise NonConvergenceError(
-            f"margin iteration did not reach |residual| <= {tol} "
-            f"in {max_iter} steps", last=c)
+            f"cTOST margin solve stopped unconverged within {_ROOT_MAX_ITER} "
+            f"rounds, residual {resid:.3e}", last=c)
     return UnivAdjustment(method="ctost", t_used=0.0, c_used=c,
                           iterations=iters, converged=True, residual=resid)
 
@@ -194,35 +229,7 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
 # level and margin adjustments at nonzero multiplier
 # ---------------------------------------------------------------------------
 
-def _bisect(resid, lo, hi, tol, max_iter):
-    """Bisection on a residual increasing in x, vectorized over rows.
-
-    ``resid(x, rows)`` evaluates the rows with indices ``rows`` at x.  Each
-    row stops at the first midpoint with |residual| <= tol, exactly as a
-    scalar loop does.  Returns (x, residual, iterations, converged_mask),
-    where x is the last midpoint tested in each row.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    x = 0.5 * (lo + hi)
-    r = np.full_like(lo, np.nan)
-    conv = np.zeros(lo.shape, dtype=bool)
-    rows = np.arange(lo.size)
-    iters = 0
-    while rows.size and iters < max_iter:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        res = resid(mid, rows)
-        x[rows], r[rows] = mid, res
-        iters += 1
-        hit = np.abs(res) <= tol
-        conv[rows[hit]] = True
-        below = res < 0
-        lo[rows] = np.where(below, mid, lo[rows])
-        hi[rows] = np.where(below, hi[rows], mid)
-        rows = rows[~hit]
-    return x, r, iters, conv
-
-
-def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8, max_iter=200):
+def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     """Level alpha* whose multiplier t_{alpha*,nu2} gives size alpha0 at c0.
 
     Bisection over alpha in (alpha0, 0.5], vectorized over sigma: the size
@@ -230,7 +237,7 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8, max_iter=200):
     multiplier vanishes.  Rows where even that supremum is below alpha0
     have no interior solution; they saturate at alpha = 0.5, t = 0, with
     the shortfall as residual.  Returns (alpha, t, residual, iterations,
-    converged_mask).
+    converged_mask) of :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     alpha = np.full(sigma.shape, 0.5)
@@ -243,57 +250,53 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8, max_iter=200):
     def size_gap(a, rows):
         return _omega_batch(c0, sg[rows], nu2, t_quantile(a, nu2), c0) - alpha0
 
-    a, r, iters, ok = _bisect(size_gap, np.full(free.size, alpha0),
-                              np.full(free.size, 0.5), tol, max_iter)
+    a, r, iters, ok = _increasing_root(size_gap, np.full(free.size, alpha0),
+                                       np.full(free.size, 0.5), tol)
     alpha[free], resid[free], conv[free] = a, r, ok
     t[free] = t_quantile(a, nu2)
     return alpha, t, resid, iters, conv
 
 
-def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8, max_iter=200):
+def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8):
     """Margin c giving size alpha0 at c0 when the test subtracts t * s.
 
     Bisection on c, vectorized over sigma at one multiplier t >= 0; the
     size is strictly increasing in c, 0 as c -> 0 and 1 as c -> infinity,
     so a root always exists.  The bracket starts at c0 + 10 sigma (1 + t)
     and doubles until it holds the root.  Returns (c, residual,
-    iterations, converged_mask).
+    iterations, converged_mask) of :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    hi = c0 + 10.0 * sigma * (1.0 + t)
-    grow = np.flatnonzero(_omega_batch(c0, sigma, nu2, t, hi) < alpha0)
-    while grow.size:
-        hi[grow] *= 2.0
-        grow = grow[_omega_batch(c0, sigma[grow], nu2, t, hi[grow]) < alpha0]
 
     def size_gap(c, rows):
         return _omega_batch(c0, sigma[rows], nu2, t, c) - alpha0
 
-    return _bisect(size_gap, np.zeros(sigma.shape), hi, tol, max_iter)
+    hi = _grow_bracket(size_gap, c0 + 10.0 * sigma * (1.0 + t))
+    return _increasing_root(size_gap, np.zeros(sigma.shape), hi, tol)
 
 
 def _scalar_root(what, x, resid, conv):
-    """(value, residual) of a one-row solve; raises if it hit its cap."""
+    """(value, residual) of a one-row solve; raises if it stopped unconverged."""
     if not conv[0]:
         raise NonConvergenceError(
-            f"{what} bisection stalled, residual {resid[0]:.3e}", last=float(x[0]))
+            f"{what} solve stopped unconverged within {_ROOT_MAX_ITER} rounds, "
+            f"residual {resid[0]:.3e}", last=float(x[0]))
     return float(x[0]), float(resid[0])
 
 
 def margin_for_multiplier(sigma1: float, nu2: int, t: float,
                           spec: EquivalenceSpec = None,
-                          tol: float = 1e-8, max_iter: int = 200) -> float:
+                          tol: float = 1e-8) -> float:
     """Margin c matching size alpha0 when the test subtracts t * s.
 
-    Solved by bisection on c (see :func:`_delta_margin`).  t = 0
-    reproduces the cTOST margin (up to the looser tolerance).
+    Bisection on c (:func:`_delta_margin`); raises NonConvergenceError if
+    it stops unconverged.  t = 0 gives the cTOST margin (to the looser tol).
     """
     spec = spec or EquivalenceSpec()
     if not (sigma1 > 0) or t < 0:
         raise InputError("need sigma1 > 0 and t >= 0")
-    c, resid, _, conv = _delta_margin(sigma1, nu2, t, spec.c0, spec.alpha0,
-                                      tol=tol, max_iter=max_iter)
-    return _scalar_root("margin", c, resid, conv)[0]
+    c, resid, _, conv = _delta_margin(sigma1, nu2, t, spec.c0, spec.alpha0, tol=tol)
+    return _scalar_root("delta-TOST margin", c, resid, conv)[0]
 
 
 def delta_tost_adjust(sigma1_hat: float, nu2: int,
@@ -306,25 +309,25 @@ def delta_tost_adjust(sigma1_hat: float, nu2: int,
     t = float(t_quantile(spec.alpha0, nu2))
     c, resid, iters, conv = _delta_margin(sigma1_hat, nu2, t, spec.c0,
                                           spec.alpha0, tol=tol)
-    c, resid = _scalar_root("margin", c, resid, conv)
+    c, resid = _scalar_root("delta-TOST margin", c, resid, conv)
     return UnivAdjustment(method="delta-tost", t_used=t, c_used=c,
                           iterations=iters, residual=resid)
 
 
 def alpha_tost_adjust(sigma1_hat: float, nu2: int,
                       spec: EquivalenceSpec = None,
-                      tol: float = 1e-8, max_iter: int = 200) -> UnivAdjustment:
+                      tol: float = 1e-8) -> UnivAdjustment:
     """Adjusted level alpha* with margins fixed at c0 (see :func:`_alpha_star`).
 
     If no interior solution exists the boundary value alpha = 0.5 is
-    returned with ``saturated=True``.
+    returned with ``saturated=True``; an unconverged solve raises.
     """
     spec = spec or EquivalenceSpec()
     if not (sigma1_hat > 0):
         raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
     alpha, t, resid, iters, conv = _alpha_star(
-        sigma1_hat, nu2, spec.c0, spec.alpha0, tol=tol, max_iter=max_iter)
-    alpha, resid = _scalar_root("alpha", alpha, resid, conv)
+        sigma1_hat, nu2, spec.c0, spec.alpha0, tol=tol)
+    alpha, resid = _scalar_root("alpha-TOST level", alpha, resid, conv)
     # the bisection only tests midpoints below 0.5, so 0.5 means saturated
     return UnivAdjustment(method="alpha-tost", t_used=float(t[0]), c_used=spec.c0,
                           alpha_adj=alpha, iterations=iters,
@@ -553,10 +556,13 @@ class CalibrationTable:
             raise InputError(f"empty calibration table {path}")
         if any(len(r) != 6 for r in rows):
             raise InputError(f"calibration table {path}: every row needs 6 fields")
+        if {r[3] for r in rows} != {"quadrature"}:
+            raise InputError(f"calibration table {path}: strategy column must "
+                             "read quadrature, the only way tables are built")
         c0s = {r[4] for r in rows}
         alpha0s = {r[5] for r in rows}
-        if len({r[3] for r in rows}) != 1 or len(c0s) != 1 or len(alpha0s) != 1:
-            raise InputError("mixed (strategy, c0, alpha0) in one table")
+        if len(c0s) != 1 or len(alpha0s) != 1:
+            raise InputError("mixed (c0, alpha0) in one table")
         try:
             sig, nus, val = (np.array([float(r[i]) for r in rows]) for i in range(3))
             c0, alpha0 = float(c0s.pop()), float(alpha0s.pop())

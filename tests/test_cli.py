@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from equivkit import mvt, powerkernel
+from equivkit import mvt, powerkernel, univariate
 from equivkit.cli import main
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import CSV_HEADER, run_simulation, univariate_sweep_config
@@ -265,6 +265,18 @@ def test_adjust_joint_margin_nonconvergence_exit_code(monkeypatch, capsys):
     assert "marginal size" in body["error"]["message"]
 
 
+def test_assess_joint_alpha_star_nonconvergence_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 3)
+    with pytest.warns(UserWarning, match="assuming independence"):
+        code, _, err = run_cli(capsys, "assess", "--method", "alpha-tost",
+                               "--theta-hat", "0,0", "--sigma1-hat", "0.1,0.14",
+                               "--nu2", "20")
+    assert code == 3
+    body = json.loads(err)
+    assert body["error"]["type"] == "NonConvergenceError"
+    assert "joint alpha*" in body["error"]["message"]
+
+
 def test_power_nonconvergence_exit_code(monkeypatch, capsys):
     # this row's 65-point Gauss-Kronrod pair disagrees; with the largest
     # rule cut to that pair the probability cannot be certified
@@ -385,6 +397,18 @@ def test_table_lookup_out_of_range_message(tmp_path, capsys):
         "--sigma1", "0.4", "--nu2", "5")
     assert code == 2
     assert "outside table range" in json.loads(err)["error"]["message"]
+
+
+def test_adjust_rejects_a_table_not_built_by_quadrature(tmp_path, capsys):
+    table = tmp_path / "mc.csv"
+    _toy_table().to_csv(table)
+    table.write_text(table.read_text().replace("quadrature", "monte-carlo"))
+    code, _, err = run_cli(
+        capsys, "adjust", "--method", "ctost", "--refined",
+        "--strategy", "table-lookup", "--table-path", str(table),
+        "--sigma1", "0.1", "--nu2", "10")
+    assert code == 2
+    assert "strategy column" in json.loads(err)["error"]["message"]
 
 
 def _toy_table(c0=C0):

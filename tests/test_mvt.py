@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from equivkit import mvt
+from equivkit import mvt, univariate
 from equivkit.base import EquivalenceSpec, InputError, NonConvergenceError
 from equivkit.ingest import load_case_study
 from equivkit.mvt import (
@@ -387,6 +387,14 @@ def test_adjust_raises_when_a_margin_does_not_match(monkeypatch):
     s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
     with pytest.raises(NonConvergenceError, match="marginal size"):
         ctost_mvt_adjust(s)
+
+
+def test_joint_alpha_star_raises_at_the_cap(monkeypatch):
+    # three worst-point searches cannot bring the joint size within 1e-6
+    monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 3)
+    s = _summary([0.0, 0.0], [0.1, 0.14], np.eye(2))
+    with pytest.raises(NonConvergenceError, match=r"joint alpha\* .* 3 rounds"):
+        mvt_decide(s, method="alpha-tost")
 
 
 def test_case_study_margins_frozen():

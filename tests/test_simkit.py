@@ -2,7 +2,6 @@
 between empirical rates and the analytic rejection probabilities."""
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -251,10 +250,12 @@ def test_sweep_delta_tost_size_at_small_sigma():
 
 
 @pytest.mark.parametrize("method,solver", [("alpha-tost", "_alpha_star"),
-                                           ("delta-tost", "_delta_margin")])
+                                           ("delta-tost", "_delta_margin"),
+                                           ("ctost", "_match_margin")])
 def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver):
-    capped = functools.partial(getattr(univariate, solver), max_iter=3)
-    monkeypatch.setattr(simkit, solver, capped)
+    # the sweep solves with the univariate solver, which stops at the cap
+    assert getattr(simkit, solver) is getattr(univariate, solver)
+    monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 3)
     cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
     with pytest.raises(NonConvergenceError, match=f"{method}.*nu2=20"):
         run_univariate_sweep(cfg)

@@ -160,17 +160,37 @@ def test_vector_solvers_match_scalar_wrappers():
     assert alpha_tost_adjust(4.0, 20).saturated
 
 
-def test_solvers_flag_iteration_cap():
+def test_solvers_flag_iteration_cap(monkeypatch):
+    monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 3)
     t0 = float(t_quantile(0.05, 20))
     free = SOLVER_SIGMAS < 4.0  # the saturated row needs no bisection
-    *_, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05, max_iter=3)
-    *_, d_conv = _delta_margin(SOLVER_SIGMAS, 20, t0, C0, 0.05, max_iter=3)
+    *_, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05)
+    *_, d_conv = _delta_margin(SOLVER_SIGMAS, 20, t0, C0, 0.05)
+    _, m_iters, m_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0)
     assert not a_conv[free].any()
     assert not d_conv.any()
+    assert m_iters == 3 and not m_conv.all()  # Newton settles some rows by then
     with pytest.raises(NonConvergenceError):
-        alpha_tost_adjust(0.1, 20, max_iter=3)
+        alpha_tost_adjust(0.1, 20)
     with pytest.raises(NonConvergenceError):
-        margin_for_multiplier(0.1, 20, t0, max_iter=3)
+        margin_for_multiplier(0.1, 20, t0)
+    with pytest.raises(NonConvergenceError):
+        ctost_adjust(0.1, 20)
+
+
+def test_solvers_stop_when_the_bracket_collapses():
+    # no double meets an unreachable tolerance, so each solve narrows its
+    # bracket to adjacent doubles and stops there, well before the cap
+    t0 = float(t_quantile(0.05, 20))
+    c, _, iters, conv = _delta_margin(0.1, 20, t0, C0, 0.05, tol=1e-300)
+    assert not conv[0] and iters < univariate._ROOT_MAX_ITER
+    assert c[0] == pytest.approx(margin_for_multiplier(0.1, 20, t0), abs=1e-8)
+    *_, iters, conv = _alpha_star(0.1, 20, C0, 0.05, tol=1e-300)
+    assert not conv[0] and iters < univariate._ROOT_MAX_ITER
+    _, iters, conv = _match_margin(0.1, 0.05, C0, tol=1e-300)
+    assert not conv and iters < univariate._ROOT_MAX_ITER
+    with pytest.raises(NonConvergenceError, match="delta-TOST margin"):
+        margin_for_multiplier(0.1, 20, t0, tol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +257,7 @@ def test_calibrated_level_against_plain_monte_carlo():
     sigma1, nu2 = 0.1, 5
     rng = np.random.default_rng(1234)
     u = np.sqrt(rng.chisquare(nu2, size=30_000) / nu2)
-    chat = np.array([oracles.brute_margin(sigma1 * ui, alpha0=0.05) for ui in u])
+    chat = oracles.brute_margin(sigma1 * u, alpha0=0.05)
     sizes = stats.norm.cdf((chat - C0) / sigma1) - stats.norm.cdf((-chat - C0) / sigma1)
     gap = 0.05 - sizes.mean()
     want = min(0.05 + gap, 0.05)
@@ -393,6 +413,17 @@ def test_table_from_csv_errors(tmp_path):
         "0.2,5,0.02,quadrature,0.22,0.05\n")
     with pytest.raises(InputError):
         CalibrationTable.from_csv(p3)
+
+
+def test_table_from_csv_rejects_other_strategies(tmp_path):
+    # a whole 2 x 2 grid, consistent in every other column
+    p = tmp_path / "mc.csv"
+    p.write_text("sigma1,nu2,alpha_c,strategy,c0,alpha0\n" + "".join(
+        f"{s},{nu},0.02,monte-carlo,0.22,0.05\n" for s in (0.1, 0.2) for nu in (5, 10)))
+    with pytest.raises(InputError, match="strategy column"):
+        CalibrationTable.from_csv(p)
+    p.write_text(p.read_text().replace("monte-carlo", "quadrature"))
+    assert CalibrationTable.from_csv(p).alpha_c.shape == (2, 2)
 
 
 @pytest.mark.parametrize("row", [
