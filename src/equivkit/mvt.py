@@ -32,7 +32,7 @@ from .powerkernel import (
     _power_mvt_mc,
     power_mvt,
 )
-from .statdist import _check_corr, _is_diagonal, t_quantile
+from .statdist import _check_corr, _exact_rule, _is_diagonal, rect_grad, t_quantile
 from .univariate import _increasing_root, _match_margin, _size_fixed
 
 __all__ = [
@@ -51,14 +51,13 @@ _ASCENT_MAX_ITER = 50
 _ARMIJO = 1e-4
 _PG_TOL = 1e-7
 _STEP_TOL = 1e-9
-# joint fit: the secant slopes of the joint size in gamma the inner loop
-# trusts (about 1 near the solution); others take the fixed-point step
-_SECANT_SLOPES = (0.25, 4.0)
-# joint fit: the outer-round cap, the inner loop's settling tolerance on
-# gamma and its step cap, and the worst-point search's tolerance
+# joint fit: the outer-round cap, the inner solve's tolerance on the joint
+# size residual where the rectangles are deterministic, the size tolerance
+# of its margins (tighter, so that their error cannot hold the solve up),
+# and the worst-point search's tolerance
 _OUTER_MAX = 50
-_INNER_TOL = 1e-8
-_INNER_MAX = 200
+_INNER_TOL = 1e-10
+_MARGIN_TOL = 1e-12
 _SEARCH_TOL = 1e-5
 # repair_correlation clips eigenvalues below this multiple of the largest
 _MIN_EIG_RATIO = 1e-8
@@ -242,7 +241,9 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     :func:`power_mvt` over ``n_wishart`` standard-error draws, drawn once
     per search from ``seed`` so that every value equals ``power_mvt``'s.
 
-    Every axis candidate +-c0 e_h is evaluated first, in that order.
+    Every axis candidate +-c0 e_h is evaluated first, in that order; at
+    t = 0 all 2K of them in one :func:`statdist.rect_prob` call, whose boxes
+    are each evaluated on their own.
 
     If the correlation is diagonal (:func:`statdist._is_diagonal`) the best
     axis candidate is the answer, at t = 0 and t > 0 alike, after 2K
@@ -294,7 +295,8 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
         value = obj.value
     # two starts per face; the sampled objective resolves about tol
     starts = (np.zeros(k - 1), np.full(k - 1, 0.5 * c0))
-    return _argsup(value, obj, corr, c0, tol, [starts] * k)[0]
+    return _argsup(lambda thetas: [value(x) for x in thetas], obj, corr, c0,
+                   tol, [starts] * k)[0]
 
 
 def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
@@ -308,40 +310,39 @@ def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
     diagonal correlation, whose search has no face ascent.
     """
     k = sigma1.size
+    # deterministic rectangles resolve machine-level differences, quasi-
+    # Monte Carlo ones (at a fixed point count, so smooth in theta) about tol
+    exact = _exact_rule(corr)
     obj = _JointRejection(c[None, :], sigma1, corr,
                           {"tol": tol, "seed": seed,
-                           "n_points": (1 << 12) if k >= 5 else None})
+                           "n_points": None if exact else 1 << 12})
     if starts is None:
         starts = [np.zeros(k - 1)] * k
-    # the deterministic K <= 4 rectangles resolve machine-level
-    # differences, the K >= 5 quasi-Monte Carlo ones about tol
-    snap = tol if k >= 5 else 1e-12
+    snap = 1e-12 if exact else tol
     return _argsup(obj.value, obj, corr, c0, snap, [(x,) for x in starts])
 
 
-def _argsup(value, obj, corr, c0: float, snap: float, starts):
+def _argsup(values, obj, corr, c0: float, snap: float, starts):
     """Axis candidates, then (correlated coordinates) the face ascents.
 
-    ``value`` is the objective; ``obj``, the same objective with a
-    gradient, is searched on each face h from every start in ``starts[h]``.
-    An axis candidate within ``snap`` of the best face point wins.  Returns
-    (LambdaResult, ends) with ``ends[h]`` the free coordinates of the best
-    point face h reached (None when the correlation is diagonal).
+    ``values`` maps a stack of points (n, K) to their n objective values;
+    ``obj``, the same objective with a gradient, is searched on each face h
+    from every start in ``starts[h]``.  An axis candidate within ``snap``
+    of the best face point wins.  Returns (LambdaResult, ends) with
+    ``ends[h]`` the free coordinates of the best point face h reached
+    (None when the correlation is diagonal).
     """
     k = corr.shape[0]
-    # axis candidates; by symmetry the negative axes duplicate the positive
-    # ones, but they are cheap and keep the audit contract literal
-    count = 0
-    best_axis_val = -1.0
-    best_axis = None
-    for h in range(k):
-        for sgn in (1, -1):
-            theta = np.zeros(k)
-            theta[h] = sgn * c0
-            v = value(theta)
-            count += 1
-            if v > best_axis_val:
-                best_axis_val, best_axis = v, (h, sgn, theta)
+    # axis candidates +c0 e_h, -c0 e_h for each h, in one call; by symmetry
+    # the negative axes duplicate the positive ones, but they are cheap and
+    # keep the audit contract literal
+    axes = np.zeros((2 * k, k))
+    axes[np.arange(2 * k), np.arange(2 * k) // 2] = np.tile([c0, -c0], k)
+    axis_vals = values(axes)
+    count = 2 * k
+    best = int(np.argmax(axis_vals))
+    best_axis_val = float(axis_vals[best])
+    best_axis = (best // 2, 1 - 2 * (best % 2), axes[best])
     if _is_diagonal(corr):
         h, sgn, theta = best_axis
         return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
@@ -383,41 +384,46 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     """Solve for per-dimension margins with joint size alpha0.
 
     Alternates two levels.  Given the current worst boundary point, the
-    inner loop solves for the shared marginal size gamma at which the joint
+    inner solve finds the shared marginal size gamma at which the joint
     rejection probability there equals alpha0, re-solving each margin at
-    every new gamma, until gamma settles (|change| <= _INNER_TOL).  Its
-    steps are secant steps on that residual, the slope taken from the last
-    two iterates (from the previous inner loop on its first step); a step
-    whose slope lies outside _SECANT_SLOPES (not positive, implausibly
-    large, or so small that the step would run far past the fixed-point
-    step) takes the fixed-point step instead: gamma plus the gap between
-    alpha0 and the joint probability.  The outer loop then relocates the
-    worst point for the updated margins.  Stops when the joint size
+    every new gamma from the previous margins.  It takes Newton steps in
+    gamma, guarded by the bracket [alpha0, 1 - (1 - alpha0) / K]
+    (:func:`univariate._increasing_root`): at the upper end every marginal
+    size is at least gamma, so by Bonferroni the joint size is at least
+    alpha0.  The slope is exact: with the worst point held fixed,
+    d omega / d gamma = sum_k (db_k - da_k) / (phi((c0 + c_k) / sigma_k)
+    + phi((c0 - c_k) / sigma_k)), from :func:`statdist.rect_grad` and the
+    margins' own size equations.  The solve stops once the joint size is
+    within _INNER_TOL of alpha0, or within the rectangles' tolerance where
+    they are quasi-Monte Carlo estimates.  The outer loop then relocates
+    the worst point for the updated margins.  Stops when the joint size
     residual is within tol; the result's converged is then the final
     worst-point search's flag.
 
-    The first inner loop starts from gamma = alpha0; each later one resumes
-    from the gamma the previous one ended at, whose joint probability the
-    outer loop has just evaluated.  Every worst-point search after the
-    first starts each face's ascent at that face's maximizer in the
-    previous search (:func:`_argsup_fixed`); at t = 0 each face has a
-    single maximizer, so the start does not change what is found.  gamma
-    can only move upward from alpha0: each dimension's test runs at a
-    level at least as large as the nominal one.
+    The first inner solve starts from gamma = alpha0; each later one
+    resumes from the gamma the previous one ended at, whose joint
+    probability the outer loop has just evaluated.  Every worst-point
+    search after the first starts each face's ascent at that face's
+    maximizer in the previous search (:func:`_argsup_fixed`); at t = 0 each
+    face has a single maximizer, so the start does not change what is
+    found.  gamma can only move upward from alpha0: each dimension's test
+    runs at a level at least as large as the nominal one.
 
     Raises NonConvergenceError when the outer loop does not reach tol in
-    _OUTER_MAX rounds, when an inner loop does not settle in _INNER_MAX
-    steps, and when a margin does not match its marginal size.
+    _OUTER_MAX rounds, when an inner solve stops unconverged, and when a
+    margin does not match its marginal size.
     """
     spec = spec or EquivalenceSpec()
     sig = s.sigma1_hat
     corr = s.correlation_hat
     c0, alpha0 = spec.c0, spec.alpha0
     eval_tol = 0.25 * tol
+    inner_tol = _INNER_TOL if _exact_rule(corr) else eval_tol
+    top = np.array([1.0 - (1.0 - alpha0) / s.dim])
     trace = []
 
-    def margins(gamma):
-        cg, _, conv = _match_margin(sig, gamma, c0)
+    def margins(gamma, start):
+        cg, _, conv = _match_margin(sig, gamma, c0, tol=_MARGIN_TOL, start=start)
         if not np.all(conv):
             raise NonConvergenceError(
                 f"margin at marginal size {gamma!r} did not converge",
@@ -428,7 +434,6 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed)
     gamma = float(np.max(_size_fixed(c, sig, c0)))
     inner_total = 0
-    slope = 0.0
     for r in range(_OUTER_MAX + 1):
         om = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol, seed=seed)
         resid = om - alpha0
@@ -440,32 +445,39 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                                  converged=lam.converged)
         if r == _OUTER_MAX:
             break
+        # the last point the inner solve evaluated: gamma, margins, residual;
+        # the starting margins c0 share no marginal size, so the first solve
+        # evaluates its start alpha0 afresh
         if r == 0:
-            # the starting margins c0 share no marginal size
-            gamma = alpha0
-            c = margins(gamma)
-            resid = None
-        prev = None
-        for _u in range(_INNER_MAX):
-            if resid is None:
-                resid = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol,
-                                     seed=seed) - alpha0
-            if prev is not None:
-                slope = (resid - prev[1]) / (gamma - prev[0])
-            step = -resid
-            if _SECANT_SLOPES[0] <= slope <= _SECANT_SLOPES[1]:
-                step = -resid / slope
-            prev = (gamma, resid)
-            gamma = max(gamma + step, alpha0)
-            c = margins(gamma)
-            inner_total += 1
-            resid = None
-            if abs(gamma - prev[0]) <= _INNER_TOL:
-                break
+            gamma, last = alpha0, [np.nan, None, None]
         else:
+            last = [gamma, c, resid]
+
+        def size_gap(g, rows):
+            if g[0] != last[0]:
+                cg = margins(float(g[0]), last[1])
+                last[:] = [g[0], cg, _omega_joint(lam.lambda_, sig, corr, cg,
+                                                  tol=eval_tol, seed=seed) - alpha0]
+            return np.array([last[2]])
+
+        def slope(g, rows):
+            # at the point size_gap has just evaluated
+            cg = last[1]
+            da, db = rect_grad((-cg - lam.lambda_) / sig, (cg - lam.lambda_) / sig,
+                               corr, tol=eval_tol, seed=seed)
+            dens = (np.exp(-0.5 * ((c0 + cg) / sig) ** 2)
+                    + np.exp(-0.5 * ((c0 - cg) / sig) ** 2)) / np.sqrt(2.0 * np.pi)
+            return np.array([np.sum((db - da) / dens)])
+
+        g, res, iters, conv = _increasing_root(size_gap, np.array([alpha0]), top,
+                                               inner_tol, x=np.array([gamma]), slope=slope)
+        # every round after the first re-solved the margins at a new gamma
+        inner_total += iters - 1
+        if not conv[0]:
             raise NonConvergenceError(
-                f"marginal size gamma did not settle to {_INNER_TOL} within "
-                f"{_INNER_MAX} inner steps", last=c, trace=trace)
+                f"marginal size gamma stopped unconverged after {iters} inner "
+                f"rounds, joint size residual {res[0]:.3e}", last=last[1], trace=trace)
+        gamma, c = float(g[0]), last[1]
         lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed + r + 1,
                                   ends)
     raise NonConvergenceError(

@@ -244,9 +244,13 @@ class _JointRejection:
     def _limits(self, theta):
         return (-self.half - theta) / self.sigma1, (self.half - theta) / self.sigma1
 
-    def value(self, theta) -> float:
-        probs = rect_prob(*self._limits(theta), self.corr, **self.rect)
-        return float(np.sum(probs) / len(self.half))
+    def value(self, theta):
+        """The mean at theta (K,), a float; or at each row of thetas (n, K),
+        an array of n, from one :func:`rect_prob` call."""
+        theta = np.asarray(theta, dtype=float)
+        probs = rect_prob(*self._limits(theta[..., None, :]), self.corr, **self.rect)
+        means = np.sum(probs, axis=-1) / len(self.half)
+        return float(means) if theta.ndim == 1 else means
 
     def grad(self, theta) -> np.ndarray:
         da, db = rect_grad(*self._limits(theta), self.corr, **self.rect)

@@ -158,6 +158,12 @@ def _scaled_chi_logpdf(x, sigma1, nu2):
 _LIMIT = 8.5
 # nodes per leading coordinate of the K = 3/4 conditional quadrature
 _GL_NODES = 20
+# Gauss-Kronrod orders n of the first and the largest rule (2n + 1 points)
+# of the one-factor integral, and the agreement its Kronrod and Gauss
+# values must reach
+_OF_FIRST = 32
+_OF_LAST = 512
+_OF_ATOL = 1e-10
 # bivariate evaluations per chunk of boxes, which bounds the quadrature's memory
 _GL_CHUNK = 1 << 14
 # scrambled Sobol sets per QMC estimate, and the adaptive point cap
@@ -178,10 +184,15 @@ def rect_prob(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     - K = 1 or a diagonal ``corr`` (off-diagonals below 1e-14) gives the
       product of normal CDF differences;
     - K = 2 is closed form in Owen's T function (Owen 1956);
-    - K = 3/4 is Gauss-Legendre over the leading Cholesky coordinates with
-      the last two in closed form (Genz & Bretz 2009), accurate to ~1e-9 on
-      equivalence boxes;
-    - K >= 5 is randomized quasi-Monte Carlo over scrambled Sobol sets seeded
+    - K >= 3 with every off-diagonal entry equal to one rho > 0 is a
+      one-factor integral over a common normal factor (Dunnett & Sobel
+      1955), by a Gauss-Kronrod pair with error control
+      (:func:`_one_factor`); it raises NonConvergenceError when the pair
+      still disagrees at 1025 points;
+    - other K = 3/4 is Gauss-Legendre over the leading Cholesky coordinates
+      with the last two in closed form (Genz & Bretz 2009), accurate to
+      ~1e-9 on equivalence boxes at moderate correlation;
+    - other K >= 5 is randomized quasi-Monte Carlo over scrambled Sobol sets seeded
       from ``seed``, with ``n_points`` points per set when given (a smooth
       objective across calls) and otherwise doubling from 2^10 until three
       standard errors fall below ``tol``.  Raises NonConvergenceError when
@@ -217,11 +228,15 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     db[..., j] = phi(b_j) P(a_i < X_i < b_i for i != j | X_j = b_j) and
     da[..., j] = -phi(a_j) P(... | X_j = a_j) (Genz & Bretz 2009, sec. 2).
     Given X_j = x the other coordinates are normal with means corr_ij x and
-    the conditional correlation, so each coordinate's conditionals at both
-    limits of every box are one ``rect_prob`` call of dimension K - 1,
-    taking ``tol``, ``seed`` and ``n_points`` as given.  At K = 2 each
-    conditional is one normal interval, and both coordinates at both limits
-    take one pass of normal CDFs.  An empty box has zero derivatives.
+    the conditional correlation, so the conditionals at both limits of
+    every box are rectangles of dimension K - 1.  Coordinates whose
+    conditional correlations are equal share one ``rect_prob`` call, taking
+    ``tol``, ``seed`` and ``n_points`` as given: under an equicorrelation
+    rho every conditional correlation is rho / (1 + rho), so all K
+    coordinates take one call, and a general correlation takes one call per
+    coordinate.  At K = 2 each conditional is one normal interval, and both
+    coordinates at both limits take one pass of normal CDFs.  An empty box
+    has zero derivatives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -248,24 +263,35 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
         da[live] = -dens[0]
         db[live] = dens[1]
         return da.reshape(a.shape), db.reshape(a.shape)
-    for j in range(k if live.any() else 0):
-        # the limits of coordinate j, lower then upper, one row each
+    if k == 1 or not live.any():
+        dens = np.exp(-0.5 * np.stack([lo, hi]) ** 2) / _SQRT2PI
+        da[live] = -dens[0]
+        db[live] = dens[1]
+        return da.reshape(a.shape), db.reshape(a.shape)
+    # per conditional correlation: the coordinates j, their limits x (lower
+    # then upper, one row each), and the conditional boxes at those limits
+    groups = {}
+    for j in range(k):
+        rest = np.arange(k) != j
+        r = corr[rest, j]
+        sd = np.sqrt((1.0 - r) * (1.0 + r))
+        cond_corr = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
+        np.fill_diagonal(cond_corr, 1.0)
         x = np.concatenate([lo[:, j], hi[:, j]])
-        dens = np.exp(-0.5 * x * x) / _SQRT2PI
-        if k > 1:
-            rest = np.arange(k) != j
-            r = corr[rest, j]
-            sd = np.sqrt((1.0 - r) * (1.0 + r))
-            cond_corr = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
-            np.fill_diagonal(cond_corr, 1.0)
-            mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT)[:, None] * r
-            rest_lo = np.concatenate([lo[:, rest], lo[:, rest]])
-            rest_hi = np.concatenate([hi[:, rest], hi[:, rest]])
-            dens = dens * rect_prob((rest_lo - mean) / sd, (rest_hi - mean) / sd,
-                                    cond_corr, tol=tol, seed=seed,
-                                    n_points=n_points).reshape(-1)
-        da[live, j] = -dens[:lo.shape[0]]
-        db[live, j] = dens[lo.shape[0]:]
+        mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT)[:, None] * r
+        rest_lo = np.concatenate([lo[:, rest], lo[:, rest]])
+        rest_hi = np.concatenate([hi[:, rest], hi[:, rest]])
+        group = groups.setdefault(cond_corr.tobytes(), (cond_corr, [], [], []))
+        group[1].append((j, x))
+        group[2].append((rest_lo - mean) / sd)
+        group[3].append((rest_hi - mean) / sd)
+    for cond_corr, cols, cond_lo, cond_hi in groups.values():
+        probs = rect_prob(np.concatenate(cond_lo), np.concatenate(cond_hi), cond_corr,
+                          tol=tol, seed=seed, n_points=n_points).reshape(len(cols), -1)
+        for (j, x), p in zip(cols, probs):
+            dens = np.exp(-0.5 * x * x) / _SQRT2PI * p
+            da[live, j] = -dens[:lo.shape[0]]
+            db[live, j] = dens[lo.shape[0]:]
     return da.reshape(a.shape), db.reshape(a.shape)
 
 
@@ -282,6 +308,27 @@ def _is_diagonal(corr: np.ndarray) -> bool:
     return bool(np.count_nonzero(np.abs(corr) >= 1e-14) == corr.shape[0])
 
 
+def _equicorrelation(corr: np.ndarray):
+    """The common off-diagonal entry of ``corr`` if it is positive, else None.
+
+    Only a unit-diagonal ``corr`` whose K (K - 1) off-diagonal entries all
+    equal one rho > 0 qualifies; rho < 1 cannot equal a diagonal entry.
+    """
+    k = corr.shape[0]
+    rho = corr[0, 1] if k > 1 else 0.0
+    if rho > 0.0 and np.count_nonzero(corr == rho) == k * (k - 1):
+        return float(rho)
+    return None
+
+
+def _exact_rule(corr: np.ndarray) -> bool:
+    """Whether :func:`rect_prob` evaluates boxes under ``corr`` by a
+    deterministic rule (any K <= 4, or a diagonal or positive
+    equicorrelation at any K) rather than by quasi-Monte Carlo."""
+    return (corr.shape[0] <= 4 or _is_diagonal(corr)
+            or _equicorrelation(corr) is not None)
+
+
 def _live_boxes(a, b, corr, tol, seed, n_points):
     """rect_prob for non-empty boxes (m, K)."""
     k = a.shape[1]
@@ -289,6 +336,9 @@ def _live_boxes(a, b, corr, tol, seed, n_points):
         return np.prod(special.ndtr(b) - special.ndtr(a), axis=1)
     if k == 2:
         return _bvn_rect(a[:, 0], b[:, 0], a[:, 1], b[:, 1], corr[0, 1])
+    rho = _equicorrelation(corr)
+    if rho is not None:
+        return _one_factor(a, b, rho)
     if k <= 4:
         return _gl_cond(a, b, np.linalg.cholesky(corr))
     return _genz_qmc(a, b, corr, seed, n_points or (1 << 10),
@@ -321,6 +371,53 @@ def _bvn_rect(a1, b1, a2, b2, rho):
     t = special.owens_t(h, arg)
     corner = t[:4] + t[4:] + 0.5 * ((h[:4] < 0.0) != (k[:4] < 0.0))
     return corner[1] + corner[2] - corner[0] - corner[3]
+
+
+def _one_factor(a, b, rho):
+    """Boxes (m, K) under the equicorrelation rho > 0.
+
+    With X_k = sqrt(rho) Z + sqrt(1 - rho) e_k for independent standard
+    normals Z and e_k, a box's probability is the integral over z of
+    phi(z) prod_k [Phi((b_k - sqrt(rho) z) / sqrt(1 - rho))
+    - Phi((a_k - sqrt(rho) z) / sqrt(1 - rho))] (Dunnett & Sobel 1955;
+    Genz & Bretz 2009, sec. 2.2).  The z-interval of a box is cut to where
+    phi and every factor carry mass above Phi(-_LIMIT).  A box returns the
+    (2n + 1)-point Kronrod value once it and the embedded n-point Gauss
+    value agree to _OF_ATOL; boxes that disagree re-run with n doubled from
+    _OF_FIRST, and NonConvergenceError is raised past _OF_LAST.  Each box
+    is summed on its own, so its value does not depend on the batch.
+    """
+    m, k = a.shape
+    load, spread = np.sqrt(rho), np.sqrt(1.0 - rho)
+    lo = np.maximum(np.max(a - _LIMIT * spread, axis=1) / load, -_LIMIT)
+    hi = np.minimum(np.min(b + _LIMIT * spread, axis=1) / load, _LIMIT)
+    out = np.zeros(m)
+    rows = np.flatnonzero(hi > lo)
+    n = _OF_FIRST
+    while rows.size:
+        x, wk, wg = _gauss_kronrod(n)
+        kron, gauss = np.empty(rows.size), np.empty(rows.size)
+        # boxes per chunk: 2^18 factor values bound the memory for any m
+        step = max(1, (1 << 18) // (x.size * k))
+        for start in range(0, rows.size, step):
+            i = rows[start:start + step]
+            half = 0.5 * (hi[i] - lo[i])
+            z = lo[i, None] + half[:, None] * (x + 1.0)
+            shift = (load * z)[..., None]
+            f = np.prod(special.ndtr((b[i, None, :] - shift) / spread)
+                        - special.ndtr((a[i, None, :] - shift) / spread), axis=2)
+            f *= np.exp(-0.5 * z * z) / _SQRT2PI
+            kron[start:start + step] = half * (f * wk).sum(axis=1)
+            gauss[start:start + step] = half * (f * wg).sum(axis=1)
+        done = np.abs(kron - gauss) <= _OF_ATOL
+        out[rows[done]] = kron[done]
+        rows = rows[~done]
+        if rows.size and n == _OF_LAST:
+            raise NonConvergenceError(
+                f"one-factor rectangle probability did not converge for "
+                f"{rows.size} box(es) at {2 * n + 1} points (rho={rho!r})")
+        n *= 2
+    return out
 
 
 def _gl_cond(a, b, chol):

@@ -167,11 +167,31 @@ def _size_fixed(c, sigma, c0):
     return special.ndtr((c0 + c) / sigma) - special.ndtr((c0 - c) / sigma)
 
 
-def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10):
+def _margin_bracket(sigma, level, c0, start=None):
+    """Start and upper bracket end of the margin solve, flat arrays.
+
+    The start is ``start`` when given, else c0 - s * z_{1-level} (or c0
+    when that is nonpositive).  At the upper end, 10 s above the larger of
+    the start and c0, the size is at least Phi(10) - Phi(-10), which is 1
+    in double precision, so the end holds the root of every level below 1
+    and needs no doubling.  Where 10 s is within a few ulps of the larger
+    term, the sum rounds back toward it; the end then keeps a relative
+    1e-15 above it, far enough for the same bound.
+    """
+    if start is None:
+        start = c0 - sigma * special.ndtri(1.0 - level)
+        start = np.where(start > 0, start, c0)
+    top = np.maximum(start, c0)
+    return start, np.maximum(top + 10.0 * sigma, top * (1.0 + 1e-15))
+
+
+def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, start=None):
     """Solve Phi((c0+c)/s) - Phi((c0-c)/s) = level for c, elementwise.
 
-    Newton iteration started from c0 - s * z_{1-level} (or c0 when that is
-    nonpositive), guarded by a bracket (:func:`_increasing_root`), so it
+    Newton iteration started from ``start`` (positive margins of the
+    broadcast shape, such as the solution at a nearby level), by default
+    from c0 - s * z_{1-level} (or c0 when that is nonpositive), guarded by
+    a bracket (:func:`_margin_bracket`, :func:`_increasing_root`), so it
     cannot diverge.  Returns (c, iterations, converged_mask) with c
     matching the broadcast shape.
     """
@@ -185,6 +205,8 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10):
         raise InputError("sigma must be positive")
     if ((level <= 0) | (level >= 1)).any():
         raise InputError("level must lie in (0, 1)")
+    if start is not None:
+        start = np.broadcast_to(np.asarray(start, dtype=float), shape).ravel()
 
     def size_gap(c, rows):
         return _size_fixed(c, sigma[rows], c0) - level[rows]
@@ -194,9 +216,7 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10):
         return (np.exp(-0.5 * ((c0 + c) / s) ** 2)
                 + np.exp(-0.5 * ((c0 - c) / s) ** 2)) / (s * np.sqrt(2.0 * np.pi))
 
-    start = c0 - sigma * special.ndtri(1.0 - level)
-    start = np.where(start > 0, start, c0)
-    hi = _grow_bracket(size_gap, np.maximum(start, c0) + 10.0 * sigma)
+    start, hi = _margin_bracket(sigma, level, c0, start)
     c, _, iters, conv = _increasing_root(size_gap, np.zeros_like(hi), hi, tol,
                                          x=start, slope=slope)
     return c.reshape(shape), iters, conv.reshape(shape)

@@ -2,7 +2,8 @@
 
 Everything here is built directly on scipy/numpy primitives through routes
 that differ from the ones the library uses: rectangle probabilities go
-through scipy's multivariate normal CDF instead of Gauss-Legendre or QMC,
+through scipy's multivariate normal CDF or adaptive quadrature instead of
+Gauss-Legendre, Gauss-Kronrod or QMC rules,
 Wishart draws come from the Bartlett decomposition instead of summed outer
 products, rejection probabilities come from adaptive quadrature instead of
 fixed-node rules, and margins come from scipy's bracketing root finder.
@@ -11,7 +12,7 @@ module.
 """
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 from scipy.optimize import elementwise
 
 Z = stats.norm
@@ -268,4 +269,27 @@ def bvn_rect_quad(lower, upper, rho):
 
     val, _ = integrate.quad(integrand, lower[0], upper[0], epsabs=1e-15,
                             epsrel=1e-13, limit=200)
+    return float(val)
+
+
+def equicorr_rect_quad(lower, upper, rho):
+    """P(lower < X < upper) for X ~ N(0, R), R with unit diagonal and every
+    off-diagonal entry rho > 0, by adaptive quadrature over the common
+    factor: X_k = sqrt(rho) Z + sqrt(1 - rho) e_k, so the probability is
+    the integral of phi(z) prod_k P(lower_k < sqrt(rho) z + sqrt(1 - rho) e_k
+    < upper_k) over z.  The integrand's steps sit near z = limit / sqrt(rho),
+    which quad is given as break points inside (-10, 10)."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    load, spread = np.sqrt(rho), np.sqrt(1.0 - rho)
+
+    def integrand(z):
+        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * np.prod(
+            special.ndtr((upper - load * z) / spread)
+            - special.ndtr((lower - load * z) / spread))
+
+    edges = np.concatenate([lower, upper]) / load
+    points = np.sort(edges[np.abs(edges) < 10.0])
+    val, _ = integrate.quad(integrand, -10.0, 10.0, points=points, epsabs=1e-14,
+                            epsrel=1e-12, limit=500)
     return float(val)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from equivkit import mvt, univariate
+from equivkit import mvt, powerkernel, statdist, univariate
 from equivkit.base import EquivalenceSpec, InputError, NonConvergenceError
 from equivkit.ingest import load_case_study
 from equivkit.mvt import (
@@ -361,7 +361,32 @@ def test_argsup_warm_start_finds_the_same_point():
     assert got.candidates_evaluated < want.candidates_evaluated
 
 
-def test_adjust_k5_correlated_fit_converges():
+def test_argsup_axis_values_in_one_call_equal_single_calls():
+    # the 2K axis candidates go through one rect_prob call; each box's
+    # value is independent of its batch, so nothing the search finds moves
+    sigma = np.array([0.08, 0.1, 0.12, 0.12])
+    c = np.array([0.1, 0.09, 0.08, 0.07])
+    for corr in (_equicorr(4, 0.5), _equicorr(4, -0.2), np.eye(4)):
+        obj = powerkernel._JointRejection(c[None, :], sigma, corr,
+                                          {"tol": 1e-5, "seed": 0, "n_points": None})
+        axes = np.vstack([sgn * C0 * np.eye(4)[h] for h in range(4) for sgn in (1, -1)])
+        batch = obj.value(axes)
+        assert batch.tolist() == [obj.value(x) for x in axes]
+        lam, _ = mvt._argsup_fixed(sigma, corr, c, C0, 1e-5, 0)
+        assert lam.objective >= np.max(batch)
+        if not np.any(corr - np.eye(4)):
+            # independent coordinates: the best axis point is the answer
+            assert lam.objective == np.max(batch)
+            assert lam.candidates_evaluated == 8
+
+
+def test_adjust_k5_correlated_fit_converges(monkeypatch):
+    # equicorrelated rectangles take the one-factor rule at any K: no
+    # quasi-Monte Carlo anywhere in the fit
+    def no_qmc(*args, **kw):
+        raise AssertionError("quasi-Monte Carlo rectangle")
+
+    monkeypatch.setattr(statdist, "_genz_qmc", no_qmc)
     sigma = np.array([0.08, 0.08, 0.1, 0.12, 0.12])
     adj = ctost_mvt_adjust(_summary(np.zeros(5), sigma, _equicorr(5, 0.5)))
     assert adj.converged
@@ -372,9 +397,17 @@ def test_adjust_k5_correlated_fit_converges():
 
 
 def test_adjust_raises_when_the_inner_loop_hits_its_cap(monkeypatch):
-    monkeypatch.setattr(mvt, "_INNER_MAX", 1)
+    # the gamma solve stops at the root-finder's cap, here one round; the
+    # margin solves inside it keep the full cap
+    def full_cap(*args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(univariate, "_ROOT_MAX_ITER", 200)
+            return _match_margin(*args, **kw)
+
+    monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 1)
+    monkeypatch.setattr(mvt, "_match_margin", full_cap)
     s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
-    with pytest.raises(NonConvergenceError, match="1 inner steps"):
+    with pytest.raises(NonConvergenceError, match="after 1 inner rounds"):
         ctost_mvt_adjust(s)
 
 

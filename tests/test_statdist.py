@@ -209,19 +209,24 @@ def test_rect_prob_qmc_doubling_extends_the_point_sets():
 
 
 def test_rect_prob_qmc_cap_raises():
-    corr = np.full((5, 5), 0.5)
-    np.fill_diagonal(corr, 1.0)
+    # a general correlation: an equicorrelated one takes the one-factor rule
+    corr = _random_corr(np.random.default_rng(57), 5)
     a, b = np.full(5, -2.0), np.full(5, 0.0)
     with pytest.raises(NonConvergenceError):
         rect_prob(a, b, corr, tol=1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.3])
+@pytest.mark.parametrize("rho", [0.0, "random", -0.3])
 def test_rect_gl_cond_matches_scipy_on_equivalence_boxes(k, rho, monkeypatch):
-    corr = np.full((k, k), rho)
-    np.fill_diagonal(corr, 1.0)
+    # a positive equicorrelation takes the one-factor rule; a negative one
+    # and a general correlation reach the Gauss-Legendre rule
     rng = np.random.default_rng(40 + k)
+    if rho == "random":
+        corr = _random_corr(rng, k)
+    else:
+        corr = np.full((k, k), rho)
+        np.fill_diagonal(corr, 1.0)
     boxes = [_equivalence_box(rng, k) for _ in range(4)]
     got = [rect_prob(a, b, corr) for a, b in boxes]
     # scipy's CDF carries its own default ~1e-5 integration error, so
@@ -231,6 +236,50 @@ def test_rect_gl_cond_matches_scipy_on_equivalence_boxes(k, rho, monkeypatch):
     monkeypatch.setattr(statdist, "_GL_NODES", 48)
     for (a, b), g in zip(boxes, got):
         assert g == pytest.approx(rect_prob(a, b, corr), abs=5e-9)
+
+
+def _face_box(rng, k):
+    # an equivalence box on the face theta_1 = c0: c = c0 U(0.5, 1),
+    # sigma ~ U(0.06, 0.2), the other coordinates c0 U(0.5, 1), near the
+    # worst point of a positive correlation, where the box carries mass
+    c0 = np.log(1.25)
+    sigma = rng.uniform(0.06, 0.2, size=k)
+    c = c0 * rng.uniform(0.5, 1.0, size=k)
+    theta = c0 * np.concatenate([[1.0], rng.uniform(0.5, 1.0, size=k - 1)])
+    return (-c - theta) / sigma, (c - theta) / sigma
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("rho", [0.95, 0.99])
+def test_rect_one_factor_matches_quad_oracle(k, rho):
+    # high equicorrelation, where a fixed Gauss-Legendre rule is off by up
+    # to 1e-3; the one-factor rule is checked against adaptive quadrature
+    corr = np.full((k, k), rho)
+    np.fill_diagonal(corr, 1.0)
+    rng = np.random.default_rng(int(1000 * rho) + k)
+    boxes = [_face_box(rng, k) for _ in range(3)]
+    a = np.array([box[0] for box in boxes])
+    b = np.array([box[1] for box in boxes])
+    got = rect_prob(a, b, corr)
+    da, db = rect_grad(a, b, corr)
+    assert np.all(got > 0.05)
+    for i, (lo, hi) in enumerate(boxes):
+        assert got[i] == pytest.approx(oracles.equicorr_rect_quad(lo, hi, rho), abs=1e-9)
+        fd_a, fd_b = _central_differences(
+            lambda x, y: oracles.equicorr_rect_quad(x, y, rho), lo, hi, h=2e-5)
+        np.testing.assert_allclose(da[i], fd_a, atol=1e-8)
+        np.testing.assert_allclose(db[i], fd_b, atol=1e-8)
+
+
+def test_rect_one_factor_empty_mass_and_cap(monkeypatch):
+    corr = np.full((3, 3), 0.6)
+    np.fill_diagonal(corr, 1.0)
+    # boxes far apart in the common factor share no z with mass
+    assert rect_prob([-1.0, -1.0, 30.0], [1.0, 1.0, 31.0], corr) == 0.0
+    monkeypatch.setattr(statdist, "_OF_LAST", statdist._OF_FIRST)
+    monkeypatch.setattr(statdist, "_OF_ATOL", 0.0)
+    with pytest.raises(NonConvergenceError, match="one-factor"):
+        rect_prob([-1.0, -2.0, -0.5], [1.0, 0.3, 2.0], corr)
 
 
 def test_rect_gl_cond_general_correlation_and_boxes():
@@ -327,6 +376,44 @@ def test_rect_grad_matches_finite_differences(k):
         np.testing.assert_array_equal(one_a, da[i])
         np.testing.assert_array_equal(one_b, db[i])
     assert np.all(da <= 0.0) and np.all(db >= 0.0)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("equi", [True, False])
+def test_rect_grad_groups_equal_conditionals(k, equi):
+    # one rect_prob call per distinct conditional correlation gives, bit for
+    # bit, the per-coordinate conditional calls
+    rng = np.random.default_rng(30 + k + 10 * equi)
+    if equi:
+        corr = np.full((k, k), 0.55)
+        np.fill_diagonal(corr, 1.0)
+    else:
+        corr = _random_corr(rng, k)
+    boxes = [_equivalence_box(rng, k) for _ in range(5)]
+    a = np.array([box[0] for box in boxes])
+    b = np.array([box[1] for box in boxes])
+    calls = []
+    real = statdist.rect_prob
+
+    def counted(*args, **kw):
+        calls.append(args[2])
+        return real(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(statdist, "rect_prob", counted)
+        da, db = rect_grad(a, b, corr)
+    assert len(calls) == (1 if equi else k)
+    for j in range(k):
+        rest = np.arange(k) != j
+        r = corr[rest, j]
+        sd = np.sqrt((1.0 - r) * (1.0 + r))
+        cond = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
+        np.fill_diagonal(cond, 1.0)
+        for x, got, sign in ((a[:, j], da[:, j], -1.0), (b[:, j], db[:, j], 1.0)):
+            mean = np.minimum(np.maximum(x, -8.5), 8.5)[:, None] * r
+            p = rect_prob((a[:, rest] - mean) / sd, (b[:, rest] - mean) / sd, cond)
+            want = sign * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * p)
+            np.testing.assert_array_equal(got, want)
 
 
 def test_rect_grad_empty_box_and_shapes():

@@ -77,6 +77,30 @@ def test_matched_margin_vector_levels():
     assert np.all(np.diff(c) > 0)  # higher level, wider margin
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e3])
+def test_matched_margin_upper_end_holds_the_root(sigma):
+    # the bracket's upper end needs no doubling: even at the largest level
+    # below 1 the size there reaches it, at extreme standard errors too
+    level = np.nextafter(1.0, 0.0)
+    start, hi = univariate._margin_bracket(np.array([sigma]), np.array([level]), C0)
+    assert 0.0 < start[0] < hi[0]
+    assert _size_fixed(hi[0], sigma, C0) >= level
+    with np.errstate(over="ignore"):
+        c, _, conv = _match_margin(sigma, level, C0)
+    assert conv and float(c) < hi[0]
+
+
+def test_matched_margin_from_a_given_start():
+    # a start near the root (the fit's previous margins) takes fewer rounds
+    # to the same equation
+    sigma = np.array([0.08, 0.12, 0.2])
+    c, iters, conv = _match_margin(sigma, 0.06, C0)
+    near, near_iters, near_conv = _match_margin(sigma, 0.0601, C0, start=c)
+    assert conv.all() and near_conv.all()
+    np.testing.assert_allclose(_size_fixed(near, sigma, C0), 0.0601, atol=1e-10)
+    assert near_iters < iters
+
+
 def test_matched_margin_independent_of_nu():
     # the fixed-margin equation involves only sigma, not the degrees of
     # freedom; the API reflects that by not taking nu at all
