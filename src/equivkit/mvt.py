@@ -61,6 +61,8 @@ _MARGIN_TOL = 1e-12
 _SEARCH_TOL = 1e-5
 # repair_correlation clips eigenvalues below this multiple of the largest
 _MIN_EIG_RATIO = 1e-8
+# standard-error draws of the joint alpha-tost level's t > 0 searches
+_N_WISHART = 10_000
 
 
 @dataclass(frozen=True)
@@ -490,11 +492,12 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
 # ---------------------------------------------------------------------------
 
 def _alpha_star_joint(s: MvtSummary, spec: EquivalenceSpec, tol: float,
-                      seed: int, n_wishart: int):
+                      seed: int):
     """Shared level alpha* making the joint size alpha0 with margins c0.
 
     Bisection (:func:`_increasing_root`) over (alpha0, 0.5], one worst-point
-    search per point; raises NonConvergenceError if it stops unconverged.
+    search per point, at t > 0 over _N_WISHART standard-error draws; raises
+    NonConvergenceError if it stops unconverged.
     """
     c0, alpha0 = spec.c0, spec.alpha0
     cvec = np.full(s.dim, c0)
@@ -506,7 +509,7 @@ def _alpha_star_joint(s: MvtSummary, spec: EquivalenceSpec, tol: float,
     def size_gap(alpha, rows):
         t = np.full(s.dim, float(t_quantile(alpha[0], s.nu2)))
         worst.append(lambda_argsup(s.sigma1_hat, s.correlation_hat, s.nu2, cvec,
-                                   spec, tol=tol, seed=seed, t=t, n_wishart=n_wishart))
+                                   spec, tol=tol, seed=seed, t=t, n_wishart=_N_WISHART))
         return np.array([worst[-1].objective - alpha0])
 
     alpha, resid, iters, conv = _increasing_root(
@@ -519,8 +522,7 @@ def _alpha_star_joint(s: MvtSummary, spec: EquivalenceSpec, tol: float,
 
 
 def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
-               method: str = None, tol: float = 1e-6, seed: int = 0,
-               n_wishart: int = 10_000) -> DecisionReport:
+               method: str = None, tol: float = 1e-6, seed: int = 0) -> DecisionReport:
     """Joint equivalence decision: every marginal test must reject.
 
     method defaults to spec.method and must be one of tost, alpha-tost,
@@ -556,7 +558,7 @@ def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
 
     if method == "alpha-tost":
         alpha, lam, saturated, resid = _alpha_star_joint(
-            s, spec, tol=max(tol, 1e-6), seed=seed, n_wishart=n_wishart)
+            s, spec, tol=max(tol, 1e-6), seed=seed)
         t = 0.0 if saturated else float(t_quantile(alpha, s.nu2))
         half = t * sig
         margins = c0 - half

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .base import C0_DEFAULT, InputError, NonConvergenceError
+from .base import C0_DEFAULT, InputError
 from .statdist import (
     _check_corr,
-    _gauss_kronrod,
+    _gk_rows,
     _is_diagonal,
     _scaled_chi_logpdf,
     _unit_chi_bounds,
@@ -50,11 +50,6 @@ SIGMA_DEGENERATE = 1e-12
 # of s cannot overflow for any margin c below 1e18
 _T_ZERO = 1e-290
 
-# Gauss-Kronrod orders n of the first and the largest rule (2n + 1 points)
-# of the t > 0 integral; building a 4097-point rule would take a dense
-# eigen-decomposition of some 15 s and 270 MB, against 2 s and 70 MB here
-_GK_FIRST = 32
-_GK_LAST = 1024
 # agreement the Kronrod and Gauss values of a row must reach (absolute below 1)
 _GK_RTOL = 1e-9
 
@@ -140,12 +135,7 @@ def _omega_batch(theta, sigma1, nu2, t, c):
     t <= _T_ZERO) use the closed normal-CDF form.  For t > 0 the
     conditional rejection probability is integrated against the scaled-chi
     density of s over (0, c/t), truncated to the central chi-square mass,
-    by a Gauss-Kronrod pair: a row returns its (2n + 1)-point Kronrod value
-    once that value and the embedded n-point Gauss value agree to _GK_RTOL
-    (absolute below 1).
-    Every row starts at n = _GK_FIRST; rows that disagree re-run with n
-    doubled, and a row still disagreeing at _GK_LAST raises
-    NonConvergenceError.  Each row is summed on its own, so its value does
+    by :func:`_gk_rows` from 65 points to _GK_RTOL, so a row's value does
     not depend on the rows that share the call.
     """
     theta, sigma1, t, c = np.broadcast_arrays(
@@ -165,33 +155,28 @@ def _omega_batch(theta, sigma1, nu2, t, c):
 
     rand = np.flatnonzero((~degen) & (t > _T_ZERO))
     if rand.size:
+        th, sg, tt, cc = (v[rand] for v in (theta, sigma1, t, c))
         # central-mass interval of s, then truncated by the width constraint
         unit_lo, unit_hi = _unit_chi_bounds(nu2)
-    n = _GK_FIRST
-    while rand.size:
-        th, sg, tt, cc = (v[rand, None] for v in (theta, sigma1, t, c))
-        b = np.minimum(unit_hi * sg, cc / tt)
-        a = np.where(b <= unit_lo * sg, 0.0, unit_lo * sg)
-        half = 0.5 * (b - a)
-        x, wk, wg = _gauss_kronrod(n)
-        nodes = a + half * (x + 1.0)
-        ts = nodes * (tt / sg)  # t * s in units of sigma1
-        f = special.ndtr((cc - th) / sg - ts) - special.ndtr(ts - (cc + th) / sg)
-        f *= np.exp(_scaled_chi_logpdf(nodes, sg, nu2))
-        half = half[:, 0]
-        kron = half * (f * wk).sum(axis=1)
-        gauss = half * (f * wg).sum(axis=1)
-        done = np.abs(kron - gauss) <= _GK_RTOL * np.maximum(1.0, np.abs(kron))
-        out[rand[done]] = np.clip(kron[done], 0.0, 1.0)
-        rand = rand[~done]
-        if rand.size and n == _GK_LAST:
-            i = rand[0]
-            raise NonConvergenceError(
-                f"rejection probability did not converge for {rand.size} "
-                f"row(s) at {2 * n + 1} points, first at "
-                f"theta={float(theta[i])!r}, sigma1={float(sigma1[i])!r}, "
-                f"nu2={nu2}, t={float(t[i])!r}, c={float(c[i])!r}")
-        n *= 2
+        hi = np.minimum(unit_hi * sg, cc / tt)
+        lo = np.where(hi <= unit_lo * sg, 0.0, unit_lo * sg)
+
+        def integrand(s, i):
+            sgi = sg[i, None]
+            ts = s * (tt[i, None] / sgi)  # t * s in units of sigma1
+            f = (special.ndtr((cc[i, None] - th[i, None]) / sgi - ts)
+                 - special.ndtr(ts - (cc[i, None] + th[i, None]) / sgi))
+            return f * np.exp(_scaled_chi_logpdf(s, sgi, nu2))
+
+        def message(rows, points):
+            i = rows[0]
+            return (f"rejection probability did not converge for {rows.size} "
+                    f"row(s) at {points} points, first at "
+                    f"theta={float(th[i])!r}, sigma1={float(sg[i])!r}, "
+                    f"nu2={nu2}, t={float(tt[i])!r}, c={float(cc[i])!r}")
+
+        val = _gk_rows(integrand, lo, hi, _GK_RTOL, 32, message)
+        out[rand] = np.minimum(np.maximum(val, 0.0), 1.0)
 
     out = out.reshape(shape)
     return out if out.ndim else float(out)

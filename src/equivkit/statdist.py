@@ -1,6 +1,6 @@
-"""Distributional building blocks: special functions, the scaled-chi law of a
-standard-error estimate, the shared Gauss-Legendre rule, multivariate-normal
-rectangle probabilities, and Wishart-diagonal sampling.
+"""Distributional building blocks: special functions, the shared adaptive
+quadrature, the scaled-chi law of a standard-error estimate,
+multivariate-normal rectangle probabilities, and Wishart-diagonal sampling.
 
 Everything here is pure given its inputs.  Sampling takes an explicit
 (seed, stream) pair and is reproducible independent of call order; see
@@ -87,6 +87,48 @@ def _gauss_kronrod(n: int):
     return x, wk, wg
 
 
+# Gauss-Kronrod order n (2n + 1 points) at which every adaptive integral
+# stops; a 4097-point rule would take a dense eigen-decomposition of some
+# 15 s and 270 MB, against 2 s and 70 MB here.  Integrand values per chunk
+# of rows, which bounds an integral's memory.
+_GK_LAST = 1024
+_GK_CHUNK = 1 << 16
+
+
+def _gk_rows(integrand, lo, hi, tol, first, message):
+    """Integral of each row over [lo, hi] (0 where hi <= lo).
+
+    ``integrand(x, rows)`` gives rows ``rows`` at their nodes x, of shape
+    (len(rows), 2n + 1).  A row returns its Kronrod value once it and the
+    embedded Gauss value agree to ``tol`` max(1, |Kronrod|), with n doubled
+    from ``first``; rows left at _GK_LAST raise NonConvergenceError with the
+    text ``message(rows, points)``.  Rows go through in chunks, each summed
+    on its own, so a value does not depend on the rows sharing the call.
+    """
+    out = np.zeros(lo.size)
+    rows = np.flatnonzero(hi > lo)
+    n = first
+    while rows.size:
+        x, wk, wg = _gauss_kronrod(n)
+        kron, gauss = np.empty(rows.size), np.empty(rows.size)
+        step = max(1, _GK_CHUNK // x.size)
+        # with every row left, a chunk is a slice, which indexes for less
+        every = rows.size == lo.size
+        for start in range(0, rows.size, step):
+            i = slice(start, start + step) if every else rows[start:start + step]
+            half = 0.5 * (hi[i] - lo[i])
+            f = integrand(lo[i, None] + half[:, None] * (x + 1.0), i)
+            kron[start:start + step] = half * (f * wk).sum(axis=1)
+            gauss[start:start + step] = half * (f * wg).sum(axis=1)
+        done = np.abs(kron - gauss) <= tol * np.maximum(1.0, np.abs(kron))
+        out[rows[done]] = kron[done]
+        rows = rows[~done]
+        if rows.size and n >= _GK_LAST:
+            raise NonConvergenceError(message(rows, 2 * n + 1))
+        n *= 2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scalar/vector special functions
 # ---------------------------------------------------------------------------
@@ -156,16 +198,9 @@ def _scaled_chi_logpdf(x, sigma1, nu2):
 
 # limits are clipped here; the normal mass beyond carries < 1e-17
 _LIMIT = 8.5
-# nodes per leading coordinate of the K = 3/4 conditional quadrature
-_GL_NODES = 20
-# Gauss-Kronrod orders n of the first and the largest rule (2n + 1 points)
-# of the one-factor integral, and the agreement its Kronrod and Gauss
-# values must reach
-_OF_FIRST = 32
-_OF_LAST = 512
-_OF_ATOL = 1e-10
-# bivariate evaluations per chunk of boxes, which bounds the quadrature's memory
-_GL_CHUNK = 1 << 14
+# agreement the Kronrod and Gauss values of a rectangle integral must reach
+# (absolute below 1)
+_RECT_TOL = 1e-10
 # scrambled Sobol sets per QMC estimate, and the adaptive point cap
 _QMC_SCRAMBLES = 8
 _QMC_MAX = 1 << 17
@@ -186,12 +221,10 @@ def rect_prob(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     - K = 2 is closed form in Owen's T function (Owen 1956);
     - K >= 3 with every off-diagonal entry equal to one rho > 0 is a
       one-factor integral over a common normal factor (Dunnett & Sobel
-      1955), by a Gauss-Kronrod pair with error control
-      (:func:`_one_factor`); it raises NonConvergenceError when the pair
-      still disagrees at 1025 points;
-    - other K = 3/4 is Gauss-Legendre over the leading Cholesky coordinates
-      with the last two in closed form (Genz & Bretz 2009), accurate to
-      ~1e-9 on equivalence boxes at moderate correlation;
+      1955), other K = 3/4 an integral over the first coordinate of the
+      conditional box of the others (Genz & Bretz 2009); both by a
+      Gauss-Kronrod pair with error control (:func:`_gk_rows`), which raises
+      NonConvergenceError when the pair still disagrees at 2049 points;
     - other K >= 5 is randomized quasi-Monte Carlo over scrambled Sobol sets seeded
       from ``seed``, with ``n_points`` points per set when given (a smooth
       objective across calls) and otherwise doubling from 2^10 until three
@@ -272,11 +305,7 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     # then upper, one row each), and the conditional boxes at those limits
     groups = {}
     for j in range(k):
-        rest = np.arange(k) != j
-        r = corr[rest, j]
-        sd = np.sqrt((1.0 - r) * (1.0 + r))
-        cond_corr = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
-        np.fill_diagonal(cond_corr, 1.0)
+        rest, r, sd, cond_corr = _given(corr, j)
         x = np.concatenate([lo[:, j], hi[:, j]])
         mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT)[:, None] * r
         rest_lo = np.concatenate([lo[:, rest], lo[:, rest]])
@@ -293,6 +322,17 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
             da[live, j] = -dens[:lo.shape[0]]
             db[live, j] = dens[lo.shape[0]:]
     return da.reshape(a.shape), db.reshape(a.shape)
+
+
+def _given(corr: np.ndarray, j: int):
+    """Law of the other coordinates of X ~ N(0, corr) given X_j = x: their
+    mask, slopes r (means r x), standard deviations and correlation."""
+    rest = np.arange(corr.shape[0]) != j
+    r = corr[rest, j]
+    sd = np.sqrt((1.0 - r) * (1.0 + r))
+    cond_corr = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
+    np.fill_diagonal(cond_corr, 1.0)
+    return rest, r, sd, cond_corr
 
 
 def _is_diagonal(corr: np.ndarray) -> bool:
@@ -340,7 +380,7 @@ def _live_boxes(a, b, corr, tol, seed, n_points):
     if rho is not None:
         return _one_factor(a, b, rho)
     if k <= 4:
-        return _gl_cond(a, b, np.linalg.cholesky(corr))
+        return _conditional(a, b, corr)
     return _genz_qmc(a, b, corr, seed, n_points or (1 << 10),
                      None if n_points else tol)[0]
 
@@ -381,81 +421,47 @@ def _one_factor(a, b, rho):
     phi(z) prod_k [Phi((b_k - sqrt(rho) z) / sqrt(1 - rho))
     - Phi((a_k - sqrt(rho) z) / sqrt(1 - rho))] (Dunnett & Sobel 1955;
     Genz & Bretz 2009, sec. 2.2).  The z-interval of a box is cut to where
-    phi and every factor carry mass above Phi(-_LIMIT).  A box returns the
-    (2n + 1)-point Kronrod value once it and the embedded n-point Gauss
-    value agree to _OF_ATOL; boxes that disagree re-run with n doubled from
-    _OF_FIRST, and NonConvergenceError is raised past _OF_LAST.  Each box
-    is summed on its own, so its value does not depend on the batch.
+    phi and every factor carry mass above Phi(-_LIMIT).
     """
-    m, k = a.shape
     load, spread = np.sqrt(rho), np.sqrt(1.0 - rho)
     lo = np.maximum(np.max(a - _LIMIT * spread, axis=1) / load, -_LIMIT)
     hi = np.minimum(np.min(b + _LIMIT * spread, axis=1) / load, _LIMIT)
-    out = np.zeros(m)
-    rows = np.flatnonzero(hi > lo)
-    n = _OF_FIRST
-    while rows.size:
-        x, wk, wg = _gauss_kronrod(n)
-        kron, gauss = np.empty(rows.size), np.empty(rows.size)
-        # boxes per chunk: 2^18 factor values bound the memory for any m
-        step = max(1, (1 << 18) // (x.size * k))
-        for start in range(0, rows.size, step):
-            i = rows[start:start + step]
-            half = 0.5 * (hi[i] - lo[i])
-            z = lo[i, None] + half[:, None] * (x + 1.0)
-            shift = (load * z)[..., None]
-            f = np.prod(special.ndtr((b[i, None, :] - shift) / spread)
-                        - special.ndtr((a[i, None, :] - shift) / spread), axis=2)
-            f *= np.exp(-0.5 * z * z) / _SQRT2PI
-            kron[start:start + step] = half * (f * wk).sum(axis=1)
-            gauss[start:start + step] = half * (f * wg).sum(axis=1)
-        done = np.abs(kron - gauss) <= _OF_ATOL
-        out[rows[done]] = kron[done]
-        rows = rows[~done]
-        if rows.size and n == _OF_LAST:
-            raise NonConvergenceError(
-                f"one-factor rectangle probability did not converge for "
-                f"{rows.size} box(es) at {2 * n + 1} points (rho={rho!r})")
-        n *= 2
-    return out
+
+    def integrand(z, i):
+        shift = (load * z)[..., None]
+        f = np.prod(special.ndtr((b[i, None, :] - shift) / spread)
+                    - special.ndtr((a[i, None, :] - shift) / spread), axis=2)
+        return f * (np.exp(-0.5 * z * z) / _SQRT2PI)
+
+    return _gk_rows(integrand, lo, hi, _RECT_TOL, 32, lambda rows, points: (
+        f"one-factor rectangle probability did not converge for {rows.size} "
+        f"box(es) at {points} points (rho={rho!r})"))
 
 
-def _gl_cond(a, b, chol):
-    """Boxes (m, K), K = 3 or 4, under N(0, chol chol^T).
+def _conditional(a, b, corr):
+    """Boxes (m, K), K = 3 or 4, under any other correlation.
 
-    Gauss-Legendre over the leading K - 2 Cholesky coordinates; given them,
-    the last two coordinates form a bivariate rectangle in closed form.
-    Boxes go through in chunks, so memory stays bounded for any m.
+    The integral over x in [a_1, b_1] (cut to +-_LIMIT) of phi(x) times the
+    box of the other coordinates given X_1 = x (Genz & Bretz 2009, sec. 2),
+    by :func:`_gk_rows` from 33 points, as the rule nests at K = 4: the
+    conditional boxes go through :func:`_live_boxes`.
     """
-    m, k = a.shape
-    lead = k - 2
-    x, w = _leggauss(_GL_NODES)
-    sd = np.array([chol[lead, lead], np.hypot(chol[k - 1, lead], chol[k - 1, k - 1])])
-    rho = chol[k - 1, lead] / sd[1]
-    out = np.empty(m)
-    step = max(1, _GL_CHUNK // _GL_NODES ** lead)
-    for start in range(0, m, step):
-        al, bl = a[start:start + step], b[start:start + step]
-        # nodes of the leading coordinates so far, one trailing axis each
-        z = []
-        weight = np.ones(al.shape[0])
+    rest, r, sd, cond_corr = _given(corr, 0)
+    a_rest, b_rest = a[:, rest], b[:, rest]
 
-        def limits(j, scale):
-            # (elementwise sums, so a box's value does not depend on the batch)
-            mean = sum(chol[j, i] * zi for i, zi in enumerate(z))
-            col = (slice(None), j) + (None,) * len(z)
-            return (al[col] - mean) / scale, (bl[col] - mean) / scale
+    def integrand(x, i):
+        mean = x[..., None] * r
+        # (tol, seed and n_points reach only K >= 5)
+        p = _live_boxes(((a_rest[i, None, :] - mean) / sd).reshape(-1, r.size),
+                        ((b_rest[i, None, :] - mean) / sd).reshape(-1, r.size),
+                        cond_corr, tol=None, seed=0, n_points=None)
+        return p.reshape(x.shape) * (np.exp(-0.5 * x * x) / _SQRT2PI)
 
-        for j in range(lead):
-            lo, hi = limits(j, chol[j, j])
-            lo, hi = np.maximum(lo, -_LIMIT), np.minimum(hi, _LIMIT)
-            half = 0.5 * np.maximum(hi - lo, 0.0)
-            zj = lo[..., None] + half[..., None] * (x + 1.0)
-            weight = (weight * half)[..., None] * w * np.exp(-0.5 * zj * zj) / _SQRT2PI
-            z = [zi[..., None] for zi in z] + [zj]
-        vals = _bvn_rect(*limits(lead, sd[0]), *limits(k - 1, sd[1]), rho) * weight
-        out[start:start + step] = vals.reshape(vals.shape[0], -1).sum(axis=1)
-    return out
+    return _gk_rows(
+        integrand, np.maximum(a[:, 0], -_LIMIT), np.minimum(b[:, 0], _LIMIT),
+        _RECT_TOL, 16, lambda rows, points: (
+            f"conditional rectangle probability did not converge for "
+            f"{rows.size} box(es) at {points} points"))
 
 
 def _genz_qmc(a, b, corr, seed, n_points: int, tol: float = None):

@@ -153,15 +153,6 @@ def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
     return x_out, r_out, iters, conv
 
 
-def _grow_bracket(resid, hi):
-    """Double each upper end hi until ``resid(hi, rows)`` is nonnegative."""
-    rows = np.flatnonzero(resid(hi, np.arange(hi.size)) < 0)
-    while rows.size:
-        hi[rows] *= 2.0
-        rows = rows[resid(hi[rows], rows) < 0]
-    return hi
-
-
 def _size_fixed(c, sigma, c0):
     """Size of the fixed-margin test: Phi((c0+c)/s) - Phi((c0-c)/s)."""
     return special.ndtr((c0 + c) / sigma) - special.ndtr((c0 - c) / sigma)
@@ -212,9 +203,12 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, start=None):
         return _size_fixed(c, sigma[rows], c0) - level[rows]
 
     def slope(c, rows):
+        # ratios cut to 40 so squares cannot overflow: exp(-800) is 0 anyway
+        # (c0 + c > 0 as c >= 0 in the bracket)
         s = sigma[rows]
-        return (np.exp(-0.5 * ((c0 + c) / s) ** 2)
-                + np.exp(-0.5 * ((c0 - c) / s) ** 2)) / (s * np.sqrt(2.0 * np.pi))
+        u = np.minimum((c0 + c) / s, 40.0)
+        v = np.minimum(np.abs((c0 - c) / s), 40.0)
+        return (np.exp(-0.5 * u ** 2) + np.exp(-0.5 * v ** 2)) / (s * np.sqrt(2.0 * np.pi))
 
     start, hi = _margin_bracket(sigma, level, c0, start)
     c, _, iters, conv = _increasing_root(size_gap, np.zeros_like(hi), hi, tol,
@@ -282,17 +276,18 @@ def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8):
 
     Bisection on c, vectorized over sigma at one multiplier t >= 0; the
     size is strictly increasing in c, 0 as c -> 0 and 1 as c -> infinity,
-    so a root always exists.  The bracket starts at c0 + 10 sigma (1 + t)
-    and doubles until it holds the root.  Returns (c, residual,
-    iterations, converged_mask) of :func:`_increasing_root`.
+    so a root always exists.  It lies below c0 + 10 sigma (1 + t): there
+    s <= 10 sigma gives a half-width c - t s of at least c0 + 10 sigma, so
+    the size is at least P(s <= 10 sigma) (Phi(10) - Phi(-10)).  Returns
+    (c, residual, iterations, converged_mask) of :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
 
     def size_gap(c, rows):
         return _omega_batch(c0, sigma[rows], nu2, t, c) - alpha0
 
-    hi = _grow_bracket(size_gap, c0 + 10.0 * sigma * (1.0 + t))
-    return _increasing_root(size_gap, np.zeros(sigma.shape), hi, tol)
+    return _increasing_root(size_gap, np.zeros(sigma.shape),
+                            c0 + 10.0 * sigma * (1.0 + t), tol)
 
 
 def _scalar_root(what, x, resid, conv):

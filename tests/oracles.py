@@ -3,7 +3,7 @@
 Everything here is built directly on scipy/numpy primitives through routes
 that differ from the ones the library uses: rectangle probabilities go
 through scipy's multivariate normal CDF or adaptive quadrature instead of
-Gauss-Legendre, Gauss-Kronrod or QMC rules,
+Gauss-Kronrod or QMC rules,
 Wishart draws come from the Bartlett decomposition instead of summed outer
 products, rejection probabilities come from adaptive quadrature instead of
 fixed-node rules, and margins come from scipy's bracketing root finder.
@@ -18,8 +18,9 @@ from scipy.optimize import elementwise
 Z = stats.norm
 
 
-def rect_prob_scipy(lower, upper, correlation):
-    """P(lower < X < upper) for X ~ N(0, correlation), via scipy's CDF."""
+def rect_prob_scipy(lower, upper, correlation, abseps=1e-5):
+    """P(lower < X < upper) for X ~ N(0, correlation), via scipy's CDF with
+    its absolute error tolerance ``abseps`` (scipy's default)."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     correlation = np.asarray(correlation, dtype=float)
@@ -27,7 +28,7 @@ def rect_prob_scipy(lower, upper, correlation):
     return float(
         stats.multivariate_normal.cdf(
             upper, mean=np.zeros(k), cov=correlation, lower_limit=lower,
-            allow_singular=False,
+            allow_singular=False, abseps=abseps,
         )
     )
 
@@ -291,5 +292,33 @@ def equicorr_rect_quad(lower, upper, rho):
     edges = np.concatenate([lower, upper]) / load
     points = np.sort(edges[np.abs(edges) < 10.0])
     val, _ = integrate.quad(integrand, -10.0, 10.0, points=points, epsabs=1e-14,
+                            epsrel=1e-12, limit=500)
+    return float(val)
+
+
+def conditional_rect_quad(lower, upper, correlation):
+    """P(lower < X < upper) for X ~ N(0, correlation), K = 3, by adaptive
+    quadrature over X_1 of phi(x_1) times the probability of the other two
+    limits given X_1 = x_1.  That bivariate box comes from scipy's CDF,
+    which is exact to rounding in two dimensions.  The integrand's steps
+    sit where a conditional mean r_j x_1 crosses a limit, which quad is
+    given as break points."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    corr = np.asarray(correlation, dtype=float)
+    r = corr[1:, 0]
+    sd = np.sqrt(1.0 - r * r)
+    cond = (corr[1:, 1:] - np.outer(r, r)) / np.outer(sd, sd)
+    np.fill_diagonal(cond, 1.0)
+
+    def integrand(x):
+        return Z.pdf(x) * rect_prob_scipy((lower[1:] - r * x) / sd,
+                                          (upper[1:] - r * x) / sd, cond)
+
+    lo, hi = max(lower[0], -10.0), min(upper[0], 10.0)
+    nz = r != 0.0
+    edges = np.concatenate([lower[1:][nz] / r[nz], upper[1:][nz] / r[nz]])
+    points = np.sort(edges[(edges > lo) & (edges < hi)])
+    val, _ = integrate.quad(integrand, lo, hi, points=points, epsabs=1e-14,
                             epsrel=1e-12, limit=500)
     return float(val)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from equivkit import mvt, powerkernel, univariate
+from equivkit import mvt, statdist, univariate
 from equivkit.cli import main
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import CSV_HEADER, run_simulation, univariate_sweep_config
@@ -280,7 +280,7 @@ def test_assess_joint_alpha_star_nonconvergence_exit_code(monkeypatch, capsys):
 def test_power_nonconvergence_exit_code(monkeypatch, capsys):
     # this row's 65-point Gauss-Kronrod pair disagrees; with the largest
     # rule cut to that pair the probability cannot be certified
-    monkeypatch.setattr(powerkernel, "_GK_LAST", 32)
+    monkeypatch.setattr(statdist, "_GK_LAST", 32)
     code, out, err = run_cli(
         capsys, "power", "--method", "tost", "--sigma1", "0.006",
         "--nu2", "1", "--theta", "0.1")

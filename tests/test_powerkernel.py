@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from equivkit import powerkernel
+from equivkit import statdist
 from equivkit.base import InputError, NonConvergenceError
 from equivkit.powerkernel import (
     MvtPowerQuery,
@@ -150,7 +150,7 @@ def test_omega_batch_refines_a_row_and_raises_at_the_largest_rule(monkeypatch):
                c=0.2231435513142097)
     assert power_uni(UnivPowerQuery(**row)) == pytest.approx(
         oracles.omega_quad(*row.values()), abs=2e-9)
-    monkeypatch.setattr(powerkernel, "_GK_LAST", 32)
+    monkeypatch.setattr(statdist, "_GK_LAST", 32)
     with pytest.raises(NonConvergenceError,
                        match=r"65 points.*theta=0\.1, sigma1=0\.006, nu2=1, "
                              r"t=6\.31375.*, c=0\.22314"):

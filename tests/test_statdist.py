@@ -218,24 +218,55 @@ def test_rect_prob_qmc_cap_raises():
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("rho", [0.0, "random", -0.3])
-def test_rect_gl_cond_matches_scipy_on_equivalence_boxes(k, rho, monkeypatch):
-    # a positive equicorrelation takes the one-factor rule; a negative one
-    # and a general correlation reach the Gauss-Legendre rule
+def test_rect_gl_cond_matches_scipy_on_equivalence_boxes(k, rho):
+    # rho 0 takes the product rule; a negative equicorrelation and a
+    # general correlation reach the conditional rule.  At K = 3 the
+    # reference is adaptive quadrature over the first coordinate, at K = 4
+    # scipy's CDF at a tight tolerance, which is its own accuracy floor
     rng = np.random.default_rng(40 + k)
     if rho == "random":
         corr = _random_corr(rng, k)
     else:
         corr = np.full((k, k), rho)
         np.fill_diagonal(corr, 1.0)
-    boxes = [_equivalence_box(rng, k) for _ in range(4)]
-    got = [rect_prob(a, b, corr) for a, b in boxes]
-    # scipy's CDF carries its own default ~1e-5 integration error, so
-    # the cross-check is loose; the refinement check below is tight
-    for (a, b), g in zip(boxes, got):
-        assert g == pytest.approx(oracles.rect_prob_scipy(a, b, corr), abs=2e-5)
-    monkeypatch.setattr(statdist, "_GL_NODES", 48)
-    for (a, b), g in zip(boxes, got):
-        assert g == pytest.approx(rect_prob(a, b, corr), abs=5e-9)
+    for a, b in [_equivalence_box(rng, k) for _ in range(4)]:
+        if k == 3:
+            want, tol = oracles.conditional_rect_quad(a, b, corr), 1e-9
+        else:
+            want, tol = oracles.rect_prob_scipy(a, b, corr, abseps=1e-11), 2e-8
+        assert rect_prob(a, b, corr) == pytest.approx(want, abs=tol)
+
+
+def _strong_corr(rng, k, spread):
+    # unit vectors scattered by ``spread`` around one axis, each of either
+    # sign: correlations of magnitude near 1, the closer the smaller spread
+    v = np.eye(k)[0] * rng.choice([-1.0, 1.0], size=(k, 1))
+    v = v + spread * rng.standard_normal((k, k))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    corr = v @ v.T
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@pytest.mark.parametrize("spread", [0.1, 0.03])
+def test_rect_conditional_matches_quad_oracle_at_strong_correlation(spread):
+    # |correlations| of 0.94 to 0.995 (spread 0.1) and of 0.997 to 0.9998
+    # (spread 0.03), of mixed signs: the conditional box given the first
+    # coordinate is narrow, and the rule must refine
+    rng = np.random.default_rng(int(1000 * spread))
+    for _ in range(4):
+        corr = _strong_corr(rng, 3, spread)
+        a, b = _equivalence_box(rng, 3)
+        assert rect_prob(a, b, corr) == pytest.approx(
+            oracles.conditional_rect_quad(a, b, corr), abs=1e-9)
+
+
+def test_rect_conditional_cap_raises(monkeypatch):
+    corr = _random_corr(np.random.default_rng(58), 3)
+    monkeypatch.setattr(statdist, "_GK_LAST", 16)
+    monkeypatch.setattr(statdist, "_RECT_TOL", 0.0)
+    with pytest.raises(NonConvergenceError, match="conditional.*33 points"):
+        rect_prob([-1.0, -2.0, -0.5], [1.0, 0.3, 2.0], corr)
 
 
 def _face_box(rng, k):
@@ -276,13 +307,13 @@ def test_rect_one_factor_empty_mass_and_cap(monkeypatch):
     np.fill_diagonal(corr, 1.0)
     # boxes far apart in the common factor share no z with mass
     assert rect_prob([-1.0, -1.0, 30.0], [1.0, 1.0, 31.0], corr) == 0.0
-    monkeypatch.setattr(statdist, "_OF_LAST", statdist._OF_FIRST)
-    monkeypatch.setattr(statdist, "_OF_ATOL", 0.0)
-    with pytest.raises(NonConvergenceError, match="one-factor"):
+    monkeypatch.setattr(statdist, "_GK_LAST", 32)
+    monkeypatch.setattr(statdist, "_RECT_TOL", 0.0)
+    with pytest.raises(NonConvergenceError, match="one-factor.*65 points"):
         rect_prob([-1.0, -2.0, -0.5], [1.0, 0.3, 2.0], corr)
 
 
-def test_rect_gl_cond_general_correlation_and_boxes():
+def test_rect_conditional_general_correlation_and_boxes():
     rng = np.random.default_rng(77)
     corr = _random_corr(rng, 4)
     for _ in range(3):
@@ -291,7 +322,7 @@ def test_rect_gl_cond_general_correlation_and_boxes():
             oracles.rect_prob_scipy(a, b, corr), abs=1e-5)
 
 
-def test_rect_gl_cond_empty_and_bad_dim():
+def test_rect_conditional_empty_and_bad_dim():
     corr = np.eye(3) * 0.5 + np.full((3, 3), 0.5)
     a = np.array([0.5, -1.0, -1.0])
     b = np.array([0.2, 1.0, 1.0])  # first interval empty

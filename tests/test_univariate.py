@@ -39,6 +39,7 @@ from equivkit.univariate import (
     margin_for_multiplier,
     tost_decide,
 )
+from equivkit.powerkernel import _omega_batch
 from equivkit.statdist import t_quantile
 
 import oracles
@@ -85,7 +86,8 @@ def test_matched_margin_upper_end_holds_the_root(sigma):
     start, hi = univariate._margin_bracket(np.array([sigma]), np.array([level]), C0)
     assert 0.0 < start[0] < hi[0]
     assert _size_fixed(hi[0], sigma, C0) >= level
-    with np.errstate(over="ignore"):
+    # the Newton slope's squares cannot overflow, even at sigma 1e-300
+    with np.errstate(over="raise"):
         c, _, conv = _match_margin(sigma, level, C0)
     assert conv and float(c) < hi[0]
 
@@ -248,6 +250,19 @@ def test_delta_star_agrees_with_scipy_root():
     adj = delta_tost_adjust(0.1, 20)
     assert adj.c_used == pytest.approx(want, abs=5e-8)
     assert adj.c_used > C0  # widening, not shrinking
+
+
+@pytest.mark.parametrize("nu2", [1, 4293])
+@pytest.mark.parametrize("sigma", [1e-11, 1e3])
+def test_delta_margin_upper_end_holds_the_root(sigma, nu2):
+    # the bracket's upper end c0 + 10 sigma (1 + t) needs no doubling: the
+    # size there already reaches alpha0, at extreme standard errors and for
+    # the heaviest and a light chi law of s
+    t0 = float(t_quantile(0.05, nu2))
+    hi = C0 + 10.0 * sigma * (1.0 + t0)
+    assert _omega_batch(C0, sigma, nu2, t0, hi) - 0.05 >= 0.0
+    c, _, _, conv = _delta_margin(sigma, nu2, t0, C0, 0.05)
+    assert conv[0] and 0.0 < c[0] < hi
 
 
 def test_three_adjustments_share_one_size():
