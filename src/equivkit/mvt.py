@@ -25,14 +25,15 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import (
-    MvtPowerQuery,
-    _JointRejection,
-    _omega_joint,
-    _power_mvt_mc,
-    power_mvt,
+from .powerkernel import MvtPowerQuery, _JointRejection, _power_mvt_mc, power_mvt
+from .statdist import (
+    _check_corr,
+    _exact_rule,
+    _is_diagonal,
+    rect_grad,
+    rect_prob,
+    t_quantile,
 )
-from .statdist import _check_corr, _exact_rule, _is_diagonal, rect_grad, t_quantile
 from .univariate import _increasing_root, _match_margin, _size_fixed
 
 __all__ = [
@@ -133,9 +134,10 @@ class LambdaResult:
 
     lambda_ lies on the face {theta_face = sign * c0}; objective is the
     joint rejection probability there.  candidates_evaluated counts the
-    objective values the search took (each accepted point of a face search
-    also takes a gradient); converged is False when a face search stopped
-    at its iteration cap.
+    objective values the search took: the 2K axis candidates, then every
+    start and line-search trial of the face ascents, each of which comes
+    with its gradient from the same lockstep round; converged is False
+    when a face search stopped at its iteration cap.
     """
 
     lambda_: np.ndarray
@@ -162,14 +164,18 @@ class MvtAdjustment:
     converged: bool
 
 
-def _face_ascent(obj: _JointRejection, face: int, start, c0: float):
-    """Projected BFGS ascent of log obj.value on the face {theta_face = c0}.
+def _face_ascent(sigma1, face: int, start, c0: float):
+    """Projected BFGS ascent of log P on the face {theta_face = c0}.
+
+    A coroutine, run by :func:`_lockstep`: it yields each point theta (K,)
+    whose objective it needs, a start or a line-search trial, and is sent
+    back (P, gradient of P in theta) there.
 
     The free coordinates stay in [-c0, c0]: a coordinate at a bound whose
     gradient points outward is held, the others take the quasi-Newton
     direction, and a backtracking (Armijo) line search projects each trial
     onto the box and accepts only a gain.  The inverse Hessian of -log P
-    starts at diag(sigma^2), the scale of a normal rectangle's curvature,
+    starts at diag(sigma1^2), the scale of a normal rectangle's curvature,
     and restarts there when a quasi-Newton direction finds no gain.
 
     Stops, converged, when the projected gradient of log P falls below
@@ -177,9 +183,9 @@ def _face_ascent(obj: _JointRejection, face: int, start, c0: float):
     _STEP_TOL * c0 gains; else after _ASCENT_MAX_ITER steps, not converged.
     Returns (theta, value, values evaluated, converged).
     """
-    k = obj.sigma1.size
+    k = sigma1.size
     rest = np.arange(k) != face
-    scale = obj.sigma1[rest]
+    scale = sigma1[rest]
 
     def at(x):
         theta = np.full(k, c0)
@@ -187,28 +193,34 @@ def _face_ascent(obj: _JointRejection, face: int, start, c0: float):
         return theta
 
     x = np.array(start, dtype=float)
-    val = obj.value(at(x))
+    val, grad = yield at(x)
     evals = 1
     if not val > 0:
         # every box is empty or beyond reach: log P has no gradient here
         return at(x), val, evals, True
-    g = obj.grad(at(x))[rest] / val
+    g = grad[rest] / val
     hinv0 = np.diag(scale * scale)
     hinv, fresh = hinv0, True
+    eye = np.eye(x.size)
+    # array methods and np.minimum/np.maximum cost less per call than
+    # np.max and np.clip, which dominates on vectors this short
     for _ in range(_ASCENT_MAX_ITER):
         blocked = ((x >= c0) & (g > 0)) | ((x <= -c0) & (g < 0))
-        if np.max(np.abs(np.where(blocked, 0.0, g)) * scale) <= _PG_TOL:
+        if (np.abs(np.where(blocked, 0.0, g)) * scale).max() <= _PG_TOL:
             return at(x), val, evals, True
         free = ~blocked
-        p = np.zeros_like(x)
-        p[free] = hinv[np.ix_(free, free)] @ g[free]
+        if free.all():
+            p = hinv @ g
+        else:
+            p = np.zeros_like(x)
+            p[free] = hinv[np.ix_(free, free)] @ g[free]
         step, moved = 1.0, False
         while not moved:
-            x_new = np.clip(x + step * p, -c0, c0)
+            x_new = np.minimum(np.maximum(x + step * p, -c0), c0)
             s = x_new - x
-            if np.max(np.abs(s)) <= _STEP_TOL * c0:
+            if np.abs(s).max() <= _STEP_TOL * c0:
                 break
-            v_new = obj.value(at(x_new))
+            v_new, grad = yield at(x_new)
             evals += 1
             moved = v_new > val and np.log(v_new / val) >= _ARMIJO * (g @ s)
             step *= 0.5
@@ -219,17 +231,43 @@ def _face_ascent(obj: _JointRejection, face: int, start, c0: float):
                 return at(x), val, evals, True
             hinv, fresh = hinv0, True
             continue
-        g_new = obj.grad(at(x_new))[rest] / v_new
+        g_new = grad[rest] / v_new
         # curvature along the coordinates that moved: the held ones carry
         # gradient changes no step can follow
         y = np.where(free, g - g_new, 0.0)
         sy = s @ y
         if sy > 0:
             # BFGS update of the inverse Hessian of -log P
-            m = np.eye(x.size) - np.outer(s, y) / sy
-            hinv, fresh = m @ hinv @ m.T + np.outer(s, s) / sy, False
+            m = eye - s[:, None] * y / sy
+            hinv, fresh = m @ hinv @ m.T + s[:, None] * s / sy, False
         x, val, g = x_new, v_new, g_new
     return at(x), val, evals, False
+
+
+def _lockstep(value_grad, ascents):
+    """Run the coroutines ``ascents`` (:func:`_face_ascent`) together.
+
+    Each round evaluates the point every unfinished ascent waits on, a
+    start or a line-search trial, in one ``value_grad`` call over their
+    stack (n, K), which returns the n values and the gradients (n, K), so
+    an accepted step has its gradient already.  Values do not depend on
+    the points sharing a call, so each ascent takes the steps it would
+    take alone.  Returns the ascents' results in their order.
+    """
+    points = [next(a) for a in ascents]
+    results = [None] * len(ascents)
+    live = list(range(len(ascents)))
+    while live:
+        vals, grads = value_grad(np.array([points[i] for i in live]))
+        going = []
+        for i, val, grad in zip(live, vals.tolist(), grads):
+            try:
+                points[i] = ascents[i].send((val, grad))
+                going.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = going
+    return results
 
 
 def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None,
@@ -266,9 +304,13 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     is :func:`_argsup_fixed`, which :func:`ctost_mvt_adjust` also calls
     with each face's previous maximizer as its start.  At t > 0 the
     mixture is not known to be log-concave, and a second start at 0.5 c0
-    runs as well.  The best point wins; an axis candidate matching it
-    within the objective's resolution is preferred.  converged is False
-    when some face search stopped at its iteration cap.
+    runs as well.  All ascents of the search advance in lockstep
+    (:func:`_lockstep`): each round takes the values and gradients of
+    every pending point in one call, and since a rectangle's value does not
+    depend on its batch, each ascent ends where it would alone.  The best
+    point wins; an axis candidate matching it within the objective's
+    resolution is preferred.  converged is False when some face search
+    stopped at its iteration cap.
     """
     spec = spec or EquivalenceSpec()
     sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
@@ -328,8 +370,10 @@ def _argsup(values, obj, corr, c0: float, snap: float, starts):
     """Axis candidates, then (correlated coordinates) the face ascents.
 
     ``values`` maps a stack of points (n, K) to their n objective values;
-    ``obj``, the same objective with a gradient, is searched on each face h
-    from every start in ``starts[h]``.  An axis candidate within ``snap``
+    ``obj``, the same objective as a :class:`powerkernel._JointRejection`,
+    is searched on each face h from every start in ``starts[h]``, all
+    ascents in lockstep rounds of one ``obj.value_grad`` call each
+    (:func:`_lockstep`).  An axis candidate within ``snap``
     of the best face point wins.  Returns (LambdaResult, ends) with
     ``ends[h]`` the free coordinates of the best point face h reached
     (None when the correlation is diagonal).
@@ -350,14 +394,17 @@ def _argsup(values, obj, corr, c0: float, snap: float, starts):
         return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
                             sign=sgn, candidates_evaluated=count), None
 
+    results = iter(_lockstep(obj.value_grad, [
+        _face_ascent(obj.sigma1, face, start, c0)
+        for face in range(k) for start in starts[face]]))
     best_val = -1.0
     best = None
     converged = True
     ends = []
     for face in range(k):
         face_val = -1.0
-        for start in starts[face]:
-            theta, val, evals, ok = _face_ascent(obj, face, start, c0)
+        for _ in starts[face]:
+            theta, val, evals, ok = next(results)
             count += evals
             converged = converged and ok
             if val > face_val:
@@ -395,7 +442,10 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     alpha0.  The slope is exact: with the worst point held fixed,
     d omega / d gamma = sum_k (db_k - da_k) / (phi((c0 + c_k) / sigma_k)
     + phi((c0 - c_k) / sigma_k)), from :func:`statdist.rect_grad` and the
-    margins' own size equations.  The solve stops once the joint size is
+    margins' own size equations.  Each inner round makes one call at the
+    worst point, which computes the box limits once and returns the joint
+    size and, unless that already meets the solve's tolerance (no slope is
+    wanted then), da and db.  The solve stops once the joint size is
     within _INNER_TOL of alpha0, or within the rectangles' tolerance where
     they are quasi-Monte Carlo estimates.  The outer loop then relocates
     the worst point for the updated margins.  Stops when the joint size
@@ -404,12 +454,15 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
 
     The first inner solve starts from gamma = alpha0; each later one
     resumes from the gamma the previous one ended at, whose joint
-    probability the outer loop has just evaluated.  Every worst-point
-    search after the first starts each face's ascent at that face's
-    maximizer in the previous search (:func:`_argsup_fixed`); at t = 0 each
-    face has a single maximizer, so the start does not change what is
-    found.  gamma can only move upward from alpha0: each dimension's test
-    runs at a level at least as large as the nominal one.
+    probability the outer loop has just evaluated (where the rectangles
+    are deterministic, that is the worst-point search's own objective, the
+    same value bit for bit), and takes the derivatives there in its first
+    round.  Every worst-point search after the first starts each face's
+    ascent at that face's maximizer in the previous search
+    (:func:`_argsup_fixed`); at t = 0 each face has a single maximizer, so
+    the start does not change what is found.  gamma can only move upward
+    from alpha0: each dimension's test runs at a level at least as large
+    as the nominal one.
 
     Raises NonConvergenceError when the outer loop does not reach tol in
     _OUTER_MAX rounds, when an inner solve stops unconverged, and when a
@@ -420,7 +473,8 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     corr = s.correlation_hat
     c0, alpha0 = spec.c0, spec.alpha0
     eval_tol = 0.25 * tol
-    inner_tol = _INNER_TOL if _exact_rule(corr) else eval_tol
+    exact = _exact_rule(corr)
+    inner_tol = _INNER_TOL if exact else eval_tol
     top = np.array([1.0 - (1.0 - alpha0) / s.dim])
     trace = []
 
@@ -432,13 +486,28 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                 last=cg, trace=trace)
         return cg
 
+    rect = {"tol": eval_tol, "seed": seed, "n_points": None}
+
+    def box(cg):
+        return (-cg - lam.lambda_) / sig, (cg - lam.lambda_) / sig
+
+    def joint(cg):
+        # one call per inner round: the joint size residual at the worst
+        # point and, while the solve goes on, the box's derivatives in its
+        # standardized limits
+        a, b = box(cg)
+        resid = rect_prob(a, b, corr, **rect) - alpha0
+        if abs(resid) <= inner_tol:
+            return [resid, None, None]
+        return [resid, *rect_grad(a, b, corr, **rect)]
+
     c = np.full(s.dim, c0)
     lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed)
     gamma = float(np.max(_size_fixed(c, sig, c0)))
     inner_total = 0
     for r in range(_OUTER_MAX + 1):
-        om = _omega_joint(lam.lambda_, sig, corr, c, tol=eval_tol, seed=seed)
-        resid = om - alpha0
+        # a deterministic rule gives the search's own value of this box again
+        resid = (lam.objective if exact else rect_prob(*box(c), corr, **rect)) - alpha0
         trace.append({"outer": r, "gamma": gamma, "residual": resid,
                       "lambda": lam.lambda_.tolist()})
         if abs(resid) <= tol:
@@ -447,26 +516,26 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                                  converged=lam.converged)
         if r == _OUTER_MAX:
             break
-        # the last point the inner solve evaluated: gamma, margins, residual;
-        # the starting margins c0 share no marginal size, so the first solve
-        # evaluates its start alpha0 afresh
+        # the last point the inner solve evaluated: gamma, margins, residual
+        # and limit derivatives; the starting margins c0 share no marginal
+        # size, so the first solve evaluates its start alpha0 afresh
         if r == 0:
-            gamma, last = alpha0, [np.nan, None, None]
+            gamma, last = alpha0, [np.nan, None, None, None, None]
         else:
-            last = [gamma, c, resid]
+            last = [gamma, c, resid, None, None]
 
         def size_gap(g, rows):
             if g[0] != last[0]:
                 cg = margins(float(g[0]), last[1])
-                last[:] = [g[0], cg, _omega_joint(lam.lambda_, sig, corr, cg,
-                                                  tol=eval_tol, seed=seed) - alpha0]
+                last[:] = [g[0], cg, *joint(cg)]
             return np.array([last[2]])
 
         def slope(g, rows):
-            # at the point size_gap has just evaluated
-            cg = last[1]
-            da, db = rect_grad((-cg - lam.lambda_) / sig, (cg - lam.lambda_) / sig,
-                               corr, tol=eval_tol, seed=seed)
+            # at the point size_gap has just evaluated; a first round that
+            # resumed at the outer check's point takes its derivatives here
+            if last[3] is None:
+                last[3:] = rect_grad(*box(last[1]), corr, **rect)
+            cg, da, db = last[1], last[3], last[4]
             dens = (np.exp(-0.5 * ((c0 + cg) / sig) ** 2)
                     + np.exp(-0.5 * ((c0 - cg) / sig) ** 2)) / np.sqrt(2.0 * np.pi)
             return np.array([np.sum((db - da) / dens)])

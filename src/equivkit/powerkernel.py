@@ -53,6 +53,12 @@ _T_ZERO = 1e-290
 # agreement the Kronrod and Gauss values of a row must reach (absolute below 1)
 _GK_RTOL = 1e-9
 
+# boxes per rectangle call of _JointRejection.value_grad: a fixed-margin
+# objective has one box per point, so one call takes every point, while a
+# sampled one has thousands per point, which gain nothing from sharing a
+# call and would multiply its temporaries
+_BOXES_PER_CALL = 1 << 12
+
 
 @dataclass(frozen=True)
 class UnivPowerQuery:
@@ -216,9 +222,11 @@ class _JointRejection:
     Row i of ``half`` holds the half-widths of one rejection box
     {|theta_hat_k| < half_ik} (a row with a non-positive entry is empty);
     theta_hat ~ N(theta, D corr D) with D = diag(sigma1).  :meth:`value`
-    averages the rows' :func:`rect_prob` values and :meth:`grad` is its
-    gradient in theta from :func:`rect_grad`; ``rect`` holds the tol, seed
-    and n_points both take.  A fixed-margin test has one row, c.
+    averages the rows' :func:`rect_prob` values and :meth:`value_grad`
+    adds their gradient in theta from :func:`rect_grad`; ``rect`` holds
+    the tol, seed and n_points both take.  A fixed-margin test has one row,
+    c.  Every box is evaluated on its own, so a point's results do not
+    depend on the other points of a call.
     """
 
     half: np.ndarray
@@ -237,9 +245,20 @@ class _JointRejection:
         means = np.sum(probs, axis=-1) / len(self.half)
         return float(means) if theta.ndim == 1 else means
 
-    def grad(self, theta) -> np.ndarray:
-        da, db = rect_grad(*self._limits(theta), self.corr, **self.rect)
-        return -np.sum(da + db, axis=0) / (len(self.half) * self.sigma1)
+    def value_grad(self, thetas):
+        """The means (n,) and their gradients in theta (n, K) at the rows
+        of thetas (n, K), from one :func:`rect_prob` and one
+        :func:`rect_grad` call per _BOXES_PER_CALL boxes."""
+        thetas = np.asarray(thetas, dtype=float)
+        step = max(1, _BOXES_PER_CALL // len(self.half))
+        if len(thetas) > step:
+            runs = [self.value_grad(thetas[i:i + step]) for i in range(0, len(thetas), step)]
+            return tuple(np.concatenate(p) for p in zip(*runs))
+        a, b = self._limits(thetas[:, None, :])
+        m = len(self.half)
+        means = np.sum(rect_prob(a, b, self.corr, **self.rect), axis=-1) / m
+        da, db = rect_grad(a, b, self.corr, **self.rect)
+        return means, -np.sum(da + db, axis=1) / (m * self.sigma1)
 
 
 def _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart: int) -> _JointRejection:

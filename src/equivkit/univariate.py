@@ -38,7 +38,7 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import _omega_batch
+from .powerkernel import SIGMA_DEGENERATE, _omega_batch
 from .statdist import _leggauss, _scaled_chi_logpdf, _unit_chi_bounds, t_quantile
 
 __all__ = [
@@ -250,15 +250,19 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     increases in alpha, reaching its supremum at alpha = 0.5 where the
     multiplier vanishes.  Rows where even that supremum is below alpha0
     have no interior solution; they saturate at alpha = 0.5, t = 0, with
-    the shortfall as residual.  Returns (alpha, t, residual, iterations,
-    converged_mask) of :func:`_increasing_root`.
+    the shortfall as residual.  Rows with sigma <= SIGMA_DEGENERATE, where
+    :func:`_omega_batch` makes the size a step, return the sigma -> 0
+    limit alpha0, t = t_{alpha0,nu2}, converged with residual 0.  Returns
+    (alpha, t, residual, iterations, converged_mask) of
+    :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     alpha = np.full(sigma.shape, 0.5)
     t = np.zeros(sigma.shape)
     resid = _size_fixed(c0, sigma, c0) - alpha0
     conv = np.ones(sigma.shape, dtype=bool)
-    free = np.flatnonzero(resid >= 0)
+    degen = sigma <= SIGMA_DEGENERATE
+    free = np.flatnonzero((resid >= 0) & ~degen)
     sg = sigma[free]
 
     def size_gap(a, rows):
@@ -268,6 +272,9 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
                                        np.full(free.size, 0.5), tol)
     alpha[free], resid[free], conv[free] = a, r, ok
     t[free] = t_quantile(a, nu2)
+    if np.any(degen):
+        alpha[degen], resid[degen] = alpha0, 0.0
+        t[degen] = t_quantile(alpha0, nu2)
     return alpha, t, resid, iters, conv
 
 
@@ -278,10 +285,21 @@ def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8):
     size is strictly increasing in c, 0 as c -> 0 and 1 as c -> infinity,
     so a root always exists.  It lies below c0 + 10 sigma (1 + t): there
     s <= 10 sigma gives a half-width c - t s of at least c0 + 10 sigma, so
-    the size is at least P(s <= 10 sigma) (Phi(10) - Phi(-10)).  Returns
-    (c, residual, iterations, converged_mask) of :func:`_increasing_root`.
+    the size is at least P(s <= 10 sigma) (Phi(10) - Phi(-10)).  Rows with
+    sigma <= SIGMA_DEGENERATE, where :func:`_omega_batch` makes the size a
+    step at c0, return the sigma -> 0 limit c0, converged with residual 0.
+    Returns (c, residual, iterations, converged_mask) of
+    :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    degen = sigma <= SIGMA_DEGENERATE
+    if np.any(degen):
+        c, resid = np.full(sigma.shape, c0), np.zeros(sigma.shape)
+        conv = np.ones(sigma.shape, dtype=bool)
+        live = ~degen
+        c[live], resid[live], iters, conv[live] = _delta_margin(
+            sigma[live], nu2, t, c0, alpha0, tol)
+        return c, resid, iters, conv
 
     def size_gap(c, rows):
         return _omega_batch(c0, sigma[rows], nu2, t, c) - alpha0

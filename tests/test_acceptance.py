@@ -19,8 +19,15 @@ from scipy.optimize import brentq
 import oracles
 from equivkit.cli import main as cli_main
 from equivkit.ingest import load_case_study
-from equivkit.mvt import MvtSummary, _omega_joint, ctost_mvt_adjust, lambda_argsup, mvt_decide
-from equivkit.powerkernel import MvtPowerQuery, UnivPowerQuery, power_mvt, power_uni, size_uni
+from equivkit.mvt import MvtSummary, ctost_mvt_adjust, lambda_argsup, mvt_decide
+from equivkit.powerkernel import (
+    MvtPowerQuery,
+    UnivPowerQuery,
+    _omega_joint,
+    power_mvt,
+    power_uni,
+    size_uni,
+)
 from equivkit.simkit import MVT_SIGMA_CONFIGS, SimulationConfig, run_simulation
 from equivkit.statdist import rng_stream, sample_wishart_diag, t_quantile
 from equivkit.univariate import (

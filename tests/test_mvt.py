@@ -17,13 +17,12 @@ from equivkit.mvt import (
     LambdaResult,
     MvtAdjustment,
     MvtSummary,
-    _omega_joint,
     ctost_mvt_adjust,
     lambda_argsup,
     mvt_decide,
     repair_correlation,
 )
-from equivkit.powerkernel import MvtPowerQuery, power_mvt, size_uni
+from equivkit.powerkernel import MvtPowerQuery, _omega_joint, power_mvt, size_uni
 from equivkit.univariate import (
     UnivSummary,
     _match_margin,
@@ -34,6 +33,7 @@ from equivkit.univariate import (
 from equivkit.statdist import t_quantile
 
 import oracles
+from test_statdist import _random_corr
 
 C0 = float(np.log(1.25))
 
@@ -378,6 +378,98 @@ def test_argsup_axis_values_in_one_call_equal_single_calls():
             # independent coordinates: the best axis point is the answer
             assert lam.objective == np.max(batch)
             assert lam.candidates_evaluated == 8
+
+
+K4_SIGMA = np.array([0.08, 0.08, 0.12, 0.12])
+K4_C = np.array([0.12, 0.12, 0.08, 0.08])
+# face starts of the warm search: the face ends of the cold K = 4 search
+WARM_STARTS = [
+    [0.0697078512921893, 0.10450108191723112, 0.10450108191723112],
+    [0.0697078512921893, 0.10450108191723112, 0.10450108191723112],
+    [0.06465664505398137, 0.06465664505398136, 0.09695278179755754],
+    [0.06465664505398137, 0.06465664505398136, 0.09695278179755754],
+]
+
+
+def _frozen_search(case):
+    if case.startswith("k2"):
+        rho = float(case[3:])
+        return lambda_argsup(np.array([0.09, 0.13]), _equicorr(2, rho), 20,
+                             np.array([0.12, 0.16]))
+    if case.startswith("k3"):
+        return lambda_argsup(np.array([0.08, 0.1, 0.12]), _equicorr(3, float(case[3:])),
+                             20, np.array([0.1, 0.09, 0.08]))
+    if case == "k4":
+        return lambda_argsup(K4_SIGMA, _equicorr(4, 0.5), 20, K4_C)
+    if case == "k4-random":
+        return lambda_argsup(np.linspace(0.08, 0.12, 4),
+                             _random_corr(np.random.default_rng(3), 4), 20,
+                             np.array([0.1, 0.09, 0.08, 0.07]))
+    if case == "k4-warm":
+        c = K4_C + np.array([0.004, 0.004, 0.002, 0.002])
+        return mvt._argsup_fixed(K4_SIGMA, _equicorr(4, 0.5), c, C0, 1e-5, 0,
+                                 [np.array(x) for x in WARM_STARTS])[0]
+    # t > 0: the sampled objective, two starts per face
+    return lambda_argsup(np.array([0.08, 0.12]), _equicorr(2, 0.5), 20, np.full(2, C0),
+                         tol=1e-3, seed=123, t=np.full(2, t_quantile(0.05, 20)),
+                         n_wishart=1000)
+
+
+# worst-point searches frozen from the ascent that searched one face at a
+# time: (case, lambda_, objective, face, sign, candidates_evaluated)
+FROZEN_SEARCHES = [
+    ("k2 -0.9", [-0.09798758061062855, C0], 0.30173085071866723, 1, 1, 18),
+    ("k2 0.5", [0.05016789835504682, C0], 0.26862049610853195, 1, 1, 14),
+    ("k2 0.9", [0.09798758061062855, C0], 0.30173085071866723, 1, 1, 18),
+    ("k3 -0.3", [-0.038860765608151625, -0.04856337539148161, C0],
+     0.06039152855349157, 2, 1, 29),
+    ("k3 0.6", [0.07752576543763752, 0.0968730740908502, C0], 0.07164648865622747, 2, 1, 26),
+    ("k4", [0.06465664505398137, 0.06465664505398136, C0, 0.09695278179755754],
+     0.05265920999821411, 2, 1, 42),
+    ("k4-random", [0.02917646456065047, 0.06935019632757397, -0.023888013052014438, C0],
+     0.032160324125788224, 3, 1, 47),
+    ("k4-warm", [0.06423454899432127, 0.06423454899432127, C0, 0.09631222084278467],
+     0.05645720435738137, 2, 1, 36),
+    ("sampled", [0.06947292861794767, C0], 0.025663981184233683, 1, 1, 23),
+]
+
+
+@pytest.mark.parametrize("case, lam, objective, face, sign, evals", FROZEN_SEARCHES)
+def test_argsup_matches_frozen_searches(case, lam, objective, face, sign, evals):
+    # the ascents run in lockstep rounds, but each takes exactly the steps
+    # it took alone: a rectangle's value does not depend on its batch
+    got = _frozen_search(case)
+    assert got.lambda_.tolist() == lam
+    assert (got.objective, got.face, got.sign) == (objective, face, sign)
+    assert got.candidates_evaluated == evals
+    assert got.converged
+
+
+def test_argsup_evaluates_each_round_in_one_call(monkeypatch):
+    # one rect_prob and one rect_grad call per round, holding the point of
+    # every ascent still running; the one-face-at-a-time ascent made one
+    # call per line-search trial and one per accepted step
+    sizes, grads = [], []
+    prob, grad = powerkernel.rect_prob, powerkernel.rect_grad
+
+    def counted_prob(a, b, *args, **kw):
+        sizes.append(int(np.prod(a.shape[:-1])))
+        return prob(a, b, *args, **kw)
+
+    def counted_grad(a, b, *args, **kw):
+        grads.append(int(np.prod(a.shape[:-1])))
+        return grad(a, b, *args, **kw)
+
+    monkeypatch.setattr(powerkernel, "rect_prob", counted_prob)
+    monkeypatch.setattr(powerkernel, "rect_grad", counted_grad)
+    lam = lambda_argsup(K4_SIGMA, _equicorr(4, 0.5), 20, K4_C)
+    assert sizes[0] == 8  # the axis candidates
+    rounds = sizes[1:]
+    assert rounds[0] == 4  # every face starts in the first round
+    assert all(a >= b for a, b in zip(rounds, rounds[1:]))
+    assert grads == rounds
+    assert sum(rounds) == lam.candidates_evaluated - 8
+    assert len(rounds) <= (lam.candidates_evaluated - 8) / 2
 
 
 def test_adjust_k5_correlated_fit_converges(monkeypatch):

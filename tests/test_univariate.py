@@ -219,6 +219,33 @@ def test_solvers_stop_when_the_bracket_collapses():
         margin_for_multiplier(0.1, 20, t0, tol=1e-300)
 
 
+@pytest.mark.parametrize("sigma", [1e-13, 1e-12])
+def test_solvers_return_the_degenerate_limit(sigma):
+    # at sigma <= SIGMA_DEGENERATE the size is a step in c and in alpha, so
+    # no bisection meets its tolerance; the solves return their sigma -> 0
+    # limits (c0; alpha0 with its own multiplier), as a sigma just above
+    # the threshold nearly does, and leave the other rows of a call alone
+    t0 = float(t_quantile(0.05, 20))
+    adj = delta_tost_adjust(sigma, 20)
+    assert adj.converged and adj.c_used == C0 and adj.residual == 0.0
+    assert margin_for_multiplier(sigma, 20, 3.0) == C0
+    adj = alpha_tost_adjust(sigma, 20)
+    assert adj.converged and not adj.saturated
+    assert adj.alpha_adj == 0.05 and adj.t_used == t0 and adj.residual == 0.0
+    assert delta_tost_adjust(1.1e-12, 20).c_used == pytest.approx(C0, abs=1e-12)
+    assert alpha_tost_adjust(1.1e-12, 20).alpha_adj == pytest.approx(0.05, abs=1e-7)
+
+    sigmas = np.array([0.1, sigma, 0.05])
+    alpha, t, a_res, _, a_conv = _alpha_star(sigmas, 20, C0, 0.05)
+    c, d_res, _, d_conv = _delta_margin(sigmas, 20, t0, C0, 0.05)
+    assert a_conv.all() and d_conv.all()
+    assert (alpha[1], t[1], a_res[1]) == (0.05, t0, 0.0)
+    assert (c[1], d_res[1]) == (C0, 0.0)
+    for i in (0, 2):
+        assert alpha[i] == alpha_tost_adjust(float(sigmas[i]), 20).alpha_adj
+        assert c[i] == delta_tost_adjust(float(sigmas[i]), 20).c_used
+
+
 # ---------------------------------------------------------------------------
 # margin widening at the classical quantile (delta-TOST)
 # ---------------------------------------------------------------------------
