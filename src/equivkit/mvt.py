@@ -13,7 +13,7 @@ an outer re-localization of the worst point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import MvtPowerQuery, _JointRejection, _power_mvt_mc, power_mvt
+from .powerkernel import MvtPowerQuery, _JointRejection, _independent, _power_mvt_mc
 from .statdist import (
     _check_corr,
     _exact_rule,
@@ -275,72 +275,50 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
                   n_wishart: int = 4000) -> LambdaResult:
     """Worst point of the null boundary for the margins c (and multipliers t).
 
-    The objective is the joint rejection probability: at t = 0 (the
-    default; fixed-margin tests) one normal rectangle, :func:`_omega_joint`
+    The inputs are checked as an :class:`powerkernel.MvtPowerQuery` (a
+    length-1 c or t applies to every coordinate; t defaults to 0, fixed
+    margins), and sigma1 must be positive.  The objective is the joint
+    rejection probability, as :class:`powerkernel._JointRejection`: at t = 0
+    one normal rectangle, the one :func:`powerkernel._omega_joint` evaluates
     to ``tol``; with multipliers t > 0 the Monte Carlo average of
     :func:`power_mvt` over ``n_wishart`` standard-error draws, drawn once
     per search from ``seed`` so that every value equals ``power_mvt``'s.
 
-    Every axis candidate +-c0 e_h is evaluated first, in that order; at
-    t = 0 all 2K of them in one :func:`statdist.rect_prob` call, whose boxes
-    are each evaluated on their own.
-
     If the correlation is diagonal (:func:`statdist._is_diagonal`) the best
-    axis candidate is the answer, at t = 0 and t > 0 alike, after 2K
-    objective calls.  With independent coordinates the joint rejection
-    probability is a product of one-dimensional factors, each symmetric and
-    non-increasing in |theta_k|: at t = 0 a factor is a centred interval
-    probability of a normal (Anderson 1955), and at t > 0 a mixture of such
-    probabilities over the standard-error estimate.  On the face
-    {theta_h = +-c0} the product is therefore largest with every other
-    coordinate at 0.
+    of the 2K axis candidates +c0 e_h, -c0 e_h, in that order, is the
+    answer at t = 0 and t > 0 alike, their values from one call of the
+    exact product :func:`powerkernel._independent`.  With independent
+    coordinates the joint rejection probability is a product of
+    one-dimensional factors, each symmetric and non-increasing in
+    |theta_k|: at t = 0 a factor is a centred interval probability of a
+    normal (Anderson 1955), and at t > 0 a mixture of such probabilities
+    over the standard-error estimate.  On the face {theta_h = +-c0} the
+    product is therefore largest with every other coordinate at 0.
 
-    Otherwise the K faces {theta_h = +c0} are searched as well (the
-    negative faces follow by symmetry) by projected quasi-Newton ascent of
-    the log objective with analytic gradients (:func:`_face_ascent`,
-    :func:`statdist.rect_grad`).  At t = 0 the normal probability of a box
-    is log-concave in its centre (Prekopa 1973), so each face has a single
-    maximizer and one start, the face centre, finds it; the t = 0 search
-    is :func:`_argsup_fixed`, which :func:`ctost_mvt_adjust` also calls
-    with each face's previous maximizer as its start.  At t > 0 the
-    mixture is not known to be log-concave, and a second start at 0.5 c0
-    runs as well.  All ascents of the search advance in lockstep
-    (:func:`_lockstep`): each round takes the values and gradients of
-    every pending point in one call, and since a rectangle's value does not
-    depend on its batch, each ascent ends where it would alone.  The best
-    point wins; an axis candidate matching it within the objective's
-    resolution is preferred.  converged is False when some face search
-    stopped at its iteration cap.
+    Otherwise the axis candidates come first, then the K faces
+    {theta_h = +c0} are searched (the negative faces follow by symmetry) by
+    :func:`_argsup`.  At t = 0 the normal probability of a box is
+    log-concave in its centre (Prekopa 1973), so each face has a single
+    maximizer and one start, the face centre, finds it; the t = 0 search is
+    :func:`_argsup_fixed`, which :func:`ctost_mvt_adjust` also calls with
+    each face's previous maximizer as its start.  At t > 0 the mixture is
+    not known to be log-concave, and a second start at 0.5 c0 runs as well.
+    converged is False when some face search stopped at its iteration cap.
     """
-    spec = spec or EquivalenceSpec()
-    sigma1 = np.atleast_1d(np.asarray(sigma1, dtype=float))
-    k = sigma1.size
-    corr = np.atleast_2d(np.asarray(correlation, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 1:
-        c = np.full(k, float(c[0]))
-    t = np.zeros(k) if t is None else np.atleast_1d(np.asarray(t, dtype=float))
-    if t.size == 1:
-        t = np.full(k, float(t[0]))
-    if np.any(c <= 0):
-        raise InputError("margins c must be positive")
-    c0 = spec.c0
-    if not np.any(t != 0):
-        return _argsup_fixed(sigma1, corr, c, c0, tol, seed)[0]
-
-    if _is_diagonal(corr):
-        # independent coordinates: power_mvt's exact product, axes only
-        def value(theta):
-            return power_mvt(MvtPowerQuery(theta, sigma1, corr, nu2, t, c),
-                             tol=tol, seed=seed, n_wishart=n_wishart)
-        obj = None
-    else:
-        obj = _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart)
-        value = obj.value
+    c0 = (spec or EquivalenceSpec()).c0
+    q = MvtPowerQuery(np.zeros(np.size(sigma1)), sigma1, correlation, nu2,
+                      0.0 if t is None else t, c)
+    if not np.all(q.sigma1 > 0):
+        raise InputError("sigma1 entries must be positive")
+    k = q.dim
+    if _is_diagonal(q.correlation):
+        return _best_axis(lambda axes: _independent(axes, q.sigma1, q.nu2, q.t, q.c), k, c0)
+    if not q.t.any():
+        return _argsup_fixed(q.sigma1, q.correlation, q.c, c0, tol, seed)[0]
+    obj = _power_mvt_mc(q.sigma1, q.correlation, q.nu2, q.t, q.c, seed, n_wishart)
     # two starts per face; the sampled objective resolves about tol
     starts = (np.zeros(k - 1), np.full(k - 1, 0.5 * c0))
-    return _argsup(lambda thetas: [value(x) for x in thetas], obj, corr, c0,
-                   tol, [starts] * k)[0]
+    return _argsup(obj, c0, tol, [starts] * k)[0]
 
 
 def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
@@ -350,10 +328,14 @@ def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
     ``starts[h]`` holds the free coordinates (theta without entry h) from
     which the ascent on face h begins; by default every face starts at its
     centre.  Returns (LambdaResult, ends), where ``ends[h]`` is the point
-    the ascent on face h reached, in the same coordinates, or None for a
-    diagonal correlation, whose search has no face ascent.
+    the ascent on face h reached, in the same coordinates.  A diagonal
+    correlation takes the best axis point from one call of
+    :func:`powerkernel._independent` (at t = 0 no factor depends on nu2)
+    and has no ends (None).
     """
     k = sigma1.size
+    if _is_diagonal(corr):
+        return _best_axis(lambda axes: _independent(axes, sigma1, 1, 0.0, c), k, c0), None
     # deterministic rectangles resolve machine-level differences, quasi-
     # Monte Carlo ones (at a fixed point count, so smooth in theta) about tol
     exact = _exact_rule(corr)
@@ -363,40 +345,43 @@ def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
     if starts is None:
         starts = [np.zeros(k - 1)] * k
     snap = 1e-12 if exact else tol
-    return _argsup(obj.value, obj, corr, c0, snap, [(x,) for x in starts])
+    return _argsup(obj, c0, snap, [(x,) for x in starts])
 
 
-def _argsup(values, obj, corr, c0: float, snap: float, starts):
-    """Axis candidates, then (correlated coordinates) the face ascents.
-
-    ``values`` maps a stack of points (n, K) to their n objective values;
-    ``obj``, the same objective as a :class:`powerkernel._JointRejection`,
-    is searched on each face h from every start in ``starts[h]``, all
-    ascents in lockstep rounds of one ``obj.value_grad`` call each
-    (:func:`_lockstep`).  An axis candidate within ``snap``
-    of the best face point wins.  Returns (LambdaResult, ends) with
-    ``ends[h]`` the free coordinates of the best point face h reached
-    (None when the correlation is diagonal).
-    """
-    k = corr.shape[0]
-    # axis candidates +c0 e_h, -c0 e_h for each h, in one call; by symmetry
-    # the negative axes duplicate the positive ones, but they are cheap and
-    # keep the audit contract literal
+def _best_axis(values, k: int, c0: float) -> LambdaResult:
+    """The best of the 2K axis candidates +c0 e_h, -c0 e_h for each h, in
+    that order, from one call of ``values``, which maps their stack (2K, K)
+    to their 2K objective values; the first of equal values wins."""
+    # by symmetry the negative axes duplicate the positive ones, but they
+    # are cheap and keep the audit contract literal
     axes = np.zeros((2 * k, k))
     axes[np.arange(2 * k), np.arange(2 * k) // 2] = np.tile([c0, -c0], k)
-    axis_vals = values(axes)
-    count = 2 * k
-    best = int(np.argmax(axis_vals))
-    best_axis_val = float(axis_vals[best])
-    best_axis = (best // 2, 1 - 2 * (best % 2), axes[best])
-    if _is_diagonal(corr):
-        h, sgn, theta = best_axis
-        return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
-                            sign=sgn, candidates_evaluated=count), None
+    vals = values(axes)
+    best = int(np.argmax(vals))
+    return LambdaResult(lambda_=axes[best], objective=float(vals[best]),
+                        face=best // 2, sign=1 - 2 * (best % 2),
+                        candidates_evaluated=2 * k)
 
+
+def _argsup(obj, c0: float, snap: float, starts):
+    """Axis candidates, then the face ascents, for correlated coordinates.
+
+    ``obj``, a :class:`powerkernel._JointRejection`, gives the 2K axis
+    values (:func:`_best_axis`) from its ``value``, then is searched on
+    each face h from every start in ``starts[h]`` by :func:`_face_ascent`,
+    all ascents in lockstep rounds of one ``obj.value_grad`` call each
+    (:func:`_lockstep`): since a rectangle's value does not depend on its
+    batch, each ascent ends where it would alone.  The best point wins; an
+    axis candidate within ``snap`` of it is preferred.  Returns
+    (LambdaResult, ends) with ``ends[h]`` the free coordinates of the best
+    point face h reached.
+    """
+    k = obj.sigma1.size
+    axis = _best_axis(obj.value, k, c0)
     results = iter(_lockstep(obj.value_grad, [
         _face_ascent(obj.sigma1, face, start, c0)
         for face in range(k) for start in starts[face]]))
+    count = axis.candidates_evaluated
     best_val = -1.0
     best = None
     converged = True
@@ -413,11 +398,8 @@ def _argsup(values, obj, corr, c0: float, snap: float, starts):
                 best_val, best = val, (face, theta)
         ends.append(end)
 
-    if best_axis_val >= best_val - snap:
-        h, sgn, theta = best_axis
-        return LambdaResult(lambda_=theta, objective=best_axis_val, face=h,
-                            sign=sgn, candidates_evaluated=count,
-                            converged=converged), ends
+    if axis.objective >= best_val - snap:
+        return replace(axis, candidates_evaluated=count, converged=converged), ends
     face, theta = best
     return LambdaResult(lambda_=theta, objective=best_val, face=face,
                         sign=1, candidates_evaluated=count,
@@ -613,48 +595,32 @@ def mvt_decide(s: MvtSummary, spec: EquivalenceSpec = None,
     sig = s.sigma1_hat
     c0, alpha0 = spec.c0, spec.alpha0
 
-    if method == "tost":
-        t = float(t_quantile(alpha0, s.nu2))
+    if method == "ctost":
+        adj = ctost_mvt_adjust(s, spec, tol=tol, seed=seed)
+        margins = adj.c_star
+        iip = bool(np.all(margins < c0))
+        half = c0 - margins if iip else None
+        meta = {"gamma": adj.gamma, "outer_iterations": adj.outer_iterations,
+                "inner_iterations": adj.inner_iterations,
+                "lambda": adj.lambda_.lambda_.tolist(),
+                "lambda_objective": adj.lambda_.objective}
+    else:
+        if method == "tost":
+            t = float(t_quantile(alpha0, s.nu2))
+            meta = {"t_used": t}
+        else:
+            alpha, lam, saturated, resid = _alpha_star_joint(
+                s, spec, tol=max(tol, 1e-6), seed=seed)
+            t = 0.0 if saturated else float(t_quantile(alpha, s.nu2))
+            meta = {"alpha_adj": alpha, "t_used": t, "saturated": saturated,
+                    "size_residual": resid, "lambda": lam.lambda_.tolist()}
         half = t * sig
         margins = c0 - half
-        reject = bool(np.all(np.abs(theta) < margins))
-        ivs = tuple((float(th - h), float(th + h)) for th, h in zip(theta, half))
-        return DecisionReport(
-            method="tost", reject=reject, theta_hat=theta, margins=tuple(margins),
-            intervals=ivs, iip=True, c0=c0, alpha0=alpha0,
-            meta={"t_used": t, "nu2": s.nu2, "dim": s.dim,
-                  "correlation_assumed": s.correlation_assumed})
-
-    if method == "alpha-tost":
-        alpha, lam, saturated, resid = _alpha_star_joint(
-            s, spec, tol=max(tol, 1e-6), seed=seed)
-        t = 0.0 if saturated else float(t_quantile(alpha, s.nu2))
-        half = t * sig
-        margins = c0 - half
-        reject = bool(np.all(np.abs(theta) < margins))
-        ivs = tuple((float(th - h), float(th + h)) for th, h in zip(theta, half))
-        return DecisionReport(
-            method="alpha-tost", reject=reject, theta_hat=theta,
-            margins=tuple(margins), intervals=ivs, iip=True, c0=c0, alpha0=alpha0,
-            meta={"alpha_adj": alpha, "t_used": t, "saturated": saturated,
-                  "size_residual": resid, "lambda": lam.lambda_.tolist(),
-                  "nu2": s.nu2, "dim": s.dim,
-                  "correlation_assumed": s.correlation_assumed})
-
-    adj = ctost_mvt_adjust(s, spec, tol=tol, seed=seed)
-    margins = adj.c_star
-    reject = bool(np.all(np.abs(theta) < margins))
-    iip = bool(np.all(margins < c0))
-    ivs = None
-    if iip:
-        slack = c0 - margins
-        ivs = tuple((float(th - sl), float(th + sl)) for th, sl in zip(theta, slack))
+        iip = True
+    ivs = None if half is None else tuple(
+        (float(th - h), float(th + h)) for th, h in zip(theta, half))
     return DecisionReport(
-        method="ctost", reject=reject, theta_hat=theta, margins=tuple(margins),
-        intervals=ivs, iip=iip, c0=c0, alpha0=alpha0,
-        meta={"gamma": adj.gamma, "outer_iterations": adj.outer_iterations,
-              "inner_iterations": adj.inner_iterations,
-              "lambda": adj.lambda_.lambda_.tolist(),
-              "lambda_objective": adj.lambda_.objective,
-              "nu2": s.nu2, "dim": s.dim,
+        method=method, reject=bool(np.all(np.abs(theta) < margins)), theta_hat=theta,
+        margins=tuple(margins), intervals=ivs, iip=iip, c0=c0, alpha0=alpha0,
+        meta={**meta, "nu2": s.nu2, "dim": s.dim,
               "correlation_assumed": s.correlation_assumed})

@@ -53,10 +53,10 @@ _T_ZERO = 1e-290
 # agreement the Kronrod and Gauss values of a row must reach (absolute below 1)
 _GK_RTOL = 1e-9
 
-# boxes per rectangle call of _JointRejection.value_grad: a fixed-margin
-# objective has one box per point, so one call takes every point, while a
-# sampled one has thousands per point, which gain nothing from sharing a
-# call and would multiply its temporaries
+# boxes per rectangle call of _JointRejection.value and value_grad: a
+# fixed-margin objective has one box per point, so one call takes every
+# point, while a sampled one has thousands per point, which gain nothing
+# from sharing a call and would multiply its temporaries
 _BOXES_PER_CALL = 1 << 12
 
 
@@ -119,7 +119,10 @@ class MvtPowerQuery:
             if arr.size != k:
                 raise InputError(f"{name} must have length {k}")
         corr = _check_corr(self.correlation, k)
-        if np.any(sigma1 < 0) or np.any(t < 0) or np.any(c <= 0):
+        if not np.all(np.isfinite(theta)):
+            raise InputError("theta must be finite")
+        # written to fail on NaN, as UnivPowerQuery's checks do
+        if not (np.all(sigma1 >= 0) and np.all(t >= 0) and np.all(c > 0)):
             raise InputError("need sigma1 >= 0, t >= 0, c > 0")
         if self.nu2 < 1:
             raise InputError(f"nu2 must be >= 1, got {self.nu2}")
@@ -234,31 +237,36 @@ class _JointRejection:
     corr: np.ndarray
     rect: dict
 
-    def _limits(self, theta):
-        return (-self.half - theta) / self.sigma1, (self.half - theta) / self.sigma1
+    def _evaluate(self, thetas, grad: bool):
+        """The means (n,) at the rows of thetas (n, K) and, with ``grad``,
+        their gradients in theta (n, K): one :func:`rect_prob` (and one
+        :func:`rect_grad`) call per run of rows holding at most
+        _BOXES_PER_CALL boxes, and at least one row."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        m = len(self.half)
+        step = max(1, _BOXES_PER_CALL // m)
+        if len(thetas) > step:
+            runs = [self._evaluate(thetas[i:i + step], grad)
+                    for i in range(0, len(thetas), step)]
+            return tuple(np.concatenate(p) for p in zip(*runs))
+        x = thetas[:, None, :]
+        a, b = (-self.half - x) / self.sigma1, (self.half - x) / self.sigma1
+        means = rect_prob(a, b, self.corr, **self.rect).sum(axis=-1) / m
+        if not grad:
+            return (means,)
+        da, db = rect_grad(a, b, self.corr, **self.rect)
+        return means, -(da + db).sum(axis=1) / (m * self.sigma1)
 
     def value(self, theta):
         """The mean at theta (K,), a float; or at each row of thetas (n, K),
-        an array of n, from one :func:`rect_prob` call."""
-        theta = np.asarray(theta, dtype=float)
-        probs = rect_prob(*self._limits(theta[..., None, :]), self.corr, **self.rect)
-        means = np.sum(probs, axis=-1) / len(self.half)
-        return float(means) if theta.ndim == 1 else means
+        an array of n (:meth:`_evaluate`)."""
+        means, = self._evaluate(theta, grad=False)
+        return float(means[0]) if np.ndim(theta) == 1 else means
 
     def value_grad(self, thetas):
         """The means (n,) and their gradients in theta (n, K) at the rows
-        of thetas (n, K), from one :func:`rect_prob` and one
-        :func:`rect_grad` call per _BOXES_PER_CALL boxes."""
-        thetas = np.asarray(thetas, dtype=float)
-        step = max(1, _BOXES_PER_CALL // len(self.half))
-        if len(thetas) > step:
-            runs = [self.value_grad(thetas[i:i + step]) for i in range(0, len(thetas), step)]
-            return tuple(np.concatenate(p) for p in zip(*runs))
-        a, b = self._limits(thetas[:, None, :])
-        m = len(self.half)
-        means = np.sum(rect_prob(a, b, self.corr, **self.rect), axis=-1) / m
-        da, db = rect_grad(a, b, self.corr, **self.rect)
-        return means, -np.sum(da + db, axis=1) / (m * self.sigma1)
+        of thetas (n, K) (:meth:`_evaluate`)."""
+        return self._evaluate(thetas, grad=True)
 
 
 def _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart: int) -> _JointRejection:
@@ -278,27 +286,31 @@ def _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart: int) -> _JointReject
          "n_points": 1 << 8})
 
 
+def _independent(thetas, sigma1, nu2, t, c):
+    """Joint rejection probability of independent coordinates: the product
+    over the coordinates of :func:`_omega_batch`, at theta (K,), a float,
+    or at each row of thetas (n, K), an array of n."""
+    return np.prod(_omega_batch(thetas, sigma1, nu2, t, c), axis=-1)
+
+
 def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
               n_wishart: int = 10_000) -> float:
     """Probability that the K-dimensional test described by ``q`` rejects.
 
-    t = 0 everywhere reduces to a single normal rectangle, the one the
-    joint fit evaluates (:func:`_omega_joint`, to ``tol``).  Otherwise the
-    standard errors enter the box; if the correlation is diagonal the
-    dimensions decouple into a product of univariate probabilities, and in
-    general the value is a Monte Carlo average over ``n_wishart``
-    standard-error draws of the conditional rectangle probability.
-    Deterministic given (q, tol, seed).
+    Independent coordinates (a diagonal correlation, any K and t) give the
+    exact product :func:`_independent`.  Otherwise a coordinate with a
+    degenerate sigma1 contributes a 0/1 factor; t = 0 everywhere reduces to
+    a single normal rectangle, :func:`_omega_joint` to ``tol``, the box the
+    joint fit evaluates; and in general the value is a Monte Carlo average
+    over ``n_wishart`` standard-error draws of the conditional rectangle
+    probability.  Deterministic given (q, tol, seed).
     """
-    if q.dim == 1:
-        return power_uni(UnivPowerQuery(
-            theta=float(q.theta[0]), sigma1=float(q.sigma1[0]), nu2=q.nu2,
-            t=float(q.t[0]), c=float(q.c[0])))
+    if _is_diagonal(q.correlation):
+        return float(_independent(q.theta, q.sigma1, q.nu2, q.t, q.c))
 
     degen = q.sigma1 <= SIGMA_DEGENERATE
     if np.any(degen):
-        # degenerate coordinates contribute a 0/1 factor; the rest still
-        # form a valid query on the complementary block
+        # the rest still form a valid query on the complementary block
         if np.any(np.abs(q.theta[degen]) >= q.c[degen]):
             return 0.0
         keep = ~degen
@@ -311,12 +323,6 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
 
     if np.all(q.t == 0.0):
         return _omega_joint(q.theta, q.sigma1, q.correlation, q.c, tol=tol, seed=seed)
-
-    if _is_diagonal(q.correlation):
-        # independent coordinates: both the estimates and their standard
-        # errors factor, so the joint rejection probability is a product
-        vals = _omega_batch(q.theta, q.sigma1, q.nu2, q.t, q.c)
-        return float(np.prod(vals))
 
     return _power_mvt_mc(q.sigma1, q.correlation, q.nu2, q.t, q.c, seed,
                          n_wishart).value(q.theta)

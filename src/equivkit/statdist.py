@@ -528,6 +528,10 @@ def _genz_qmc(a, b, corr, seed, n_points: int, tol: float = None):
 # Wishart sampling
 # ---------------------------------------------------------------------------
 
+# normal draws per chunk of sample_wishart_cov (32 MB of float64)
+_WISHART_CHUNK = 1 << 22
+
+
 def _check_corr(correlation, k, name="correlation"):
     """The K x K correlation matrix, or InputError if it is not symmetric
     positive definite with unit diagonal."""
@@ -546,8 +550,7 @@ def _check_corr(correlation, k, name="correlation"):
     return corr
 
 
-def sample_wishart_cov(sigma1, correlation, nu2: int, n: int, seed,
-                       chunk: int = 1 << 22):
+def sample_wishart_cov(sigma1, correlation, nu2: int, n: int, seed):
     """Sample n scaled-Wishart covariance estimates, shape (n, K, K).
 
     Each draw is S = sum of nu2 outer products of N(0, Sigma1) vectors,
@@ -565,7 +568,7 @@ def sample_wishart_cov(sigma1, correlation, nu2: int, n: int, seed,
     chol = np.linalg.cholesky(corr) * sigma1[:, None]
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, "wishart")
     out = np.empty((n, k, k))
-    step = max(1, chunk // (nu2 * k))
+    step = max(1, _WISHART_CHUNK // (nu2 * k))
     for start in range(0, n, step):
         m = min(step, n - start)
         z = rng.standard_normal((m, nu2, k))

@@ -224,9 +224,53 @@ def test_mvt_decide_alpha_tost_diagonal_matches_oracle(k):
     np.testing.assert_allclose(rep.margins, ref["margins"], atol=1e-5)
 
 
+# worst-point searches with independent coordinates, frozen from the search
+# that evaluated each t > 0 axis candidate by its own power_mvt call:
+# (sigma, c, t, lambda_, objective, face, sign, candidates_evaluated,
+# converged), all at nu2 = 20
+FROZEN_INDEPENDENT_SEARCHES = [
+    ([0.091, 0.109], [0.171, 0.194], 0.0, [0.0, -C0], 0.3707649715650919, 1, -1, 4, True),
+    ([0.169, 0.089], [0.222, 0.159], 1.7, [C0, 0.0], 0.00039290028134231106, 0, 1, 4, True),
+    ([0.144, 0.071, 0.187], [0.235, 0.206, 0.295], 0.0, [0.0, 0.0, C0],
+     0.5782331497522574, 2, 1, 6, True),
+    ([0.175, 0.19, 0.125], [0.269, 0.202, 0.21], 1.7, [0.0, C0, 0.0],
+     6.48420222980828e-07, 1, 1, 6, True),
+    ([0.098, 0.186, 0.196, 0.154, 0.181], [0.29, 0.252, 0.214, 0.221, 0.198], 0.0,
+     [C0, 0.0, 0.0, 0.0, 0.0], 0.2771986482392652, 0, 1, 10, True),
+    ([0.195, 0.083, 0.167, 0.074, 0.165], [0.225, 0.212, 0.226, 0.186, 0.216], 1.7,
+     [-C0, 0.0, 0.0, 0.0, 0.0], 1.5948725234894923e-08, 0, -1, 10, True),
+    ([0.08, 0.12], [0.2, 0.2], 0.0, [0.0, -C0], 0.41806499195525454, 1, -1, 4, True),
+    ([0.08, 0.15], [0.2, 0.2], 1.7, [0.0, -C0], 0.0016189901192589936, 1, -1, 4, True),
+]
+
+
+@pytest.mark.parametrize("sigma, c, t, lam, objective, face, sign, evals, converged",
+                         FROZEN_INDEPENDENT_SEARCHES)
+def test_lambda_argsup_independent_matches_frozen_searches(
+        sigma, c, t, lam, objective, face, sign, evals, converged):
+    k = len(sigma)
+    got = lambda_argsup(np.array(sigma), np.eye(k), 20, np.array(c), t=t)
+    assert got.lambda_.tolist() == lam
+    assert (got.objective, got.face, got.sign) == (objective, face, sign)
+    assert (got.candidates_evaluated, got.converged) == (evals, converged)
+
+
 def test_lambda_argsup_rejects_bad_margins():
     with pytest.raises(InputError):
         lambda_argsup(np.array([0.1, 0.1]), np.eye(2), 20, np.array([0.2, -0.1]))
+
+
+# inputs are checked at entry, whatever path the search then takes
+@pytest.mark.parametrize("sigma, corr, c, t, match", [
+    ([0.1, -0.1], np.eye(2), [0.2, 0.2], None, "sigma1"),
+    ([0.1, 0.0], _equicorr(2, 0.5), [0.2, 0.2], None, "sigma1 entries must be positive"),
+    ([0.1, 0.1], _equicorr(2, 1.2), [0.2, 0.2], None, "positive definite"),
+    ([0.1, 0.1], _equicorr(2, 0.5), [0.2, 0.2], -1, "t >= 0"),
+    ([0.1, 0.1, 0.1], np.eye(3), [0.2, 0.2], None, "length 3"),
+])
+def test_lambda_argsup_rejects_bad_inputs(sigma, corr, c, t, match):
+    with pytest.raises(InputError, match=match):
+        lambda_argsup(np.array(sigma), corr, 20, np.array(c), t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +616,62 @@ def test_mvt_decide_alpha_tost_independent_case():
     joint = oracles.omega_quad(C0, 0.1, 20, t, C0) * \
         oracles.omega_quad(0.0, 0.1, 20, t, C0)
     assert joint == pytest.approx(0.05, abs=5e-6)
+
+
+# the case-study reports, frozen from the search that evaluated each t > 0
+# axis candidate by its own power_mvt call
+CASE_STUDY_THETA = [0.0976, 0.0726, 0.0022, 0.0733]
+FROZEN_CASE_STUDY_REPORTS = {
+    "tost": {
+        "method": "tost", "verdict": "not equivalent", "reject_null": False,
+        "theta_hat": CASE_STUDY_THETA,
+        "margins": [-0.3703963812674766, -0.08359357572044085, -0.1778775287024031,
+                    -0.10963390559164943],
+        "intervals": [[-0.49593993258168634, 0.6911399325816864],
+                      [-0.23413712703465062, 0.3793371270346506],
+                      [-0.39882108001661287, 0.40322108001661283],
+                      [-0.2594774569058592, 0.40607745690585917]],
+        "iip": True, "c0": C0, "alpha0": 0.05,
+        "meta": {"t_used": 1.7958848187040433, "nu2": 11, "dim": 4,
+                 "correlation_assumed": True}},
+    "ctost": {
+        "method": "ctost", "verdict": "equivalent", "reject_null": True,
+        "theta_hat": CASE_STUDY_THETA,
+        "margins": [0.16434487834722014, 0.1453429044896078, 0.14280708550513338,
+                    0.14312319845339136],
+        "intervals": [[0.03880132703301038, 0.15639867296698962],
+                      [-0.005200646824601973, 0.15040064682460197],
+                      [-0.07813646580907639, 0.08253646580907638],
+                      [-0.0067203528608184016, 0.1533203528608184]],
+        "iip": True, "c0": C0, "alpha0": 0.05,
+        "meta": {"gamma": 0.3088854807964401, "outer_iterations": 1,
+                 "inner_iterations": 5, "lambda": [C0, 0.0, 0.0, 0.0],
+                 "lambda_objective": 0.050000000043535185, "nu2": 11, "dim": 4,
+                 "correlation_assumed": True}},
+    "alpha-tost": {
+        "method": "alpha-tost", "verdict": "equivalent", "reject_null": True,
+        "theta_hat": CASE_STUDY_THETA,
+        "margins": [0.11874185420258652, 0.1691895123833013, 0.15260527910535812,
+                    0.16460910509701224],
+        "intervals": [[-0.006801697111623234, 0.20200169711162325],
+                      [0.018645961069091527, 0.12655403893090847],
+                      [-0.06833827220885165, 0.07273827220885164],
+                      [0.01476555378280247, 0.13183444621719753]],
+        "iip": True, "c0": C0, "alpha0": 0.05,
+        "meta": {"alpha_adj": 0.37899932861328123, "t_used": 0.31589015767510814,
+                 "saturated": False, "size_residual": 5.201223703538149e-07,
+                 "lambda": [C0, 0.0, 0.0, 0.0], "nu2": 11, "dim": 4,
+                 "correlation_assumed": True}},
+}
+
+
+@pytest.mark.parametrize("method", sorted(FROZEN_CASE_STUDY_REPORTS))
+def test_mvt_decide_case_study_reports_frozen(method):
+    got = mvt_decide(load_case_study(), EquivalenceSpec(method=method)).to_dict()
+    want = FROZEN_CASE_STUDY_REPORTS[method]
+    assert got == want
+    # key order too: the CLI prints the meta dict as it is
+    assert list(got["meta"]) == list(want["meta"])
 
 
 def test_alpha_star_joint_indep_oracle_reference_values():

@@ -73,6 +73,20 @@ def test_mvt_query_validation_and_broadcast():
         )
 
 
+@pytest.mark.parametrize("field", ["theta", "sigma1", "t", "c"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_mvt_query_rejects_nan_as_the_univariate_query_does(field, k):
+    # power_mvt takes K = 1 and independent coordinates straight to the
+    # product, so the query is the only check on its inputs
+    kw = {"theta": np.zeros(k), "sigma1": np.full(k, 0.1), "t": np.zeros(k),
+          "c": np.full(k, 0.2)}
+    kw[field][0] = np.nan
+    with pytest.raises(InputError):
+        MvtPowerQuery(correlation=np.eye(k), nu2=10, **kw)
+    with pytest.raises(InputError):
+        UnivPowerQuery(nu2=10, **{name: float(v[0]) for name, v in kw.items()})
+
+
 def test_fixed_margin_closed_form():
     q = UnivPowerQuery(theta=0.07, sigma1=0.12, nu2=30, t=0.0, c=0.19)
     want = special.ndtr((0.19 - 0.07) / 0.12) - special.ndtr((-0.19 - 0.07) / 0.12)
@@ -206,7 +220,7 @@ def test_power_mvt_k1_reduces_to_univariate():
         t=np.array([1.6]),
         c=np.array([0.21]),
     )
-    assert power_mvt(qk) == pytest.approx(power_uni(q1), rel=1e-12)
+    assert power_mvt(qk) == power_uni(q1)
 
 
 def test_power_mvt_fixed_margins_rectangle():
@@ -222,8 +236,9 @@ def test_power_mvt_fixed_margins_rectangle():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_power_mvt_fixed_margins_is_the_fit_objective(k):
-    # the joint fit evaluates _omega_joint; power_mvt at t = 0 checks that
-    # fit, so it must give the same number, not another evaluator's
+    # the joint fit evaluates rect_prob on this box, as _omega_joint does;
+    # power_mvt at t = 0 checks that fit, so it must give the same number,
+    # not another evaluator's
     corr = np.full((k, k), 0.5)
     np.fill_diagonal(corr, 1.0)
     sigma1 = np.linspace(0.08, 0.14, k)
@@ -365,6 +380,34 @@ def test_degenerate_dimension_factors_out():
         c=np.array([0.2, 0.2]),
     )
     assert power_mvt(q_dead) == 0.0
+
+
+# power_mvt with an identity correlation, frozen from the evaluator that took
+# K = 1 as a univariate query, t = 0 as one rectangle and factored degenerate
+# coordinates out first: (theta, sigma1, t, c, value), at nu2 = 20
+FROZEN_PRODUCTS = [
+    ([0.02], [0.168], 0.0, [0.187], 0.7309522952856531),
+    ([-0.073], [0.1], 1.7, [0.209], 0.24915702520022184),
+    ([-0.051, 0.117], [0.17, 0.0], 0.0, [0.264, 0.241], 0.8629410472698584),
+    ([0.148, 0.191], [0.07, 0.0], 1.7, [0.256, 0.174], 0.0),
+    ([0.178, -0.045, -0.154], [0.182, 0.074, 1e-13], 0.0, [0.178, 0.263, 0.161],
+     0.47399822302140243),
+    ([0.181, -0.186, 0.125], [0.109, 0.05, 1e-13], 1.7, [0.181, 0.272, 0.19],
+     0.010462689681153022),
+    ([-0.117, 0.052, -0.167, -0.014], [0.17, 0.116, 0.151, 1e-12], 0.0,
+     [0.174, 0.265, 0.166, 0.217], 0.27397703010963115),
+    ([-0.01, 0.168, -0.004, -0.097], [0.061, 0.121, 0.183, 1e-12], 1.7,
+     [0.171, 0.273, 0.173, 0.247], 8.675217712998787e-06),
+    ([0.05, 0.2], [0.1, 1e-12], 0.0, [0.2, 0.2], 0.0),
+    ([0.05, 0.2], [0.1, 1e-12], 1.7, [0.2, 0.2], 0.0),
+    ([0.2, 0.05], [0.1, 0.0], 1.7, [0.2, 0.2], 0.04165143521353842),
+]
+
+
+@pytest.mark.parametrize("theta, sigma1, t, c, want", FROZEN_PRODUCTS)
+def test_power_mvt_independent_matches_frozen_values(theta, sigma1, t, c, want):
+    k = len(theta)
+    assert power_mvt(MvtPowerQuery(theta, sigma1, np.eye(k), 20, t, c)) == want
 
 
 # ---------------------------------------------------------------------------
