@@ -6,8 +6,8 @@ boundary.  That supremum is attained on one of the faces {theta_h = +-c0},
 and by central symmetry only the K positive faces need searching.  The
 corrected procedure solves for per-dimension margins c*_k that share a
 common marginal size gamma while the joint rejection probability at the
-worst boundary point equals alpha0: an inner fixed point in gamma nested in
-an outer re-localization of the worst point.
+worst boundary point equals alpha0: an inner Newton solve for gamma and the
+margins together, nested in an outer re-localization of the worst point.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .statdist import (
     rect_prob,
     t_quantile,
 )
+from . import univariate
 from .univariate import _increasing_root, _match_margin, _size_fixed
 
 __all__ = [
@@ -152,8 +153,10 @@ class LambdaResult:
 class MvtAdjustment:
     """Joint margin solution: c_star at shared marginal size gamma.
 
-    lambda_ is the final worst-case point; the counters expose the outer
-    (re-localization) and total inner (gamma fixed point) iterations.
+    lambda_ is the final worst-case point.  outer_iterations counts the
+    re-localizations of the worst point; inner_iterations counts the rounds
+    of the inner solves that moved gamma and every margin together by one
+    Newton step (each solve's rounds but its last, which only confirms).
     """
 
     c_star: np.ndarray
@@ -279,8 +282,9 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     length-1 c or t applies to every coordinate; t defaults to 0, fixed
     margins), and sigma1 must be positive.  The objective is the joint
     rejection probability, as :class:`powerkernel._JointRejection`: at t = 0
-    one normal rectangle, the one :func:`powerkernel._omega_joint` evaluates
-    to ``tol``; with multipliers t > 0 the Monte Carlo average of
+    one normal rectangle, the box of the margins c about theta, by
+    :func:`statdist.rect_prob` to ``tol`` (the box :func:`power_mvt`
+    evaluates at t = 0); with multipliers t > 0 the Monte Carlo average of
     :func:`power_mvt` over ``n_wishart`` standard-error draws, drawn once
     per search from ``seed`` so that every value equals ``power_mvt``'s.
 
@@ -415,40 +419,26 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     """Solve for per-dimension margins with joint size alpha0.
 
     Alternates two levels.  Given the current worst boundary point, the
-    inner solve finds the shared marginal size gamma at which the joint
-    rejection probability there equals alpha0, re-solving each margin at
-    every new gamma from the previous margins.  It takes Newton steps in
-    gamma, guarded by the bracket [alpha0, 1 - (1 - alpha0) / K]
-    (:func:`univariate._increasing_root`): at the upper end every marginal
-    size is at least gamma, so by Bonferroni the joint size is at least
-    alpha0.  The slope is exact: with the worst point held fixed,
-    d omega / d gamma = sum_k (db_k - da_k) / (phi((c0 + c_k) / sigma_k)
-    + phi((c0 - c_k) / sigma_k)), from :func:`statdist.rect_grad` and the
-    margins' own size equations.  Each inner round makes one call at the
-    worst point, which computes the box limits once and returns the joint
-    size and, unless that already meets the solve's tolerance (no slope is
-    wanted then), da and db.  The solve stops once the joint size is
-    within _INNER_TOL of alpha0, or within the rectangles' tolerance where
-    they are quasi-Monte Carlo estimates.  The outer loop then relocates
-    the worst point for the updated margins.  Stops when the joint size
+    inner solve (:func:`_inner_solve`) finds the shared marginal size gamma
+    at which the joint rejection probability there equals alpha0, together
+    with the margins of marginal size gamma, by one Newton iteration on
+    gamma and every margin at once.  The outer loop then relocates the
+    worst point for the updated margins.  Stops when the joint size
     residual is within tol; the result's converged is then the final
     worst-point search's flag.
 
-    The first inner solve starts from gamma = alpha0; each later one
-    resumes from the gamma the previous one ended at, whose joint
-    probability the outer loop has just evaluated (where the rectangles
-    are deterministic, that is the worst-point search's own objective, the
-    same value bit for bit), and takes the derivatives there in its first
-    round.  Every worst-point search after the first starts each face's
-    ascent at that face's maximizer in the previous search
-    (:func:`_argsup_fixed`); at t = 0 each face has a single maximizer, so
-    the start does not change what is found.  gamma can only move upward
-    from alpha0: each dimension's test runs at a level at least as large
-    as the nominal one.
+    The first inner solve starts from gamma = alpha0 and the margins
+    matched to it by :func:`univariate._match_margin`; each later one
+    resumes from the gamma and margins the previous one ended at.  Every
+    worst-point search after the first starts each face's ascent at that
+    face's maximizer in the previous search (:func:`_argsup_fixed`); at
+    t = 0 each face has a single maximizer, so the start does not change
+    what is found.  gamma can only move upward from alpha0: each
+    dimension's test runs at a level at least as large as the nominal one.
 
     Raises NonConvergenceError when the outer loop does not reach tol in
-    _OUTER_MAX rounds, when an inner solve stops unconverged, and when a
-    margin does not match its marginal size.
+    _OUTER_MAX rounds, when an inner solve reaches its round cap, and when
+    a margin does not match its marginal size.
     """
     spec = spec or EquivalenceSpec()
     sig = s.sigma1_hat
@@ -456,40 +446,16 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     c0, alpha0 = spec.c0, spec.alpha0
     eval_tol = 0.25 * tol
     exact = _exact_rule(corr)
-    inner_tol = _INNER_TOL if exact else eval_tol
-    top = np.array([1.0 - (1.0 - alpha0) / s.dim])
-    trace = []
-
-    def margins(gamma, start):
-        cg, _, conv = _match_margin(sig, gamma, c0, tol=_MARGIN_TOL, start=start)
-        if not np.all(conv):
-            raise NonConvergenceError(
-                f"margin at marginal size {gamma!r} did not converge",
-                last=cg, trace=trace)
-        return cg
-
     rect = {"tol": eval_tol, "seed": seed, "n_points": None}
-
-    def box(cg):
-        return (-cg - lam.lambda_) / sig, (cg - lam.lambda_) / sig
-
-    def joint(cg):
-        # one call per inner round: the joint size residual at the worst
-        # point and, while the solve goes on, the box's derivatives in its
-        # standardized limits
-        a, b = box(cg)
-        resid = rect_prob(a, b, corr, **rect) - alpha0
-        if abs(resid) <= inner_tol:
-            return [resid, None, None]
-        return [resid, *rect_grad(a, b, corr, **rect)]
-
+    trace = []
     c = np.full(s.dim, c0)
     lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed)
     gamma = float(np.max(_size_fixed(c, sig, c0)))
     inner_total = 0
     for r in range(_OUTER_MAX + 1):
         # a deterministic rule gives the search's own value of this box again
-        resid = (lam.objective if exact else rect_prob(*box(c), corr, **rect)) - alpha0
+        resid = (lam.objective if exact else rect_prob(
+            (-c - lam.lambda_) / sig, (c - lam.lambda_) / sig, corr, **rect)) - alpha0
         trace.append({"outer": r, "gamma": gamma, "residual": resid,
                       "lambda": lam.lambda_.tolist()})
         if abs(resid) <= tol:
@@ -498,44 +464,82 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                                  converged=lam.converged)
         if r == _OUTER_MAX:
             break
-        # the last point the inner solve evaluated: gamma, margins, residual
-        # and limit derivatives; the starting margins c0 share no marginal
-        # size, so the first solve evaluates its start alpha0 afresh
-        if r == 0:
-            gamma, last = alpha0, [np.nan, None, None, None, None]
-        else:
-            last = [gamma, c, resid, None, None]
-
-        def size_gap(g, rows):
-            if g[0] != last[0]:
-                cg = margins(float(g[0]), last[1])
-                last[:] = [g[0], cg, *joint(cg)]
-            return np.array([last[2]])
-
-        def slope(g, rows):
-            # at the point size_gap has just evaluated; a first round that
-            # resumed at the outer check's point takes its derivatives here
-            if last[3] is None:
-                last[3:] = rect_grad(*box(last[1]), corr, **rect)
-            cg, da, db = last[1], last[3], last[4]
-            dens = (np.exp(-0.5 * ((c0 + cg) / sig) ** 2)
-                    + np.exp(-0.5 * ((c0 - cg) / sig) ** 2)) / np.sqrt(2.0 * np.pi)
-            return np.array([np.sum((db - da) / dens)])
-
-        g, res, iters, conv = _increasing_root(size_gap, np.array([alpha0]), top,
-                                               inner_tol, x=np.array([gamma]), slope=slope)
-        # every round after the first re-solved the margins at a new gamma
-        inner_total += iters - 1
-        if not conv[0]:
-            raise NonConvergenceError(
-                f"marginal size gamma stopped unconverged after {iters} inner "
-                f"rounds, joint size residual {res[0]:.3e}", last=last[1], trace=trace)
-        gamma, c = float(g[0]), last[1]
+        if r == 0:  # the starting margins c0 share no marginal size
+            gamma, c = alpha0, _margins(sig, alpha0, c0, trace)
+        gamma, c, rounds = _inner_solve(sig, corr, lam.lambda_, gamma, c, spec,
+                                        _INNER_TOL if exact else eval_tol, rect, trace)
+        # every round but the last moved gamma and the margins
+        inner_total += rounds - 1
         lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed + r + 1,
                                   ends)
     raise NonConvergenceError(
         f"joint margin iteration did not reach |residual| <= {tol} "
         f"within {_OUTER_MAX} outer rounds", last=c, trace=trace)
+
+
+def _margins(sigma1, gamma: float, c0: float, trace):
+    """The margins of marginal size gamma to _MARGIN_TOL, by
+    :func:`univariate._match_margin`; NonConvergenceError if one fails."""
+    c, _, conv = _match_margin(sigma1, gamma, c0, tol=_MARGIN_TOL)
+    if not np.all(conv):
+        raise NonConvergenceError(
+            f"margin at marginal size {gamma!r} did not converge", last=c, trace=trace)
+    return c
+
+
+def _inner_solve(sig, corr, point, gamma: float, c, spec: EquivalenceSpec,
+                 inner_tol: float, rect: dict, trace):
+    """Shared marginal size gamma and margins c making the joint size at
+    the worst point ``point`` alpha0, from a start (gamma, c).
+
+    Newton's method on the K + 1 equations size_k(c_k) = gamma and
+    P(point; c) = alpha0, whose Jacobian is an arrowhead: each round makes
+    one :func:`statdist.rect_grad` call on the box, for the joint size
+    residual J and the derivatives da, db in its standardized limits, and
+    takes the sizes s_k of the margins.  With the exact weights
+    w_k = (db_k - da_k) / dens_k, dens_k = phi((c0 + c_k) / sigma_k)
+    + phi((c0 - c_k) / sigma_k) (dP/dc_k over ds_k/dc_k), gamma moves by
+    -(J - sum_k w_k (s_k - gamma)) / sum_k w_k and each margin by its own
+    step (gamma_new - s_k) sigma_k / dens_k.
+
+    A bracket [alpha0, 1 - (1 - alpha0) / K] guards gamma: at the upper end
+    every marginal size is at least gamma, so by Bonferroni the joint size
+    is at least alpha0.  Only a round whose margins match gamma to
+    _MARGIN_TOL, where J is the joint size residual at gamma itself,
+    shrinks it; a step outside it takes the midpoint instead.  A margin
+    step that is not positive and finite re-solves that margin
+    (:func:`_margins`).  Stops once |J| <= ``inner_tol`` and every
+    |s_k - gamma| <= _MARGIN_TOL.  Returns (gamma, c, rounds); raises
+    NonConvergenceError after univariate._ROOT_MAX_ITER rounds.
+    """
+    c0, alpha0 = spec.c0, spec.alpha0
+    lo, hi = alpha0, 1.0 - (1.0 - alpha0) / sig.size
+    cap = univariate._ROOT_MAX_ITER
+    for rounds in range(1, cap + 1):
+        p, da, db = rect_grad((-c - point) / sig, (c - point) / sig, corr, **rect)
+        resid = p - alpha0
+        size = _size_fixed(c, sig, c0)
+        gap = size - gamma
+        matched = np.abs(gap).max() <= _MARGIN_TOL
+        if matched and abs(resid) <= inner_tol:
+            return gamma, c, rounds
+        if rounds == cap:
+            break
+        if matched:
+            lo, hi = (gamma, hi) if resid < 0 else (lo, gamma)
+        dens = (np.exp(-0.5 * ((c0 + c) / sig) ** 2)
+                + np.exp(-0.5 * ((c0 - c) / sig) ** 2)) / np.sqrt(2.0 * np.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (db - da) / dens
+            step = gamma - (resid - w @ gap) / w.sum()
+            gamma = float(step) if lo < step < hi else 0.5 * (lo + hi)
+            c = c + (gamma - size) * sig / dens
+        bad = ~((c > 0) & (c < np.inf))
+        if bad.any():
+            c[bad] = _margins(sig[bad], gamma, c0, trace)
+    raise NonConvergenceError(
+        f"marginal size gamma stopped unconverged after {rounds} inner "
+        f"rounds, joint size residual {resid:.3e}", last=c, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -206,18 +206,6 @@ def size_uni(sigma1: float, nu2: int, t: float, c: float,
     return power_uni(UnivPowerQuery(theta=c0, sigma1=sigma1, nu2=nu2, t=t, c=c))
 
 
-def _omega_joint(theta, sigma1, corr, c, tol: float = 2.5e-7, seed: int = 0,
-                 n_points: int = None) -> float:
-    """P(|theta_hat_k| < c_k for all k) with theta_hat ~ N(theta, D corr D).
-
-    The fixed-margin joint rejection probability: one normal rectangle,
-    evaluated by :func:`rect_prob` with its ``tol``, ``seed`` and
-    ``n_points``.
-    """
-    return rect_prob((-c - theta) / sigma1, (c - theta) / sigma1, corr,
-                     tol=tol, seed=seed, n_points=n_points)
-
-
 @dataclass(frozen=True)
 class _JointRejection:
     """Mean joint rejection probability over boxes, as a function of theta.
@@ -226,10 +214,10 @@ class _JointRejection:
     {|theta_hat_k| < half_ik} (a row with a non-positive entry is empty);
     theta_hat ~ N(theta, D corr D) with D = diag(sigma1).  :meth:`value`
     averages the rows' :func:`rect_prob` values and :meth:`value_grad`
-    adds their gradient in theta from :func:`rect_grad`; ``rect`` holds
-    the tol, seed and n_points both take.  A fixed-margin test has one row,
-    c.  Every box is evaluated on its own, so a point's results do not
-    depend on the other points of a call.
+    takes them with their gradient in theta from :func:`rect_grad`;
+    ``rect`` holds the tol, seed and n_points both take.  A fixed-margin
+    test has one row, c.  Every box is evaluated on its own, so a point's
+    results do not depend on the other points of a call.
     """
 
     half: np.ndarray
@@ -239,9 +227,9 @@ class _JointRejection:
 
     def _evaluate(self, thetas, grad: bool):
         """The means (n,) at the rows of thetas (n, K) and, with ``grad``,
-        their gradients in theta (n, K): one :func:`rect_prob` (and one
-        :func:`rect_grad`) call per run of rows holding at most
-        _BOXES_PER_CALL boxes, and at least one row."""
+        their gradients in theta (n, K): one :func:`rect_prob` call, or with
+        ``grad`` one :func:`rect_grad` call, which returns both, per run of
+        rows holding at most _BOXES_PER_CALL boxes, and at least one row."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         m = len(self.half)
         step = max(1, _BOXES_PER_CALL // m)
@@ -251,11 +239,10 @@ class _JointRejection:
             return tuple(np.concatenate(p) for p in zip(*runs))
         x = thetas[:, None, :]
         a, b = (-self.half - x) / self.sigma1, (self.half - x) / self.sigma1
-        means = rect_prob(a, b, self.corr, **self.rect).sum(axis=-1) / m
         if not grad:
-            return (means,)
-        da, db = rect_grad(a, b, self.corr, **self.rect)
-        return means, -(da + db).sum(axis=1) / (m * self.sigma1)
+            return (rect_prob(a, b, self.corr, **self.rect).sum(axis=-1) / m,)
+        p, da, db = rect_grad(a, b, self.corr, **self.rect)
+        return p.sum(axis=-1) / m, -(da + db).sum(axis=1) / (m * self.sigma1)
 
     def value(self, theta):
         """The mean at theta (K,), a float; or at each row of thetas (n, K),
@@ -300,10 +287,10 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
     Independent coordinates (a diagonal correlation, any K and t) give the
     exact product :func:`_independent`.  Otherwise a coordinate with a
     degenerate sigma1 contributes a 0/1 factor; t = 0 everywhere reduces to
-    a single normal rectangle, :func:`_omega_joint` to ``tol``, the box the
-    joint fit evaluates; and in general the value is a Monte Carlo average
-    over ``n_wishart`` standard-error draws of the conditional rectangle
-    probability.  Deterministic given (q, tol, seed).
+    a single normal rectangle, :func:`statdist.rect_prob` to ``tol``, the
+    box the joint fit evaluates; and in general the value is a Monte Carlo
+    average over ``n_wishart`` standard-error draws of the conditional
+    rectangle probability.  Deterministic given (q, tol, seed).
     """
     if _is_diagonal(q.correlation):
         return float(_independent(q.theta, q.sigma1, q.nu2, q.t, q.c))
@@ -322,7 +309,8 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
         return power_mvt(sub, tol=tol, seed=seed, n_wishart=n_wishart)
 
     if np.all(q.t == 0.0):
-        return _omega_joint(q.theta, q.sigma1, q.correlation, q.c, tol=tol, seed=seed)
+        return rect_prob((-q.c - q.theta) / q.sigma1, (q.c - q.theta) / q.sigma1,
+                         q.correlation, tol=tol, seed=seed)
 
     return _power_mvt_mc(q.sigma1, q.correlation, q.nu2, q.t, q.c, seed,
                          n_wishart).value(q.theta)

@@ -234,30 +234,15 @@ def rect_prob(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     Deterministic given its arguments; each box's value does not depend on
     the other boxes in the call.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = a.shape[-1]
-    shape = a.shape[:-1]
-    corr = np.asarray(corr, dtype=float)
-    if b.shape != a.shape or corr.shape != (k, k):
-        raise InputError("rect_prob needs a and b of one shape (..., K) and a K x K corr")
-    a = a.reshape(-1, k)
-    b = b.reshape(-1, k)
-    live = (b > a).all(axis=1)
-    if live.all():
-        out = _live_boxes(a, b, corr, tol, seed, n_points)
-    else:
-        out = np.zeros(live.size)
-        if live.any():
-            out[live] = _live_boxes(a[live], b[live], corr, tol, seed, n_points)
-    out = np.minimum(np.maximum(out, 0.0), 1.0).reshape(shape)
-    return out if out.ndim else float(out)
+    return _rect(a, b, corr, "rect_prob", tol, seed, n_points)[4]
 
 
 def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None):
-    """Partial derivatives of :func:`rect_prob` in the box limits.
+    """:func:`rect_prob` and its partial derivatives in the box limits.
 
-    Returns (da, db), each of the shape of ``a``: for X ~ N(0, corr),
+    Returns (p, da, db) from one check of the inputs and one mask of the
+    non-empty boxes: p is :func:`rect_prob`'s value bit for bit, and da, db
+    have the shape of ``a``.  For X ~ N(0, corr),
     db[..., j] = phi(b_j) P(a_i < X_i < b_i for i != j | X_j = b_j) and
     da[..., j] = -phi(a_j) P(... | X_j = a_j) (Genz & Bretz 2009, sec. 2).
     Given X_j = x the other coordinates are normal with means corr_ij x and
@@ -271,36 +256,59 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
     coordinates at both limits take one pass of normal CDFs.  An empty box
     has zero derivatives.
     """
+    lo, hi, corr, live, p, shape = _rect(a, b, corr, "rect_grad", tol, seed, n_points)
+    if live.all():
+        da, db = _limit_grads(lo, hi, corr, tol, seed, n_points)
+    else:
+        da, db = np.zeros(lo.shape), np.zeros(lo.shape)
+        da[live], db[live] = _limit_grads(lo[live], hi[live], corr, tol, seed, n_points)
+    return p, da.reshape(shape), db.reshape(shape)
+
+
+def _rect(a, b, corr, name: str, tol, seed, n_points):
+    """:func:`rect_prob`'s checked inputs and value: the boxes (m, K), corr
+    as an array, the mask of non-empty boxes, the value (a float for one
+    box) and the limits' shape (..., K).  InputError, naming ``name``,
+    unless a and b share that shape and corr is K x K."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     k = a.shape[-1]
     corr = np.asarray(corr, dtype=float)
     if b.shape != a.shape or corr.shape != (k, k):
-        raise InputError("rect_grad needs a and b of one shape (..., K) and a K x K corr")
-    lo = a.reshape(-1, k)
-    hi = b.reshape(-1, k)
-    live = (hi > lo).all(axis=1)
-    lo, hi = lo[live], hi[live]
-    da = np.zeros((live.size, k))
-    db = np.zeros((live.size, k))
+        raise InputError(f"{name} needs a and b of one shape (..., K) and a K x K corr")
+    shape = a.shape
+    a = a.reshape(-1, k)
+    b = b.reshape(-1, k)
+    live = (b > a).all(axis=1)
+    if live.all():
+        out = _live_boxes(a, b, corr, tol, seed, n_points)
+    else:
+        out = np.zeros(live.size)
+        if live.any():
+            out[live] = _live_boxes(a[live], b[live], corr, tol, seed, n_points)
+    out = np.minimum(np.maximum(out, 0.0), 1.0).reshape(shape[:-1])
+    return a, b, corr, live, out if out.ndim else float(out), shape
+
+
+def _limit_grads(lo, hi, corr, tol, seed, n_points):
+    """(da, db) of :func:`rect_grad` for non-empty boxes (m, K)."""
+    k = lo.shape[1]
     if k == 2:
         # x[l, i, j]: limit l (lower, upper) of coordinate j of box i; the
         # other coordinate's interval is read in reversed column order
-        x = np.stack([lo, hi])
-        r = corr[[1, 0], [0, 1]]
+        x = np.array([lo, hi])
+        r = np.array([corr[1, 0], corr[0, 1]])
         sd = np.sqrt((1.0 - r) * (1.0 + r))
         mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT) * r
         cond = (special.ndtr((hi[:, ::-1] - mean) / sd)
                 - special.ndtr((lo[:, ::-1] - mean) / sd))
         dens = np.exp(-0.5 * x * x) / _SQRT2PI * np.minimum(np.maximum(cond, 0.0), 1.0)
-        da[live] = -dens[0]
-        db[live] = dens[1]
-        return da.reshape(a.shape), db.reshape(a.shape)
-    if k == 1 or not live.any():
+        return -dens[0], dens[1]
+    if k == 1 or not lo.size:
         dens = np.exp(-0.5 * np.stack([lo, hi]) ** 2) / _SQRT2PI
-        da[live] = -dens[0]
-        db[live] = dens[1]
-        return da.reshape(a.shape), db.reshape(a.shape)
+        return -dens[0], dens[1]
+    m = lo.shape[0]
+    da, db = np.empty((m, k)), np.empty((m, k))
     # per conditional correlation: the coordinates j, their limits x (lower
     # then upper, one row each), and the conditional boxes at those limits
     groups = {}
@@ -319,9 +327,9 @@ def rect_grad(a, b, corr, tol: float = 1e-5, seed: int = 0, n_points: int = None
                           tol=tol, seed=seed, n_points=n_points).reshape(len(cols), -1)
         for (j, x), p in zip(cols, probs):
             dens = np.exp(-0.5 * x * x) / _SQRT2PI * p
-            da[live, j] = -dens[:lo.shape[0]]
-            db[live, j] = dens[lo.shape[0]:]
-    return da.reshape(a.shape), db.reshape(a.shape)
+            da[:, j] = -dens[:m]
+            db[:, j] = dens[m:]
+    return da, db
 
 
 def _given(corr: np.ndarray, j: int):

@@ -8,12 +8,15 @@ Wishart draws come from the Bartlett decomposition instead of summed outer
 products, rejection probabilities come from adaptive quadrature instead of
 fixed-node rules, and margins come from scipy's bracketing root finder.
 Agreement between the two routes is the point of the tests that import this
-module.
+module.  One helper, :func:`omega_joint`, is the library's own fixed-margin
+box instead, for tests that compare the library against itself.
 """
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
 from scipy.optimize import elementwise
+
+from equivkit.statdist import rect_prob
 
 Z = stats.norm
 
@@ -31,6 +34,42 @@ def rect_prob_scipy(lower, upper, correlation, abseps=1e-5):
             allow_singular=False, abseps=abseps,
         )
     )
+
+
+def omega_joint(theta, sigma1, corr, c, tol=2.5e-7, seed=0, n_points=None):
+    """P(|theta_hat_k| < c_k for all k) with theta_hat ~ N(theta, D corr D),
+    D = diag(sigma1): the fixed-margin joint rejection probability as the
+    library evaluates it, one ``rect_prob`` call on its box.  Not an
+    independent route; it serves the tests that check that the search and
+    ``power_mvt`` report the value of this very box."""
+    return rect_prob((-c - theta) / sigma1, (c - theta) / sigma1, corr,
+                     tol=tol, seed=seed, n_points=n_points)
+
+
+def ctost_gamma_indep(sigma1, alpha0=0.05, c0=None):
+    """Shared marginal size gamma of the K-dimensional cTOST, independent
+    coordinates.
+
+    Each margin c_k(gamma) is ``brute_margin`` at level gamma.  With an
+    identity correlation the joint rejection probability is a product, and
+    each factor is largest at theta_k = 0, so the worst boundary point is
+    an axis point c0 e_h, where the joint size is
+    gamma * prod_{k != h} (2 Phi(c_k / sigma_k) - 1).  gamma solves
+    max_h of that = alpha0 by brentq over the bracket
+    [alpha0, 1 - (1 - alpha0) / K], both solves to a few ulps.
+    """
+    if c0 is None:
+        c0 = float(np.log(1.25))
+    sigma1 = np.asarray(sigma1, dtype=float)
+    k = sigma1.size
+
+    def joint(gamma):
+        c = np.array([brute_margin(float(s), gamma, c0, xtol=1e-300) for s in sigma1])
+        inner = 2.0 * Z.cdf(c / sigma1) - 1.0
+        return max(gamma * np.prod(np.delete(inner, h)) for h in range(k)) - alpha0
+
+    return float(optimize.brentq(joint, alpha0, 1.0 - (1.0 - alpha0) / k,
+                                 xtol=1e-300, rtol=8.9e-16))
 
 
 def chi_law(sigma1, nu2):

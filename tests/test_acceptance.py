@@ -23,7 +23,6 @@ from equivkit.mvt import MvtSummary, ctost_mvt_adjust, lambda_argsup, mvt_decide
 from equivkit.powerkernel import (
     MvtPowerQuery,
     UnivPowerQuery,
-    _omega_joint,
     power_mvt,
     power_uni,
     size_uni,
@@ -340,7 +339,7 @@ def test_10_boundary_argsup_beats_random_probes():
             for _ in range(1000):
                 probe = rng.uniform(-C0, C0, size=K)
                 probe[rng.integers(K)] = C0 * (1 if rng.random() < 0.5 else -1)
-                val = _omega_joint(probe, sig, np.eye(K), c)
+                val = oracles.omega_joint(probe, sig, np.eye(K), c)
                 assert res.objective >= val - 1e-10
 
 

@@ -22,7 +22,7 @@ from equivkit.mvt import (
     mvt_decide,
     repair_correlation,
 )
-from equivkit.powerkernel import MvtPowerQuery, _omega_joint, power_mvt, size_uni
+from equivkit.powerkernel import MvtPowerQuery, power_mvt, size_uni
 from equivkit.univariate import (
     UnivSummary,
     _match_margin,
@@ -30,6 +30,7 @@ from equivkit.univariate import (
     alpha_tost_adjust,
     ctost_adjust,
 )
+from equivkit.simkit import MVT_SIGMA_CONFIGS
 from equivkit.statdist import t_quantile
 
 import oracles
@@ -156,7 +157,7 @@ def test_lambda_argsup_face_search_converges(rho, c):
     lam = lambda_argsup(sigma, _equicorr(4, rho), 20, c)
     assert lam.converged
     # the objective is the fit's own rectangle at the returned point
-    assert lam.objective == _omega_joint(lam.lambda_, sigma, _equicorr(4, rho), c)
+    assert lam.objective == oracles.omega_joint(lam.lambda_, sigma, _equicorr(4, rho), c)
     assert lam.lambda_[lam.face] == C0
     assert np.all(np.abs(lam.lambda_) <= C0)
 
@@ -490,9 +491,10 @@ def test_argsup_matches_frozen_searches(case, lam, objective, face, sign, evals)
 
 
 def test_argsup_evaluates_each_round_in_one_call(monkeypatch):
-    # one rect_prob and one rect_grad call per round, holding the point of
-    # every ascent still running; the one-face-at-a-time ascent made one
-    # call per line-search trial and one per accepted step
+    # one rectangle pass per round, a rect_grad call that returns the values
+    # with their derivatives, holding the point of every ascent still
+    # running; the one-face-at-a-time ascent made one call per line-search
+    # trial and one per accepted step
     sizes, grads = [], []
     prob, grad = powerkernel.rect_prob, powerkernel.rect_grad
 
@@ -507,11 +509,10 @@ def test_argsup_evaluates_each_round_in_one_call(monkeypatch):
     monkeypatch.setattr(powerkernel, "rect_prob", counted_prob)
     monkeypatch.setattr(powerkernel, "rect_grad", counted_grad)
     lam = lambda_argsup(K4_SIGMA, _equicorr(4, 0.5), 20, K4_C)
-    assert sizes[0] == 8  # the axis candidates
-    rounds = sizes[1:]
+    assert sizes == [8]  # the axis candidates; no round takes rect_prob
+    rounds = grads
     assert rounds[0] == 4  # every face starts in the first round
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
-    assert grads == rounds
     assert sum(rounds) == lam.candidates_evaluated - 8
     assert len(rounds) <= (lam.candidates_evaluated - 8) / 2
 
@@ -545,6 +546,102 @@ def test_adjust_raises_when_the_inner_loop_hits_its_cap(monkeypatch):
     s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
     with pytest.raises(NonConvergenceError, match="after 1 inner rounds"):
         ctost_mvt_adjust(s)
+
+
+def _record_inner_solves(monkeypatch):
+    """Wrap mvt._inner_solve; returns the list its calls are recorded in."""
+    calls = []
+    real = mvt._inner_solve
+
+    def recorded(sig, corr, point, *args):
+        out = real(sig, corr, point, *args)
+        calls.append((sig, corr, point, out))
+        return out
+
+    monkeypatch.setattr(mvt, "_inner_solve", recorded)
+    return calls
+
+
+def _assert_inner_postconditions(calls):
+    # every inner solve ends with each margin at marginal size gamma to
+    # 1e-12 and the joint size at its worst point within 1e-10 of alpha0
+    assert calls
+    for sig, corr, point, (gamma, c, rounds) in calls:
+        np.testing.assert_allclose(_size_fixed(c, sig, C0), gamma, rtol=0, atol=1e-12)
+        joint = statdist.rect_prob((-c - point) / sig, (c - point) / sig, corr)
+        assert abs(joint - 0.05) <= 1e-10
+
+
+def test_inner_solve_postconditions_on_the_acceptance_grid(monkeypatch):
+    calls = _record_inner_solves(monkeypatch)
+    for k in (2, 4):
+        for rho in (0.0, 0.5, 0.9):
+            for pair in MVT_SIGMA_CONFIGS:
+                sig = np.array(pair if k == 2 else (pair[0], pair[0], pair[1], pair[1]))
+                assert ctost_mvt_adjust(_summary(np.zeros(k), sig, _equicorr(k, rho))).converged
+    _assert_inner_postconditions(calls)
+
+
+def test_k2_fits_take_one_rectangle_pass_per_inner_round(monkeypatch):
+    # 40 random K = 2 fits: each inner round is one rect_grad call at the
+    # worst point (the outer check reuses the search's value), and only
+    # round 0 of the first inner solve matches margins by _match_margin
+    calls = _record_inner_solves(monkeypatch)
+    counts = {"grad": 0, "prob": 0, "match": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(mvt, "rect_grad", counted("grad", mvt.rect_grad))
+    monkeypatch.setattr(mvt, "rect_prob", counted("prob", mvt.rect_prob))
+    monkeypatch.setattr(mvt, "_match_margin", counted("match", mvt._match_margin))
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        sig = np.exp(rng.uniform(np.log(0.05), np.log(0.25), 2))
+        rho = rng.uniform(-0.9, 0.9)
+        counts.update(grad=0, prob=0, match=0)
+        solves = len(calls)
+        adj = ctost_mvt_adjust(_summary([0.0, 0.0], sig, _equicorr(2, rho)))
+        assert adj.converged
+        assert len(calls) - solves == adj.outer_iterations
+        # inner_iterations counts the rounds that moved gamma: all but the
+        # last of each solve
+        assert counts == {"grad": adj.inner_iterations + adj.outer_iterations,
+                          "prob": 0, "match": 1}
+    _assert_inner_postconditions(calls)
+
+
+def test_inner_solve_resolves_a_margin_whose_step_is_not_positive(monkeypatch):
+    # from margins far above c0 every size is 1 to rounding, so a Newton
+    # step would overshoot below zero: the guard matches those margins anew
+    matched = []
+    real = mvt._match_margin
+
+    def recorded(sigma, *args, **kw):
+        matched.append(np.size(sigma))
+        return real(sigma, *args, **kw)
+
+    monkeypatch.setattr(mvt, "_match_margin", recorded)
+    sig = np.array([0.1, 0.13])
+    corr = _equicorr(2, 0.5)
+    point = np.array([C0, 0.0])
+    gamma, c, rounds = mvt._inner_solve(
+        sig, corr, point, 0.06, np.array([1.0, 1.0]), EquivalenceSpec(), 1e-10,
+        {"tol": 2.5e-7, "seed": 0, "n_points": None}, [])
+    assert matched and rounds > 1
+    _assert_inner_postconditions([(sig, corr, point, (gamma, c, rounds))])
+
+
+def test_case_study_ctost_gamma_matches_the_independent_oracle():
+    # identity correlation: the joint size at the worst axis point is
+    # gamma times the other coordinates' centred interval probabilities,
+    # solved by brentq on both levels
+    s = load_case_study()
+    adj = ctost_mvt_adjust(s)
+    assert adj.gamma == pytest.approx(oracles.ctost_gamma_indep(s.sigma1_hat), abs=1e-14)
 
 
 def test_adjust_raises_when_a_margin_does_not_match(monkeypatch):
@@ -619,7 +716,8 @@ def test_mvt_decide_alpha_tost_independent_case():
 
 
 # the case-study reports, frozen from the search that evaluated each t > 0
-# axis candidate by its own power_mvt call
+# axis candidate by its own power_mvt call; the ctost one from the joint
+# Newton inner solve, whose gamma equals oracles.ctost_gamma_indep to 1e-14
 CASE_STUDY_THETA = [0.0976, 0.0726, 0.0022, 0.0733]
 FROZEN_CASE_STUDY_REPORTS = {
     "tost": {
@@ -637,16 +735,16 @@ FROZEN_CASE_STUDY_REPORTS = {
     "ctost": {
         "method": "ctost", "verdict": "equivalent", "reject_null": True,
         "theta_hat": CASE_STUDY_THETA,
-        "margins": [0.16434487834722014, 0.1453429044896078, 0.14280708550513338,
-                    0.14312319845339136],
-        "intervals": [[0.03880132703301038, 0.15639867296698962],
-                      [-0.005200646824601973, 0.15040064682460197],
-                      [-0.07813646580907639, 0.08253646580907638],
-                      [-0.0067203528608184016, 0.1533203528608184]],
+        "margins": [0.16434487830274816, 0.1453429044553936, 0.14280708546784507,
+                    0.1431231984181669],
+        "intervals": [[0.0388013269885384, 0.1563986730114616],
+                      [-0.00520064685881616, 0.15040064685881616],
+                      [-0.0781364658463647, 0.08253646584636469],
+                      [-0.006720352896042864, 0.15332035289604287]],
         "iip": True, "c0": C0, "alpha0": 0.05,
-        "meta": {"gamma": 0.3088854807964401, "outer_iterations": 1,
-                 "inner_iterations": 5, "lambda": [C0, 0.0, 0.0, 0.0],
-                 "lambda_objective": 0.050000000043535185, "nu2": 11, "dim": 4,
+        "meta": {"gamma": 0.30888548071660316, "outer_iterations": 1,
+                 "inner_iterations": 6, "lambda": [C0, 0.0, 0.0, 0.0],
+                 "lambda_objective": 0.05000000000000004, "nu2": 11, "dim": 4,
                  "correlation_assumed": True}},
     "alpha-tost": {
         "method": "alpha-tost", "verdict": "equivalent", "reject_null": True,
@@ -700,7 +798,7 @@ def test_omega_joint_matches_scipy_rect():
     corr = _equicorr(2, 0.45)
     theta = np.array([0.21, 0.02])
     c = np.array([0.2, 0.23])
-    got = _omega_joint(theta, sigma, corr, c)
+    got = oracles.omega_joint(theta, sigma, corr, c)
     want = oracles.rect_prob_scipy((-c - theta) / sigma, (c - theta) / sigma, corr)
     assert got == pytest.approx(want, abs=1e-7)
 
@@ -710,6 +808,6 @@ def test_omega_joint_k3_matches_scipy_rect():
     corr = np.array([[1.0, 0.45, 0.2], [0.45, 1.0, -0.1], [0.2, -0.1, 1.0]])
     theta = np.array([0.21, 0.02, -0.05])
     c = np.array([0.2, 0.23, 0.19])
-    got = _omega_joint(theta, sigma, corr, c, tol=1e-5, seed=1)
+    got = oracles.omega_joint(theta, sigma, corr, c, tol=1e-5, seed=1)
     want = oracles.rect_prob_scipy((-c - theta) / sigma, (c - theta) / sigma, corr)
     assert got == pytest.approx(want, abs=5e-5)

@@ -15,7 +15,6 @@ from equivkit.powerkernel import (
     MvtPowerQuery,
     UnivPowerQuery,
     _omega_batch,
-    _omega_joint,
     _power_mvt_mc,
     power_mvt,
     power_uni,
@@ -236,7 +235,7 @@ def test_power_mvt_fixed_margins_rectangle():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_power_mvt_fixed_margins_is_the_fit_objective(k):
-    # the joint fit evaluates rect_prob on this box, as _omega_joint does;
+    # the joint fit evaluates rect_prob on this box, as oracles.omega_joint does;
     # power_mvt at t = 0 checks that fit, so it must give the same number,
     # not another evaluator's
     corr = np.full((k, k), 0.5)
@@ -246,7 +245,7 @@ def test_power_mvt_fixed_margins_is_the_fit_objective(k):
     theta[0] = C0
     c = np.full(k, 0.2)
     q = MvtPowerQuery(theta, sigma1, corr, 20, 0.0, c)
-    assert power_mvt(q, tol=1e-5, seed=0) == _omega_joint(
+    assert power_mvt(q, tol=1e-5, seed=0) == oracles.omega_joint(
         theta, sigma1, corr, c, tol=1e-5, seed=0)
 
 

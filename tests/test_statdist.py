@@ -292,7 +292,7 @@ def test_rect_one_factor_matches_quad_oracle(k, rho):
     a = np.array([box[0] for box in boxes])
     b = np.array([box[1] for box in boxes])
     got = rect_prob(a, b, corr)
-    da, db = rect_grad(a, b, corr)
+    _, da, db = rect_grad(a, b, corr)
     assert np.all(got > 0.05)
     for i, (lo, hi) in enumerate(boxes):
         assert got[i] == pytest.approx(oracles.equicorr_rect_quad(lo, hi, rho), abs=1e-9)
@@ -396,14 +396,14 @@ def test_rect_grad_matches_finite_differences(k):
     rng = np.random.default_rng(90 + k)
     corr = _random_corr(rng, k)
     boxes = [_equivalence_box(rng, k) for _ in range(3)]
-    da, db = rect_grad(np.array([a for a, _ in boxes]),
-                       np.array([b for _, b in boxes]), corr)
+    _, da, db = rect_grad(np.array([a for a, _ in boxes]),
+                          np.array([b for _, b in boxes]), corr)
     for i, (a, b) in enumerate(boxes):
         fd_a, fd_b = _central_differences(lambda lo, hi: rect_prob(lo, hi, corr), a, b)
         np.testing.assert_allclose(da[i], fd_a, atol=1e-9)
         np.testing.assert_allclose(db[i], fd_b, atol=1e-9)
         # one box alone gives the same derivatives as within the batch
-        one_a, one_b = rect_grad(a, b, corr)
+        _, one_a, one_b = rect_grad(a, b, corr)
         np.testing.assert_array_equal(one_a, da[i])
         np.testing.assert_array_equal(one_b, db[i])
     assert np.all(da <= 0.0) and np.all(db >= 0.0)
@@ -432,7 +432,7 @@ def test_rect_grad_groups_equal_conditionals(k, equi):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(statdist, "rect_prob", counted)
-        da, db = rect_grad(a, b, corr)
+        _, da, db = rect_grad(a, b, corr)
     assert len(calls) == (1 if equi else k)
     for j in range(k):
         rest = np.arange(k) != j
@@ -449,8 +449,8 @@ def test_rect_grad_groups_equal_conditionals(k, equi):
 
 def test_rect_grad_empty_box_and_shapes():
     corr = _corr2(0.4)
-    da, db = rect_grad(np.array([[0.5, -1.0], [-1.0, -1.0]]),
-                       np.array([[0.5, 1.0], [1.0, 1.0]]), corr)
+    _, da, db = rect_grad(np.array([[0.5, -1.0], [-1.0, -1.0]]),
+                          np.array([[0.5, 1.0], [1.0, 1.0]]), corr)
     assert np.all(da[0] == 0.0) and np.all(db[0] == 0.0)
     assert np.all(db[1] > 0.0)
     with pytest.raises(InputError):
@@ -467,7 +467,7 @@ def test_rect_grad_k2_is_the_conditional_interval(rho):
     b = a + rng.uniform(0.0, 5.0, (40, 2))
     b[:3, 0] = a[:3, 0]  # empty boxes
     b[3:5, 1] = a[3:5, 1] - 0.5
-    da, db = rect_grad(a, b, _corr2(rho))
+    _, da, db = rect_grad(a, b, _corr2(rho))
     s = np.sqrt(1.0 - rho * rho)
     phi = stats.norm.pdf
     cdf = stats.norm.cdf
@@ -482,6 +482,75 @@ def test_rect_grad_k2_is_the_conditional_interval(rho):
             assert db[i, j] == pytest.approx(want_b if live else 0.0, abs=1e-15)
             assert da[i, j] == pytest.approx(want_a if live else 0.0, abs=1e-15)
     assert np.all(da[:5] == 0.0) and np.all(db[:5] == 0.0)
+
+
+def _rect_grad_by_coordinate(a, b, corr):
+    """(da, db) of rect_grad for boxes (m, K), written out one box, one
+    coordinate and one limit at a time: the normal density at the limit
+    times the conditional box of the other coordinates, each by its own
+    rect_prob call (no factor at K = 1; 0 for an empty box)."""
+    m, k = a.shape
+    da, db = np.zeros((m, k)), np.zeros((m, k))
+    for i in range(m):
+        if not np.all(b[i] > a[i]):
+            continue
+        for j in range(k):
+            rest = np.arange(k) != j
+            r = corr[rest, j]
+            sd = np.sqrt((1.0 - r) * (1.0 + r))
+            cond = (corr[np.ix_(rest, rest)] - np.outer(r, r)) / np.outer(sd, sd)
+            np.fill_diagonal(cond, 1.0)
+            for x, out, sign in ((a[i, j], da, -1.0), (b[i, j], db, 1.0)):
+                mean = np.minimum(np.maximum(x, -8.5), 8.5) * r
+                p = rect_prob((a[i, rest] - mean) / sd, (b[i, rest] - mean) / sd,
+                              cond) if k > 1 else 1.0
+                out[i, j] = sign * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * p)
+    return da, db
+
+
+def _grad_cases():
+    rng = np.random.default_rng(2718)
+    cases = [(1, np.eye(1))]
+    for rho in (-0.99, -0.4, 0.6, 0.99):
+        cases.append((2, _corr2(rho)))
+    for k in (3, 4, 5):
+        cases.append((k, np.eye(k)))
+        for rho in (-0.9 / (k - 1), 0.5, 0.99):
+            corr = np.full((k, k), rho)
+            np.fill_diagonal(corr, 1.0)
+            cases.append((k, corr))
+        cases.append((k, _random_corr(rng, k)))
+    return [pytest.param(k, corr, id=f"k{k}-{i}") for i, (k, corr) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("k, corr", _grad_cases())
+def test_rect_grad_probability_and_derivatives_bit_for_bit(k, corr):
+    # rect_grad's probability is rect_prob's, and its derivatives are the
+    # coordinate-by-coordinate rule, bit for bit, for every shape of input:
+    # a stack of boxes, with empty ones and limits beyond the 8.5 clip, a
+    # (2, m / 2, K) stack of the same boxes, and one box
+    rng = np.random.default_rng(100 * k + int(1000 * corr[-1, 0]) % 97)
+    m = 6 if k == 5 and not statdist._exact_rule(corr) else 8
+    a = rng.uniform(-3.0, 1.0, (m, k))
+    b = a + rng.uniform(0.2, 4.0, (m, k))
+    b[0, -1] = a[0, -1]  # empty
+    b[1, 0] = a[1, 0] - 0.3  # empty
+    a[2, 0], b[3, -1] = -11.0, 9.5  # beyond the clip
+    a[4], b[4] = rng.uniform(-12.0, -9.0, k), rng.uniform(8.6, 12.0, k)
+    p, da, db = rect_grad(a, b, corr)
+    np.testing.assert_array_equal(p, rect_prob(a, b, corr))
+    want_a, want_b = _rect_grad_by_coordinate(a, b, corr)
+    np.testing.assert_array_equal(da, want_a)
+    np.testing.assert_array_equal(db, want_b)
+    stacked = rect_grad(a.reshape(2, -1, k), b.reshape(2, -1, k), corr)
+    for got, want in zip(stacked, (p, da, db)):
+        np.testing.assert_array_equal(got, want.reshape(2, -1, *want.shape[1:]))
+    one = rect_grad(a[2], b[2], corr)
+    # (an adaptive quasi-Monte Carlo value, K = 5 here, takes its point
+    # count from the boxes of its call)
+    assert isinstance(one[0], float) and one[0] == rect_prob(a[2], b[2], corr)
+    np.testing.assert_array_equal(one[1], da[2])
+    np.testing.assert_array_equal(one[2], db[2])
 
 
 def test_mvn_rect_prob_univariate_exact():
