@@ -25,7 +25,7 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import MvtPowerQuery, _JointRejection, _independent, _power_mvt_mc
+from .powerkernel import MvtPowerQuery, _box_limits, _independent, _JointRejection, _power_mvt_mc
 from .statdist import (
     _check_corr,
     _exact_rule,
@@ -35,7 +35,7 @@ from .statdist import (
     t_quantile,
 )
 from . import univariate
-from .univariate import _increasing_root, _match_margin, _size_fixed
+from .univariate import _increasing_root, _match_margin, _size, _size_slope
 
 __all__ = [
     "MvtSummary",
@@ -134,11 +134,12 @@ class LambdaResult:
     """Worst boundary point found for a given margin vector.
 
     lambda_ lies on the face {theta_face = sign * c0}; objective is the
-    joint rejection probability there.  candidates_evaluated counts the
-    objective values the search took: the 2K axis candidates, then every
-    start and line-search trial of the face ascents, each of which comes
-    with its gradient from the same lockstep round; converged is False
-    when a face search stopped at its iteration cap.
+    joint rejection probability there.  By central symmetry every point is
+    reported on a positive face, so sign is +1.  candidates_evaluated
+    counts the objective values the search took: the K axis candidates,
+    then every start and line-search trial of the face ascents, each of
+    which comes with its gradient from the same lockstep round; converged
+    is False when a face search stopped at its iteration cap.
     """
 
     lambda_: np.ndarray
@@ -289,9 +290,10 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     per search from ``seed`` so that every value equals ``power_mvt``'s.
 
     If the correlation is diagonal (:func:`statdist._is_diagonal`) the best
-    of the 2K axis candidates +c0 e_h, -c0 e_h, in that order, is the
-    answer at t = 0 and t > 0 alike, their values from one call of the
-    exact product :func:`powerkernel._independent`.  With independent
+    of the K axis candidates +c0 e_h is the answer at t = 0 and t > 0
+    alike, their values from one call of the exact product
+    :func:`powerkernel._independent`; every box is centrally symmetric, so
+    -c0 e_h has the same value.  With independent
     coordinates the joint rejection probability is a product of
     one-dimensional factors, each symmetric and non-increasing in
     |theta_k|: at t = 0 a factor is a centred interval probability of a
@@ -304,8 +306,9 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     :func:`_argsup`.  At t = 0 the normal probability of a box is
     log-concave in its centre (Prekopa 1973), so each face has a single
     maximizer and one start, the face centre, finds it; the t = 0 search is
-    :func:`_argsup_fixed`, which :func:`ctost_mvt_adjust` also calls with
-    each face's previous maximizer as its start.  At t > 0 the mixture is
+    :func:`_argsup_fixed`, on the margins' offsets (c - c0) / sigma1, which
+    :func:`ctost_mvt_adjust` also calls with each face's previous maximizer
+    as its start.  At t > 0 the mixture is
     not known to be log-concave, and a second start at 0.5 c0 runs as well.
     converged is False when some face search stopped at its iteration cap.
     """
@@ -318,16 +321,19 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     if _is_diagonal(q.correlation):
         return _best_axis(lambda axes: _independent(axes, q.sigma1, q.nu2, q.t, q.c), k, c0)
     if not q.t.any():
-        return _argsup_fixed(q.sigma1, q.correlation, q.c, c0, tol, seed)[0]
+        return _argsup_fixed(q.sigma1, q.correlation, (q.c - c0) / q.sigma1, c0,
+                             tol, seed)[0]
     obj = _power_mvt_mc(q.sigma1, q.correlation, q.nu2, q.t, q.c, seed, n_wishart)
     # two starts per face; the sampled objective resolves about tol
     starts = (np.zeros(k - 1), np.full(k - 1, 0.5 * c0))
     return _argsup(obj, c0, tol, [starts] * k)[0]
 
 
-def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
+def _argsup_fixed(sigma1, corr, u, c0: float, tol: float, seed: int,
                   starts=None):
-    """The t = 0 search of :func:`lambda_argsup`, from given face starts.
+    """The t = 0 search of :func:`lambda_argsup` for the margins
+    c0 + sigma1 u, given as their standardized offsets u, from given face
+    starts.
 
     ``starts[h]`` holds the free coordinates (theta without entry h) from
     which the ascent on face h begins; by default every face starts at its
@@ -339,11 +345,11 @@ def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
     """
     k = sigma1.size
     if _is_diagonal(corr):
-        return _best_axis(lambda axes: _independent(axes, sigma1, 1, 0.0, c), k, c0), None
+        return _best_axis(lambda axes: _independent(axes, sigma1, 1, 0.0, c0, u), k, c0), None
     # deterministic rectangles resolve machine-level differences, quasi-
     # Monte Carlo ones (at a fixed point count, so smooth in theta) about tol
     exact = _exact_rule(corr)
-    obj = _JointRejection(c[None, :], sigma1, corr,
+    obj = _JointRejection(np.full(k, c0), u[None, :], sigma1, corr,
                           {"tol": tol, "seed": seed,
                            "n_points": None if exact else 1 << 12})
     if starts is None:
@@ -353,24 +359,21 @@ def _argsup_fixed(sigma1, corr, c, c0: float, tol: float, seed: int,
 
 
 def _best_axis(values, k: int, c0: float) -> LambdaResult:
-    """The best of the 2K axis candidates +c0 e_h, -c0 e_h for each h, in
-    that order, from one call of ``values``, which maps their stack (2K, K)
-    to their 2K objective values; the first of equal values wins."""
-    # by symmetry the negative axes duplicate the positive ones, but they
-    # are cheap and keep the audit contract literal
-    axes = np.zeros((2 * k, k))
-    axes[np.arange(2 * k), np.arange(2 * k) // 2] = np.tile([c0, -c0], k)
+    """The best of the K axis candidates +c0 e_h from one call of
+    ``values``, which maps their stack (K, K) to their K objective values;
+    the first of equal values wins.  Every box is centrally symmetric, so
+    -c0 e_h would repeat the value of +c0 e_h."""
+    axes = c0 * np.eye(k)
     vals = values(axes)
     best = int(np.argmax(vals))
     return LambdaResult(lambda_=axes[best], objective=float(vals[best]),
-                        face=best // 2, sign=1 - 2 * (best % 2),
-                        candidates_evaluated=2 * k)
+                        face=best, sign=1, candidates_evaluated=k)
 
 
 def _argsup(obj, c0: float, snap: float, starts):
     """Axis candidates, then the face ascents, for correlated coordinates.
 
-    ``obj``, a :class:`powerkernel._JointRejection`, gives the 2K axis
+    ``obj``, a :class:`powerkernel._JointRejection`, gives the K axis
     values (:func:`_best_axis`) from its ``value``, then is searched on
     each face h from every start in ``starts[h]`` by :func:`_face_ascent`,
     all ascents in lockstep rounds of one ``obj.value_grad`` call each
@@ -425,7 +428,8 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     gamma and every margin at once.  The outer loop then relocates the
     worst point for the updated margins.  Stops when the joint size
     residual is within tol; the result's converged is then the final
-    worst-point search's flag.
+    worst-point search's flag.  Margins are carried as standardized
+    offsets u = (c - c0) / sigma1, exact at any sigma1; c_star = c0 + sigma1 u.
 
     The first inner solve starts from gamma = alpha0 and the margins
     matched to it by :func:`univariate._match_margin`; each later one
@@ -448,98 +452,99 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     exact = _exact_rule(corr)
     rect = {"tol": eval_tol, "seed": seed, "n_points": None}
     trace = []
-    c = np.full(s.dim, c0)
-    lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed)
-    gamma = float(np.max(_size_fixed(c, sig, c0)))
+    u = np.zeros(s.dim)
+    lam, ends = _argsup_fixed(sig, corr, u, c0, _SEARCH_TOL, seed)
+    gamma = float(np.max(_size(u, sig, c0)))
     inner_total = 0
     for r in range(_OUTER_MAX + 1):
         # a deterministic rule gives the search's own value of this box again
         resid = (lam.objective if exact else rect_prob(
-            (-c - lam.lambda_) / sig, (c - lam.lambda_) / sig, corr, **rect)) - alpha0
+            *_box_limits(lam.lambda_, sig, c0, u), corr, **rect)) - alpha0
         trace.append({"outer": r, "gamma": gamma, "residual": resid,
                       "lambda": lam.lambda_.tolist()})
         if abs(resid) <= tol:
-            return MvtAdjustment(c_star=c, gamma=gamma, lambda_=lam,
+            return MvtAdjustment(c_star=c0 + sig * u, gamma=gamma, lambda_=lam,
                                  outer_iterations=r, inner_iterations=inner_total,
                                  converged=lam.converged)
         if r == _OUTER_MAX:
             break
         if r == 0:  # the starting margins c0 share no marginal size
-            gamma, c = alpha0, _margins(sig, alpha0, c0, trace)
-        gamma, c, rounds = _inner_solve(sig, corr, lam.lambda_, gamma, c, spec,
+            gamma, u = alpha0, _margins(sig, alpha0, c0, trace)
+        gamma, u, rounds = _inner_solve(sig, corr, lam.lambda_, gamma, u, spec,
                                         _INNER_TOL if exact else eval_tol, rect, trace)
         # every round but the last moved gamma and the margins
         inner_total += rounds - 1
-        lam, ends = _argsup_fixed(sig, corr, c, c0, _SEARCH_TOL, seed + r + 1,
+        lam, ends = _argsup_fixed(sig, corr, u, c0, _SEARCH_TOL, seed + r + 1,
                                   ends)
     raise NonConvergenceError(
         f"joint margin iteration did not reach |residual| <= {tol} "
-        f"within {_OUTER_MAX} outer rounds", last=c, trace=trace)
+        f"within {_OUTER_MAX} outer rounds", last=c0 + sig * u, trace=trace)
 
 
 def _margins(sigma1, gamma: float, c0: float, trace):
-    """The margins of marginal size gamma to _MARGIN_TOL, by
-    :func:`univariate._match_margin`; NonConvergenceError if one fails."""
-    c, _, conv = _match_margin(sigma1, gamma, c0, tol=_MARGIN_TOL)
+    """The offsets u of the margins of marginal size gamma to _MARGIN_TOL,
+    by :func:`univariate._match_margin`; NonConvergenceError if one fails."""
+    u, _, conv = _match_margin(sigma1, gamma, c0, tol=_MARGIN_TOL)
     if not np.all(conv):
         raise NonConvergenceError(
-            f"margin at marginal size {gamma!r} did not converge", last=c, trace=trace)
-    return c
+            f"margin at marginal size {gamma!r} did not converge",
+            last=c0 + sigma1 * u, trace=trace)
+    return u
 
 
-def _inner_solve(sig, corr, point, gamma: float, c, spec: EquivalenceSpec,
+def _inner_solve(sig, corr, point, gamma: float, u, spec: EquivalenceSpec,
                  inner_tol: float, rect: dict, trace):
-    """Shared marginal size gamma and margins c making the joint size at
-    the worst point ``point`` alpha0, from a start (gamma, c).
+    """Shared marginal size gamma and margin offsets u making the joint
+    size at the worst point ``point`` alpha0, from a start (gamma, u).
 
-    Newton's method on the K + 1 equations size_k(c_k) = gamma and
-    P(point; c) = alpha0, whose Jacobian is an arrowhead: each round makes
+    Newton's method on the K + 1 equations size_k(u_k) = gamma and
+    P(point; u) = alpha0, whose Jacobian is an arrowhead: each round makes
     one :func:`statdist.rect_grad` call on the box, for the joint size
     residual J and the derivatives da, db in its standardized limits, and
-    takes the sizes s_k of the margins.  With the exact weights
-    w_k = (db_k - da_k) / dens_k, dens_k = phi((c0 + c_k) / sigma_k)
-    + phi((c0 - c_k) / sigma_k) (dP/dc_k over ds_k/dc_k), gamma moves by
-    -(J - sum_k w_k (s_k - gamma)) / sum_k w_k and each margin by its own
-    step (gamma_new - s_k) sigma_k / dens_k.
+    takes the sizes s_k of the margins (:func:`univariate._size`).  With
+    the exact weights w_k = (db_k - da_k) / dens_k, dens_k = ds_k/du_k =
+    phi(2 c0 / sigma_k + u_k) + phi(u_k) (dP/du_k over ds_k/du_k), gamma
+    moves by -(J - sum_k w_k (s_k - gamma)) / sum_k w_k and each offset by
+    its own step (gamma_new - s_k) / dens_k.
 
     A bracket [alpha0, 1 - (1 - alpha0) / K] guards gamma: at the upper end
     every marginal size is at least gamma, so by Bonferroni the joint size
     is at least alpha0.  Only a round whose margins match gamma to
     _MARGIN_TOL, where J is the joint size residual at gamma itself,
-    shrinks it; a step outside it takes the midpoint instead.  A margin
-    step that is not positive and finite re-solves that margin
-    (:func:`_margins`).  Stops once |J| <= ``inner_tol`` and every
-    |s_k - gamma| <= _MARGIN_TOL.  Returns (gamma, c, rounds); raises
+    shrinks it; a step outside it takes the midpoint instead.  An offset
+    step that leaves no positive margin, or is not finite, re-solves that
+    margin (:func:`_margins`).  Stops once |J| <= ``inner_tol`` and every
+    |s_k - gamma| <= _MARGIN_TOL.  Returns (gamma, u, rounds); raises
     NonConvergenceError after univariate._ROOT_MAX_ITER rounds.
     """
     c0, alpha0 = spec.c0, spec.alpha0
     lo, hi = alpha0, 1.0 - (1.0 - alpha0) / sig.size
+    floor = -c0 / sig
     cap = univariate._ROOT_MAX_ITER
     for rounds in range(1, cap + 1):
-        p, da, db = rect_grad((-c - point) / sig, (c - point) / sig, corr, **rect)
+        p, da, db = rect_grad(*_box_limits(point, sig, c0, u), corr, **rect)
         resid = p - alpha0
-        size = _size_fixed(c, sig, c0)
+        size = _size(u, sig, c0)
         gap = size - gamma
         matched = np.abs(gap).max() <= _MARGIN_TOL
         if matched and abs(resid) <= inner_tol:
-            return gamma, c, rounds
+            return gamma, u, rounds
         if rounds == cap:
             break
         if matched:
             lo, hi = (gamma, hi) if resid < 0 else (lo, gamma)
-        dens = (np.exp(-0.5 * ((c0 + c) / sig) ** 2)
-                + np.exp(-0.5 * ((c0 - c) / sig) ** 2)) / np.sqrt(2.0 * np.pi)
+        dens = _size_slope(u, sig, c0)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (db - da) / dens
             step = gamma - (resid - w @ gap) / w.sum()
             gamma = float(step) if lo < step < hi else 0.5 * (lo + hi)
-            c = c + (gamma - size) * sig / dens
-        bad = ~((c > 0) & (c < np.inf))
+            u = u + (gamma - size) / dens
+        bad = ~((u > floor) & (u < np.inf))
         if bad.any():
-            c[bad] = _margins(sig[bad], gamma, c0, trace)
+            u[bad] = _margins(sig[bad], gamma, c0, trace)
     raise NonConvergenceError(
         f"marginal size gamma stopped unconverged after {rounds} inner "
-        f"rounds, joint size residual {resid:.3e}", last=c, trace=trace)
+        f"rounds, joint size residual {resid:.3e}", last=c0 + sig * u, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,9 @@ __all__ = [
     "power_mvt",
 ]
 
-# below this the standard-error scale is treated as exactly zero and the
-# rejection event degenerates to the indicator |theta| < c
-SIGMA_DEGENERATE = 1e-12
-
-# a multiplier t at or below this acts as 0: t * s / sigma1 is then below
-# 1e-288, which moves no normal CDF in the integrand, so the integral is the
-# fixed-margin value up to the dropped tail mass; and the upper limit c / t
-# of s cannot overflow for any margin c below 1e18
+# a multiplier t at or below this acts as 0: t x for the unit chi x is then
+# below 1e-288, which moves no normal CDF in the integrand, so the integral
+# is the fixed-margin value up to the dropped tail mass
 _T_ZERO = 1e-290
 
 # agreement the Kronrod and Gauss values of a row must reach (absolute below 1)
@@ -67,6 +62,7 @@ class UnivPowerQuery:
     theta, sigma1 describe the truth; the test rejects when
     |theta_hat| < c - t * s for the estimated standard error s, whose law is
     scaled chi with nu2 degrees of freedom.  t = 0 means fixed margins.
+    sigma1 = 0 gives the limit as sigma1 -> 0 (:func:`_box_limits`).
     """
 
     theta: float
@@ -137,54 +133,67 @@ class MvtPowerQuery:
         return self.theta.size
 
 
-def _omega_batch(theta, sigma1, nu2, t, c):
-    """Vectorized rejection probability; broadcasts theta, sigma1, t, c.
+def _box_limits(theta, sigma1, ref, offset=0.0):
+    """Standardized limits (lo, hi) of the box |theta_hat| < ref + sigma1 u
+    for theta_hat ~ N(theta, sigma1^2) and the offset u: lo = (-ref - theta)
+    / sigma1 - u and hi = (ref - theta) / sigma1 + u, broadcast.  At
+    sigma1 = 0 an edge on theta reads 0/0 as 0, its limit as sigma1 -> 0,
+    and every other edge is infinite."""
+    sigma1 = np.asarray(sigma1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi = (-ref - theta) / sigma1, (ref - theta) / sigma1
+    if not sigma1.all():
+        lo, hi = np.where(np.isnan(lo), 0.0, lo), np.where(np.isnan(hi), 0.0, hi)
+    return lo - offset, hi + offset
 
-    nu2 is a single integer for the whole batch.  Elements with t = 0 (or
-    t <= _T_ZERO) use the closed normal-CDF form.  For t > 0 the
-    conditional rejection probability is integrated against the scaled-chi
-    density of s over (0, c/t), truncated to the central chi-square mass,
-    by :func:`_gk_rows` from 65 points to _GK_RTOL, so a row's value does
-    not depend on the rows that share the call.
+
+def _omega_batch(lo, hi, nu2, t):
+    """Rejection probability of standardized boxes; broadcasts lo, hi, t.
+
+    The test rejects when lo + t x < Z < hi - t x for Z standard normal
+    and the unit chi x = s / sigma1 (nu2 x^2 ~ chi2(nu2)); the limits come
+    from :func:`_box_limits`.  nu2 is a single integer for the whole batch.
+    Elements with t <= _T_ZERO take the closed form Phi(hi) - Phi(lo).  For
+    t > 0 the conditional probability is integrated against the density of
+    x over its central mass, cut where the box empties, at
+    x = (hi - lo) / (2 t), by :func:`_gk_rows` from 65 points to _GK_RTOL,
+    so a row's value does not depend on the rows that share the call.
     """
-    theta, sigma1, t, c = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (theta, sigma1, t, c))
-    )
-    shape = theta.shape
-    theta, sigma1, t, c = (v.ravel().copy() for v in (theta, sigma1, t, c))
-    out = np.empty(theta.size)
+    lo, hi, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, t)))
+    shape = lo.shape
+    lo, hi, t = (v.ravel() for v in (lo, hi, t))
+    out = np.zeros(lo.size)
 
-    degen = sigma1 <= SIGMA_DEGENERATE
-    out[degen] = (np.abs(theta[degen]) < c[degen]).astype(float)
-
-    fixed = (~degen) & (t <= _T_ZERO)
+    fixed = t <= _T_ZERO
     if np.any(fixed):
-        th, sg, cc = theta[fixed], sigma1[fixed], c[fixed]
-        out[fixed] = special.ndtr((cc - th) / sg) - special.ndtr((-cc - th) / sg)
+        out[fixed] = special.ndtr(hi[fixed]) - special.ndtr(lo[fixed])
 
-    rand = np.flatnonzero((~degen) & (t > _T_ZERO))
+    # an empty box (hi <= lo, as for two equal infinite limits) gives 0
+    rand = np.flatnonzero(~fixed & (hi > lo))
     if rand.size:
-        th, sg, tt, cc = (v[rand] for v in (theta, sigma1, t, c))
-        # central-mass interval of s, then truncated by the width constraint
+        lo_r, hi_r, tt = lo[rand], hi[rand], t[rand]
+        # central-mass interval of x, cut where the box empties; halving
+        # each limit keeps hi - lo finite, and dividing only where
+        # half / t < unit_hi keeps a tiny t from overflowing
         unit_lo, unit_hi = _unit_chi_bounds(nu2)
-        hi = np.minimum(unit_hi * sg, cc / tt)
-        lo = np.where(hi <= unit_lo * sg, 0.0, unit_lo * sg)
+        half = 0.5 * hi_r - 0.5 * lo_r
+        x_hi = np.divide(half, tt, out=np.full(rand.size, unit_hi),
+                         where=half < unit_hi * tt)
+        x_lo = np.where(x_hi <= unit_lo, 0.0, unit_lo)
 
-        def integrand(s, i):
-            sgi = sg[i, None]
-            ts = s * (tt[i, None] / sgi)  # t * s in units of sigma1
-            f = (special.ndtr((cc[i, None] - th[i, None]) / sgi - ts)
-                 - special.ndtr(ts - (cc[i, None] + th[i, None]) / sgi))
-            return f * np.exp(_scaled_chi_logpdf(s, sgi, nu2))
+        def integrand(x, i):
+            tx = x * tt[i, None]
+            f = special.ndtr(hi_r[i, None] - tx) - special.ndtr(lo_r[i, None] + tx)
+            return f * np.exp(_scaled_chi_logpdf(x, 1.0, nu2))
 
         def message(rows, points):
             i = rows[0]
             return (f"rejection probability did not converge for {rows.size} "
                     f"row(s) at {points} points, first at "
-                    f"theta={float(th[i])!r}, sigma1={float(sg[i])!r}, "
-                    f"nu2={nu2}, t={float(tt[i])!r}, c={float(cc[i])!r}")
+                    f"lo={float(lo_r[i])!r}, hi={float(hi_r[i])!r}, "
+                    f"nu2={nu2}, t={float(tt[i])!r}")
 
-        val = _gk_rows(integrand, lo, hi, _GK_RTOL, 32, message)
+        val = _gk_rows(integrand, x_lo, x_hi, _GK_RTOL, 32, message)
         out[rand] = np.minimum(np.maximum(val, 0.0), 1.0)
 
     out = out.reshape(shape)
@@ -193,7 +202,7 @@ def _omega_batch(theta, sigma1, nu2, t, c):
 
 def power_uni(q: UnivPowerQuery) -> float:
     """Probability that the univariate test described by ``q`` rejects."""
-    return float(_omega_batch(q.theta, q.sigma1, q.nu2, q.t, q.c))
+    return float(_omega_batch(*_box_limits(q.theta, q.sigma1, q.c), q.nu2, q.t))
 
 
 def size_uni(sigma1: float, nu2: int, t: float, c: float,
@@ -210,17 +219,20 @@ def size_uni(sigma1: float, nu2: int, t: float, c: float,
 class _JointRejection:
     """Mean joint rejection probability over boxes, as a function of theta.
 
-    Row i of ``half`` holds the half-widths of one rejection box
-    {|theta_hat_k| < half_ik} (a row with a non-positive entry is empty);
-    theta_hat ~ N(theta, D corr D) with D = diag(sigma1).  :meth:`value`
-    averages the rows' :func:`rect_prob` values and :meth:`value_grad`
-    takes them with their gradient in theta from :func:`rect_grad`;
-    ``rect`` holds the tol, seed and n_points both take.  A fixed-margin
-    test has one row, c.  Every box is evaluated on its own, so a point's
-    results do not depend on the other points of a call.
+    Box i is {|theta_hat_k| < ref_k + sigma1_k offset_ik} (:func:`_box_limits`;
+    empty where a margin is not positive), theta_hat ~ N(theta, D corr D)
+    with D = diag(sigma1): for the joint fit the margins c0 and their
+    offsets u, so a face coordinate at c0 has the edge u exactly; for the
+    sampled objective the margins c and a row -t s / sigma1 per draw s.
+    :meth:`value` averages the rows' :func:`rect_prob` values and
+    :meth:`value_grad` takes them with their gradient in theta from
+    :func:`rect_grad`; ``rect`` holds the tol, seed and n_points both take.
+    Every box is evaluated on its own, so a point's results do not depend
+    on the other points of a call.
     """
 
-    half: np.ndarray
+    ref: np.ndarray
+    offset: np.ndarray
     sigma1: np.ndarray
     corr: np.ndarray
     rect: dict
@@ -231,14 +243,13 @@ class _JointRejection:
         ``grad`` one :func:`rect_grad` call, which returns both, per run of
         rows holding at most _BOXES_PER_CALL boxes, and at least one row."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        m = len(self.half)
+        m = len(self.offset)
         step = max(1, _BOXES_PER_CALL // m)
         if len(thetas) > step:
             runs = [self._evaluate(thetas[i:i + step], grad)
                     for i in range(0, len(thetas), step)]
             return tuple(np.concatenate(p) for p in zip(*runs))
-        x = thetas[:, None, :]
-        a, b = (-self.half - x) / self.sigma1, (self.half - x) / self.sigma1
+        a, b = _box_limits(thetas[:, None, :], self.sigma1, self.ref, self.offset)
         if not grad:
             return (rect_prob(a, b, self.corr, **self.rect).sum(axis=-1) / m,)
         p, da, db = rect_grad(a, b, self.corr, **self.rect)
@@ -260,7 +271,8 @@ def _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart: int) -> _JointReject
     """The Monte Carlo objective of :func:`power_mvt` at t > 0.
 
     Its rows are the boxes of ``n_wishart`` standard-error draws s, with
-    half-widths c - t s, and its rectangles are exact.  The draws depend
+    half-widths c - t s, the offsets -t s / sigma1 about c, and its
+    rectangles are exact.  The draws depend
     only on (sigma1, corr, nu2, seed), so one objective serves every theta.
     """
     s = sample_wishart_diag(sigma1, corr, nu2, n_wishart,
@@ -268,16 +280,17 @@ def _power_mvt_mc(sigma1, corr, nu2, t, c, seed, n_wishart: int) -> _JointReject
     # n_points reaches only K >= 5: a fixed 2^8 points in each scrambled
     # set keeps the average smooth across calls
     return _JointRejection(
-        c - t * s, sigma1, corr,
+        c, -t * s / sigma1, sigma1, corr,
         {"seed": rng_stream(seed, "power-mvt", "qmc").integers(1 << 62),
          "n_points": 1 << 8})
 
 
-def _independent(thetas, sigma1, nu2, t, c):
+def _independent(thetas, sigma1, nu2, t, ref, offset=0.0):
     """Joint rejection probability of independent coordinates: the product
-    over the coordinates of :func:`_omega_batch`, at theta (K,), a float,
-    or at each row of thetas (n, K), an array of n."""
-    return np.prod(_omega_batch(thetas, sigma1, nu2, t, c), axis=-1)
+    over the coordinates of :func:`_omega_batch` on the boxes of
+    :func:`_box_limits`, at theta (K,), a float, or at each row of thetas
+    (n, K), an array of n."""
+    return np.prod(_omega_batch(*_box_limits(thetas, sigma1, ref, offset), nu2, t), axis=-1)
 
 
 def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
@@ -285,32 +298,29 @@ def power_mvt(q: MvtPowerQuery, tol: float = 1e-5, seed: int = 0,
     """Probability that the K-dimensional test described by ``q`` rejects.
 
     Independent coordinates (a diagonal correlation, any K and t) give the
-    exact product :func:`_independent`.  Otherwise a coordinate with a
-    degenerate sigma1 contributes a 0/1 factor; t = 0 everywhere reduces to
-    a single normal rectangle, :func:`statdist.rect_prob` to ``tol``, the
-    box the joint fit evaluates; and in general the value is a Monte Carlo
-    average over ``n_wishart`` standard-error draws of the conditional
-    rectangle probability.  Deterministic given (q, tol, seed).
+    exact product :func:`_independent`.  A coordinate with sigma1 = 0 has
+    no covariance with the others and no standard-error draws, so it is
+    factored out the same way, its factor the sigma1 -> 0 limit of
+    :func:`_omega_batch`.  Otherwise t = 0 everywhere reduces to a single
+    normal rectangle, :func:`statdist.rect_prob` to ``tol``, the box the
+    joint fit evaluates; and in general the value is a Monte Carlo average
+    over ``n_wishart`` standard-error draws of the conditional rectangle
+    probability.  Deterministic given (q, tol, seed).
     """
-    if _is_diagonal(q.correlation):
+    zero = q.sigma1 == 0
+    if _is_diagonal(q.correlation) or zero.all():
         return float(_independent(q.theta, q.sigma1, q.nu2, q.t, q.c))
-
-    degen = q.sigma1 <= SIGMA_DEGENERATE
-    if np.any(degen):
-        # the rest still form a valid query on the complementary block
-        if np.any(np.abs(q.theta[degen]) >= q.c[degen]):
-            return 0.0
-        keep = ~degen
-        if not keep.any():
-            return 1.0
+    if zero.any():
+        keep = ~zero
         sub = MvtPowerQuery(q.theta[keep], q.sigma1[keep],
                             q.correlation[np.ix_(keep, keep)], q.nu2,
                             q.t[keep], q.c[keep])
-        return power_mvt(sub, tol=tol, seed=seed, n_wishart=n_wishart)
+        return float(_independent(q.theta[zero], 0.0, q.nu2, q.t[zero], q.c[zero])
+                     ) * power_mvt(sub, tol=tol, seed=seed, n_wishart=n_wishart)
 
     if np.all(q.t == 0.0):
-        return rect_prob((-q.c - q.theta) / q.sigma1, (q.c - q.theta) / q.sigma1,
-                         q.correlation, tol=tol, seed=seed)
+        return rect_prob(*_box_limits(q.theta, q.sigma1, q.c), q.correlation,
+                         tol=tol, seed=seed)
 
     return _power_mvt_mc(q.sigma1, q.correlation, q.nu2, q.t, q.c, seed,
                          n_wishart).value(q.theta)

@@ -321,14 +321,14 @@ def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
             _require_converged(conv, method, nu2)
             out[method] = ath < c_delta - t_tost * sh
         elif method == "ctost":
-            c_hat, _, conv = _match_margin(sh, alpha0, c0)
+            u, _, conv = _match_margin(sh, alpha0, c0)
             _require_converged(conv, method, nu2)
-            out[method] = ath < c_hat
+            out[method] = ath < c0 + sh * u
         else:  # ctost-star
             level = _ctost_star_levels(sh, nu2, cfg, table)
-            c_star, _, conv = _match_margin(sh, level, c0)
+            u, _, conv = _match_margin(sh, level, c0)
             _require_converged(conv, method, nu2)
-            out[method] = ath < c_star
+            out[method] = ath < c0 + sh * u
     return out
 
 

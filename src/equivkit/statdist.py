@@ -290,6 +290,13 @@ def _rect(a, b, corr, name: str, tol, seed, n_points):
     return a, b, corr, live, out if out.ndim else float(out), shape
 
 
+def _phi(x):
+    """Standard normal density; |x| is cut at 40 before squaring, which keeps
+    far limits from overflowing and changes no value (exp(-800) is 0)."""
+    x = np.minimum(np.abs(x), 40.0)
+    return np.exp(-0.5 * x * x) / _SQRT2PI
+
+
 def _limit_grads(lo, hi, corr, tol, seed, n_points):
     """(da, db) of :func:`rect_grad` for non-empty boxes (m, K)."""
     k = lo.shape[1]
@@ -302,10 +309,10 @@ def _limit_grads(lo, hi, corr, tol, seed, n_points):
         mean = np.minimum(np.maximum(x, -_LIMIT), _LIMIT) * r
         cond = (special.ndtr((hi[:, ::-1] - mean) / sd)
                 - special.ndtr((lo[:, ::-1] - mean) / sd))
-        dens = np.exp(-0.5 * x * x) / _SQRT2PI * np.minimum(np.maximum(cond, 0.0), 1.0)
+        dens = _phi(x) * np.minimum(np.maximum(cond, 0.0), 1.0)
         return -dens[0], dens[1]
     if k == 1 or not lo.size:
-        dens = np.exp(-0.5 * np.stack([lo, hi]) ** 2) / _SQRT2PI
+        dens = _phi(np.stack([lo, hi]))
         return -dens[0], dens[1]
     m = lo.shape[0]
     da, db = np.empty((m, k)), np.empty((m, k))
@@ -326,7 +333,7 @@ def _limit_grads(lo, hi, corr, tol, seed, n_points):
         probs = rect_prob(np.concatenate(cond_lo), np.concatenate(cond_hi), cond_corr,
                           tol=tol, seed=seed, n_points=n_points).reshape(len(cols), -1)
         for (j, x), p in zip(cols, probs):
-            dens = np.exp(-0.5 * x * x) / _SQRT2PI * p
+            dens = _phi(x) * p
             da[:, j] = -dens[:m]
             db[:, j] = dens[m:]
     return da, db

@@ -38,8 +38,8 @@ from .base import (
     InputError,
     NonConvergenceError,
 )
-from .powerkernel import SIGMA_DEGENERATE, _omega_batch
-from .statdist import _leggauss, _scaled_chi_logpdf, _unit_chi_bounds, t_quantile
+from .powerkernel import _omega_batch
+from .statdist import _leggauss, _phi, _scaled_chi_logpdf, _unit_chi_bounds, t_quantile
 
 __all__ = [
     "UnivSummary",
@@ -153,38 +153,29 @@ def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
     return x_out, r_out, iters, conv
 
 
-def _size_fixed(c, sigma, c0):
-    """Size of the fixed-margin test: Phi((c0+c)/s) - Phi((c0-c)/s)."""
-    return special.ndtr((c0 + c) / sigma) - special.ndtr((c0 - c) / sigma)
+def _size(u, sigma, c0):
+    """Size of the fixed-margin test with margin c = c0 + sigma u, in its
+    standardized offset u: Phi(2 c0 / sigma + u) - Phi(-u)."""
+    return special.ndtr(2.0 * c0 / sigma + u) - special.ndtr(-u)
 
 
-def _margin_bracket(sigma, level, c0, start=None):
-    """Start and upper bracket end of the margin solve, flat arrays.
-
-    The start is ``start`` when given, else c0 - s * z_{1-level} (or c0
-    when that is nonpositive).  At the upper end, 10 s above the larger of
-    the start and c0, the size is at least Phi(10) - Phi(-10), which is 1
-    in double precision, so the end holds the root of every level below 1
-    and needs no doubling.  Where 10 s is within a few ulps of the larger
-    term, the sum rounds back toward it; the end then keeps a relative
-    1e-15 above it, far enough for the same bound.
-    """
-    if start is None:
-        start = c0 - sigma * special.ndtri(1.0 - level)
-        start = np.where(start > 0, start, c0)
-    top = np.maximum(start, c0)
-    return start, np.maximum(top + 10.0 * sigma, top * (1.0 + 1e-15))
+def _size_slope(u, sigma, c0):
+    """Derivative in u of :func:`_size`: phi(2 c0 / sigma + u) + phi(u)."""
+    return _phi(2.0 * c0 / sigma + u) + _phi(u)
 
 
-def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, start=None):
-    """Solve Phi((c0+c)/s) - Phi((c0-c)/s) = level for c, elementwise.
+def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10):
+    """Margins of fixed-margin size ``level``, elementwise, as offsets.
 
-    Newton iteration started from ``start`` (positive margins of the
-    broadcast shape, such as the solution at a nearby level), by default
-    from c0 - s * z_{1-level} (or c0 when that is nonpositive), guarded by
-    a bracket (:func:`_margin_bracket`, :func:`_increasing_root`), so it
-    cannot diverge.  Returns (c, iterations, converged_mask) with c
-    matching the broadcast shape.
+    Solves :func:`_size` (u) = level for the standardized offset
+    u = (c - c0) / sigma of each margin c, so the equation keeps its
+    precision as sigma -> 0, where c tends to c0.  Newton's method, from
+    u = -z_{1-level} (or 0 when that margin c0 - sigma z_{1-level} is not
+    positive), guarded by the bracket [-c0 / sigma, max(start, 0) + 10]
+    (:func:`_increasing_root`), so it cannot diverge: at the lower end the
+    margin is 0 and so is the size, and at the upper end the size is at
+    least Phi(10) - Phi(-10), which is 1 in double precision.  Returns
+    (u, iterations, converged_mask) with u matching the broadcast shape.
     """
     sigma, level = np.broadcast_arrays(
         np.asarray(sigma, dtype=float), np.asarray(level, dtype=float)
@@ -196,24 +187,19 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, start=None):
         raise InputError("sigma must be positive")
     if ((level <= 0) | (level >= 1)).any():
         raise InputError("level must lie in (0, 1)")
-    if start is not None:
-        start = np.broadcast_to(np.asarray(start, dtype=float), shape).ravel()
 
-    def size_gap(c, rows):
-        return _size_fixed(c, sigma[rows], c0) - level[rows]
+    def size_gap(u, rows):
+        return _size(u, sigma[rows], c0) - level[rows]
 
-    def slope(c, rows):
-        # ratios cut to 40 so squares cannot overflow: exp(-800) is 0 anyway
-        # (c0 + c > 0 as c >= 0 in the bracket)
-        s = sigma[rows]
-        u = np.minimum((c0 + c) / s, 40.0)
-        v = np.minimum(np.abs((c0 - c) / s), 40.0)
-        return (np.exp(-0.5 * u ** 2) + np.exp(-0.5 * v ** 2)) / (s * np.sqrt(2.0 * np.pi))
+    def slope(u, rows):
+        return _size_slope(u, sigma[rows], c0)
 
-    start, hi = _margin_bracket(sigma, level, c0, start)
-    c, _, iters, conv = _increasing_root(size_gap, np.zeros_like(hi), hi, tol,
-                                         x=start, slope=slope)
-    return c.reshape(shape), iters, conv.reshape(shape)
+    floor = -c0 / sigma
+    start = -special.ndtri(1.0 - level)
+    start = np.where(start > floor, start, 0.0)
+    u, _, iters, conv = _increasing_root(size_gap, floor, np.maximum(start, 0.0) + 10.0,
+                                         tol, x=start, slope=slope)
+    return u.reshape(shape), iters, conv.reshape(shape)
 
 
 def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
@@ -228,9 +214,9 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
     spec = spec or EquivalenceSpec()
     if not (sigma1_hat > 0):
         raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
-    c, iters, conv = _match_margin(sigma1_hat, spec.alpha0, spec.c0, tol=tol)
-    c = float(c)
-    resid = float(_size_fixed(c, sigma1_hat, spec.c0) - spec.alpha0)
+    u, iters, conv = _match_margin(sigma1_hat, spec.alpha0, spec.c0, tol=tol)
+    c = spec.c0 + sigma1_hat * float(u)
+    resid = float(_size(u, sigma1_hat, spec.c0) - spec.alpha0)
     if not bool(conv):
         raise NonConvergenceError(
             f"cTOST margin solve stopped unconverged within {_ROOT_MAX_ITER} "
@@ -246,66 +232,56 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
 def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     """Level alpha* whose multiplier t_{alpha*,nu2} gives size alpha0 at c0.
 
-    Bisection over alpha in (alpha0, 0.5], vectorized over sigma: the size
-    increases in alpha, reaching its supremum at alpha = 0.5 where the
-    multiplier vanishes.  Rows where even that supremum is below alpha0
-    have no interior solution; they saturate at alpha = 0.5, t = 0, with
-    the shortfall as residual.  Rows with sigma <= SIGMA_DEGENERATE, where
-    :func:`_omega_batch` makes the size a step, return the sigma -> 0
-    limit alpha0, t = t_{alpha0,nu2}, converged with residual 0.  Returns
+    Bisection over alpha in (alpha0, 0.5], vectorized over sigma, on the
+    size :func:`_omega_batch` (-2 c0 / sigma, 0, nu2, t) of the margin c0
+    at theta = c0: it increases in alpha, reaching its supremum at
+    alpha = 0.5 where the multiplier vanishes.  Rows where even that
+    supremum is below alpha0 have no interior solution; they saturate at
+    alpha = 0.5, t = 0, with the shortfall as residual.  Returns
     (alpha, t, residual, iterations, converged_mask) of
     :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     alpha = np.full(sigma.shape, 0.5)
     t = np.zeros(sigma.shape)
-    resid = _size_fixed(c0, sigma, c0) - alpha0
+    resid = _size(0.0, sigma, c0) - alpha0
     conv = np.ones(sigma.shape, dtype=bool)
-    degen = sigma <= SIGMA_DEGENERATE
-    free = np.flatnonzero((resid >= 0) & ~degen)
-    sg = sigma[free]
+    free = np.flatnonzero(resid >= 0)
+    lo = -2.0 * c0 / sigma[free]
 
     def size_gap(a, rows):
-        return _omega_batch(c0, sg[rows], nu2, t_quantile(a, nu2), c0) - alpha0
+        return _omega_batch(lo[rows], 0.0, nu2, t_quantile(a, nu2)) - alpha0
 
     a, r, iters, ok = _increasing_root(size_gap, np.full(free.size, alpha0),
                                        np.full(free.size, 0.5), tol)
     alpha[free], resid[free], conv[free] = a, r, ok
     t[free] = t_quantile(a, nu2)
-    if np.any(degen):
-        alpha[degen], resid[degen] = alpha0, 0.0
-        t[degen] = t_quantile(alpha0, nu2)
     return alpha, t, resid, iters, conv
 
 
 def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8):
     """Margin c giving size alpha0 at c0 when the test subtracts t * s.
 
-    Bisection on c, vectorized over sigma at one multiplier t >= 0; the
-    size is strictly increasing in c, 0 as c -> 0 and 1 as c -> infinity,
-    so a root always exists.  It lies below c0 + 10 sigma (1 + t): there
-    s <= 10 sigma gives a half-width c - t s of at least c0 + 10 sigma, so
-    the size is at least P(s <= 10 sigma) (Phi(10) - Phi(-10)).  Rows with
-    sigma <= SIGMA_DEGENERATE, where :func:`_omega_batch` makes the size a
-    step at c0, return the sigma -> 0 limit c0, converged with residual 0.
+    Bisection on the offset u = (c - c0) / sigma, vectorized over sigma at
+    one multiplier t >= 0, of the size :func:`_omega_batch`
+    (-2 c0 / sigma - u, u, nu2, t), strictly increasing from 0 at the
+    margin 0 (u = -c0 / sigma) to 1.  The root lies below u = 10 (1 + t):
+    there s <= 10 sigma gives a half-width c - t s of at least c0 + 10 sigma,
+    so the size is at least P(s <= 10 sigma) (Phi(10) - Phi(-10)); and
+    above u = -10 (1 + t), where the size is below Phi(-10) at any sigma.
     Returns (c, residual, iterations, converged_mask) of
-    :func:`_increasing_root`.
+    :func:`_increasing_root`, c = c0 + sigma u.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    degen = sigma <= SIGMA_DEGENERATE
-    if np.any(degen):
-        c, resid = np.full(sigma.shape, c0), np.zeros(sigma.shape)
-        conv = np.ones(sigma.shape, dtype=bool)
-        live = ~degen
-        c[live], resid[live], iters, conv[live] = _delta_margin(
-            sigma[live], nu2, t, c0, alpha0, tol)
-        return c, resid, iters, conv
+    lo = -2.0 * c0 / sigma
+    top = 10.0 * (1.0 + t)
 
-    def size_gap(c, rows):
-        return _omega_batch(c0, sigma[rows], nu2, t, c) - alpha0
+    def size_gap(u, rows):
+        return _omega_batch(lo[rows] - u, u, nu2, t) - alpha0
 
-    return _increasing_root(size_gap, np.zeros(sigma.shape),
-                            c0 + 10.0 * sigma * (1.0 + t), tol)
+    u, resid, iters, conv = _increasing_root(
+        size_gap, np.maximum(-c0 / sigma, -top), np.full(sigma.shape, top), tol)
+    return c0 + sigma * u, resid, iters, conv
 
 
 def _scalar_root(what, x, resid, conv):
@@ -388,15 +364,16 @@ def _expected_size(sigma, level, nu2, c0, u, wu):
     """E over s* = sigma*u of the size at the margin solved with s*.
 
     The margin is matched at ``level`` using the perturbed scale sigma*u,
-    then its realized size is evaluated at the observed sigma; the
+    as an offset v from c0 in units of sigma*u, then its realized size is
+    evaluated at the observed sigma, where its offset is u v; the
     expectation over u is a row-wise weighted sum, so each row's value
     does not depend on how many rows share the call.  Returns the
     expectations and a mask of the rows whose margins all converged.
     """
     sigma = np.asarray(sigma, dtype=float)
     lv = np.asarray(level, dtype=float)
-    chat, _, conv = _match_margin(sigma[..., None] * u, lv[..., None], c0)
-    om = _size_fixed(chat, sigma[..., None], c0)
+    v, _, conv = _match_margin(sigma[..., None] * u, lv[..., None], c0)
+    om = _size(u * v, sigma[..., None], c0)
     return (om * wu).sum(axis=-1), conv.all(axis=-1)
 
 
@@ -469,12 +446,12 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
         a, clamped_m = _calibrate_level(sigma1_hat, nu2, spec.c0, spec.alpha0)
         it_run, alpha_c, clamped = 1, float(a[0]), bool(clamped_m[0])
 
-    c, _, conv = _match_margin(sigma1_hat, alpha_c, spec.c0)
-    c = float(c)
+    u, _, conv = _match_margin(sigma1_hat, alpha_c, spec.c0)
+    c = spec.c0 + sigma1_hat * float(u)
     if not bool(conv):
         raise NonConvergenceError(
             f"margin at calibrated level {alpha_c!r} did not converge", last=c)
-    resid = float(_size_fixed(c, sigma1_hat, spec.c0) - alpha_c)
+    resid = float(_size(u, sigma1_hat, spec.c0) - alpha_c)
     return UnivAdjustment(method="ctost-star", t_used=0.0, c_used=c,
                           alpha_c=alpha_c, iterations=it_run,
                           clamped=clamped, residual=resid)

@@ -331,7 +331,7 @@ def test_10_boundary_argsup_beats_random_probes():
         for sig in ((0.1, 0.15), (0.08, 0.12, 0.2)):
             sig = np.asarray(sig)
             K = sig.size
-            c = _match_margin(sig, 0.08)[0]
+            c = C0 + sig * _match_margin(sig, 0.08)[0]
             res = lambda_argsup(sig, np.eye(K), 20, c, seed=0)
             lam = np.asarray(res.lambda_)
             assert np.count_nonzero(lam) == 1

@@ -26,7 +26,7 @@ from equivkit.powerkernel import MvtPowerQuery, power_mvt, size_uni
 from equivkit.univariate import (
     UnivSummary,
     _match_margin,
-    _size_fixed,
+    _size,
     alpha_tost_adjust,
     ctost_adjust,
 )
@@ -197,8 +197,8 @@ def test_lambda_argsup_diagonal_takes_closed_form(k, t):
     c = rng.uniform(0.18, 0.3, size=k)
     nu2 = 20
     lam = lambda_argsup(sigma, np.eye(k), nu2, c, t=t)
-    # an axis point, found from the 2K axis candidates alone
-    assert lam.candidates_evaluated == 2 * k
+    # an axis point, found from the K axis candidates alone
+    assert lam.candidates_evaluated == k
     assert lam.converged
     assert abs(lam.lambda_[lam.face]) == C0
     assert lam.lambda_[lam.face] == lam.sign * C0
@@ -228,20 +228,21 @@ def test_mvt_decide_alpha_tost_diagonal_matches_oracle(k):
 # worst-point searches with independent coordinates, frozen from the search
 # that evaluated each t > 0 axis candidate by its own power_mvt call:
 # (sigma, c, t, lambda_, objective, face, sign, candidates_evaluated,
-# converged), all at nu2 = 20
+# converged), all at nu2 = 20; re-frozen on the K positive axes and the
+# standardized kernel, with objectives moved by under 3e-14 relative
 FROZEN_INDEPENDENT_SEARCHES = [
-    ([0.091, 0.109], [0.171, 0.194], 0.0, [0.0, -C0], 0.3707649715650919, 1, -1, 4, True),
-    ([0.169, 0.089], [0.222, 0.159], 1.7, [C0, 0.0], 0.00039290028134231106, 0, 1, 4, True),
+    ([0.091, 0.109], [0.171, 0.194], 0.0, [0.0, C0], 0.37076497156509186, 1, 1, 2, True),
+    ([0.169, 0.089], [0.222, 0.159], 1.7, [C0, 0.0], 0.0003929002813423085, 0, 1, 2, True),
     ([0.144, 0.071, 0.187], [0.235, 0.206, 0.295], 0.0, [0.0, 0.0, C0],
-     0.5782331497522574, 2, 1, 6, True),
+     0.5782331497522574, 2, 1, 3, True),
     ([0.175, 0.19, 0.125], [0.269, 0.202, 0.21], 1.7, [0.0, C0, 0.0],
-     6.48420222980828e-07, 1, 1, 6, True),
+     6.484202229808205e-07, 1, 1, 3, True),
     ([0.098, 0.186, 0.196, 0.154, 0.181], [0.29, 0.252, 0.214, 0.221, 0.198], 0.0,
-     [C0, 0.0, 0.0, 0.0, 0.0], 0.2771986482392652, 0, 1, 10, True),
+     [C0, 0.0, 0.0, 0.0, 0.0], 0.2771986482392652, 0, 1, 5, True),
     ([0.195, 0.083, 0.167, 0.074, 0.165], [0.225, 0.212, 0.226, 0.186, 0.216], 1.7,
-     [-C0, 0.0, 0.0, 0.0, 0.0], 1.5948725234894923e-08, 0, -1, 10, True),
-    ([0.08, 0.12], [0.2, 0.2], 0.0, [0.0, -C0], 0.41806499195525454, 1, -1, 4, True),
-    ([0.08, 0.15], [0.2, 0.2], 1.7, [0.0, -C0], 0.0016189901192589936, 1, -1, 4, True),
+     [C0, 0.0, 0.0, 0.0, 0.0], 1.5948725234894473e-08, 0, 1, 5, True),
+    ([0.08, 0.12], [0.2, 0.2], 0.0, [0.0, C0], 0.4180649919552545, 1, 1, 2, True),
+    ([0.08, 0.15], [0.2, 0.2], 1.7, [0.0, C0], 0.0016189901192589869, 1, 1, 2, True),
 ]
 
 
@@ -292,7 +293,7 @@ def test_adjust_independent_k2_structure():
     adj = ctost_mvt_adjust(s, tol=1e-7)
     assert adj.converged
     # both margins are matched at the shared marginal size gamma
-    sizes = _size_fixed(adj.c_star, sigma, C0)
+    sizes = _size((adj.c_star - C0) / sigma, sigma, C0)
     np.testing.assert_allclose(sizes, adj.gamma, atol=1e-7)
     assert adj.gamma >= 0.05 - 1e-12
     # independent case: joint size at the axis worst point factors exactly
@@ -395,10 +396,10 @@ def test_argsup_warm_start_finds_the_same_point():
     sigma = np.array([0.08, 0.08, 0.12, 0.12])
     corr = _equicorr(4, 0.5)
     c = np.array([0.12, 0.12, 0.08, 0.08])
-    cold, ends = mvt._argsup_fixed(sigma, corr, c, C0, 1e-5, 0)
-    c_next = c + np.array([0.004, 0.004, 0.002, 0.002])
-    want, _ = mvt._argsup_fixed(sigma, corr, c_next, C0, 1e-5, 0)
-    got, _ = mvt._argsup_fixed(sigma, corr, c_next, C0, 1e-5, 0, ends)
+    cold, ends = mvt._argsup_fixed(sigma, corr, (c - C0) / sigma, C0, 1e-5, 0)
+    u_next = (c + np.array([0.004, 0.004, 0.002, 0.002]) - C0) / sigma
+    want, _ = mvt._argsup_fixed(sigma, corr, u_next, C0, 1e-5, 0)
+    got, _ = mvt._argsup_fixed(sigma, corr, u_next, C0, 1e-5, 0, ends)
     assert cold.converged and got.converged
     assert got.face == want.face
     np.testing.assert_allclose(got.lambda_, want.lambda_, atol=1e-6)
@@ -407,22 +408,22 @@ def test_argsup_warm_start_finds_the_same_point():
 
 
 def test_argsup_axis_values_in_one_call_equal_single_calls():
-    # the 2K axis candidates go through one rect_prob call; each box's
+    # the K axis candidates go through one rect_prob call; each box's
     # value is independent of its batch, so nothing the search finds moves
     sigma = np.array([0.08, 0.1, 0.12, 0.12])
-    c = np.array([0.1, 0.09, 0.08, 0.07])
+    u = (np.array([0.1, 0.09, 0.08, 0.07]) - C0) / sigma
     for corr in (_equicorr(4, 0.5), _equicorr(4, -0.2), np.eye(4)):
-        obj = powerkernel._JointRejection(c[None, :], sigma, corr,
+        obj = powerkernel._JointRejection(np.full(4, C0), u[None, :], sigma, corr,
                                           {"tol": 1e-5, "seed": 0, "n_points": None})
-        axes = np.vstack([sgn * C0 * np.eye(4)[h] for h in range(4) for sgn in (1, -1)])
+        axes = C0 * np.eye(4)
         batch = obj.value(axes)
         assert batch.tolist() == [obj.value(x) for x in axes]
-        lam, _ = mvt._argsup_fixed(sigma, corr, c, C0, 1e-5, 0)
+        lam, _ = mvt._argsup_fixed(sigma, corr, u, C0, 1e-5, 0)
         assert lam.objective >= np.max(batch)
         if not np.any(corr - np.eye(4)):
             # independent coordinates: the best axis point is the answer
             assert lam.objective == np.max(batch)
-            assert lam.candidates_evaluated == 8
+            assert lam.candidates_evaluated == 4
 
 
 K4_SIGMA = np.array([0.08, 0.08, 0.12, 0.12])
@@ -452,7 +453,8 @@ def _frozen_search(case):
                              np.array([0.1, 0.09, 0.08, 0.07]))
     if case == "k4-warm":
         c = K4_C + np.array([0.004, 0.004, 0.002, 0.002])
-        return mvt._argsup_fixed(K4_SIGMA, _equicorr(4, 0.5), c, C0, 1e-5, 0,
+        return mvt._argsup_fixed(K4_SIGMA, _equicorr(4, 0.5), (c - C0) / K4_SIGMA, C0,
+                                 1e-5, 0,
                                  [np.array(x) for x in WARM_STARTS])[0]
     # t > 0: the sampled objective, two starts per face
     return lambda_argsup(np.array([0.08, 0.12]), _equicorr(2, 0.5), 20, np.full(2, C0),
@@ -461,25 +463,28 @@ def _frozen_search(case):
 
 
 # worst-point searches frozen from the ascent that searched one face at a
-# time: (case, lambda_, objective, face, sign, candidates_evaluated)
+# time: (case, lambda_, objective, face, sign, candidates_evaluated);
+# re-frozen on the K positive axes and boxes in standardized offsets, with
+# lambda_ moved by under 6e-17 and objectives by under 4e-16 relative
 FROZEN_SEARCHES = [
-    ("k2 -0.9", [-0.09798758061062855, C0], 0.30173085071866723, 1, 1, 18),
-    ("k2 0.5", [0.05016789835504682, C0], 0.26862049610853195, 1, 1, 14),
-    ("k2 0.9", [0.09798758061062855, C0], 0.30173085071866723, 1, 1, 18),
-    ("k3 -0.3", [-0.038860765608151625, -0.04856337539148161, C0],
-     0.06039152855349157, 2, 1, 29),
-    ("k3 0.6", [0.07752576543763752, 0.0968730740908502, C0], 0.07164648865622747, 2, 1, 26),
-    ("k4", [0.06465664505398137, 0.06465664505398136, C0, 0.09695278179755754],
-     0.05265920999821411, 2, 1, 42),
-    ("k4-random", [0.02917646456065047, 0.06935019632757397, -0.023888013052014438, C0],
-     0.032160324125788224, 3, 1, 47),
-    ("k4-warm", [0.06423454899432127, 0.06423454899432127, C0, 0.09631222084278467],
-     0.05645720435738137, 2, 1, 36),
-    ("sampled", [0.06947292861794767, C0], 0.025663981184233683, 1, 1, 23),
+    ("k2 -0.9", [-0.09798758061062857, C0], 0.3017308507186672, 1, 1, 16),
+    ("k2 0.5", [0.050167898355046814, C0], 0.2686204961085319, 1, 1, 12),
+    ("k2 0.9", [0.09798758061062857, C0], 0.30173085071866723, 1, 1, 16),
+    ("k3 -0.3", [-0.03886076560815164, -0.04856337539148161, C0],
+     0.06039152855349155, 2, 1, 26),
+    ("k3 0.6", [0.07752576543763746, 0.09687307409085019, C0], 0.07164648865622744, 2, 1, 23),
+    ("k4", [0.06465664505398135, 0.06465664505398135, C0, 0.09695278179755752],
+     0.0526592099982141, 2, 1, 38),
+    ("k4-random", [0.02917646456065045, 0.06935019632757398, -0.0238880130520144, C0],
+     0.032160324125788224, 3, 1, 43),
+    ("k4-warm", [0.06423454899432128, 0.06423454899432128, C0, 0.09631222084278467],
+     0.05645720435738138, 2, 1, 32),
+    ("sampled", [0.06947292861794765, C0], 0.025663981184233683, 1, 1, 21),
 ]
 
 
-@pytest.mark.parametrize("case, lam, objective, face, sign, evals", FROZEN_SEARCHES)
+@pytest.mark.parametrize("case, lam, objective, face, sign, evals", FROZEN_SEARCHES,
+                         ids=[row[0] for row in FROZEN_SEARCHES])
 def test_argsup_matches_frozen_searches(case, lam, objective, face, sign, evals):
     # the ascents run in lockstep rounds, but each takes exactly the steps
     # it took alone: a rectangle's value does not depend on its batch
@@ -509,12 +514,43 @@ def test_argsup_evaluates_each_round_in_one_call(monkeypatch):
     monkeypatch.setattr(powerkernel, "rect_prob", counted_prob)
     monkeypatch.setattr(powerkernel, "rect_grad", counted_grad)
     lam = lambda_argsup(K4_SIGMA, _equicorr(4, 0.5), 20, K4_C)
-    assert sizes == [8]  # the axis candidates; no round takes rect_prob
+    assert sizes == [4]  # the axis candidates; no round takes rect_prob
     rounds = grads
     assert rounds[0] == 4  # every face starts in the first round
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
-    assert sum(rounds) == lam.candidates_evaluated - 8
-    assert len(rounds) <= (lam.candidates_evaluated - 8) / 2
+    assert sum(rounds) == lam.candidates_evaluated - 4
+    assert len(rounds) <= (lam.candidates_evaluated - 4) / 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho", [0.3, -0.6, 0.0])
+def test_adjust_converges_as_one_sigma_vanishes(rho):
+    # margins are carried as standardized offsets, so a coordinate whose
+    # standard error vanishes keeps exact box edges and sizes: the fit
+    # converges down to 1e-300, that margin within 10 s of its limit c0
+    for s in np.logspace(-300, -6, 61).tolist():
+        adj = ctost_mvt_adjust(_summary([0.0, 0.0], [0.1, s], _equicorr(2, rho)))
+        assert adj.converged
+        assert abs(adj.c_star[1] - C0) <= 10.0 * s
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma, corr", [
+    ([0.08, 0.1, 1e-300], _equicorr(3, 0.5)),
+    ([0.08, 0.09, 0.1, 1e-300], _random_corr(np.random.default_rng(1), 4)),
+])
+def test_adjust_converges_at_a_vanishing_sigma_for_k3_and_k4(sigma, corr):
+    k = len(sigma)
+    adj = ctost_mvt_adjust(_summary(np.zeros(k), sigma, corr))
+    assert adj.converged and adj.c_star[-1] == C0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_argsup_at_a_vanishing_sigma_takes_far_limits():
+    # that coordinate's limits are near 1e200: the rectangle gradients
+    # cut them before squaring, so nothing overflows
+    lam = lambda_argsup(np.array([0.1, 1e-200]), _equicorr(2, 0.3), 20, np.array([0.2, 0.2]))
+    assert lam.converged and lam.sign == 1
 
 
 def test_adjust_k5_correlated_fit_converges(monkeypatch):
@@ -566,8 +602,9 @@ def _assert_inner_postconditions(calls):
     # every inner solve ends with each margin at marginal size gamma to
     # 1e-12 and the joint size at its worst point within 1e-10 of alpha0
     assert calls
-    for sig, corr, point, (gamma, c, rounds) in calls:
-        np.testing.assert_allclose(_size_fixed(c, sig, C0), gamma, rtol=0, atol=1e-12)
+    for sig, corr, point, (gamma, u, rounds) in calls:
+        c = C0 + sig * u
+        np.testing.assert_allclose(_size(u, sig, C0), gamma, rtol=0, atol=1e-12)
         joint = statdist.rect_prob((-c - point) / sig, (c - point) / sig, corr)
         assert abs(joint - 0.05) <= 1e-10
 
@@ -628,11 +665,11 @@ def test_inner_solve_resolves_a_margin_whose_step_is_not_positive(monkeypatch):
     sig = np.array([0.1, 0.13])
     corr = _equicorr(2, 0.5)
     point = np.array([C0, 0.0])
-    gamma, c, rounds = mvt._inner_solve(
-        sig, corr, point, 0.06, np.array([1.0, 1.0]), EquivalenceSpec(), 1e-10,
+    gamma, u, rounds = mvt._inner_solve(
+        sig, corr, point, 0.06, (1.0 - C0) / sig, EquivalenceSpec(), 1e-10,
         {"tol": 2.5e-7, "seed": 0, "n_points": None}, [])
     assert matched and rounds > 1
-    _assert_inner_postconditions([(sig, corr, point, (gamma, c, rounds))])
+    _assert_inner_postconditions([(sig, corr, point, (gamma, u, rounds))])
 
 
 def test_case_study_ctost_gamma_matches_the_independent_oracle():
@@ -717,7 +754,9 @@ def test_mvt_decide_alpha_tost_independent_case():
 
 # the case-study reports, frozen from the search that evaluated each t > 0
 # axis candidate by its own power_mvt call; the ctost one from the joint
-# Newton inner solve, whose gamma equals oracles.ctost_gamma_indep to 1e-14
+# Newton inner solve, whose gamma equals oracles.ctost_gamma_indep to 1e-14;
+# the ctost and alpha-tost ones re-frozen with margins as standardized
+# offsets, which moved their values by 1-2 ulps
 CASE_STUDY_THETA = [0.0976, 0.0726, 0.0022, 0.0733]
 FROZEN_CASE_STUDY_REPORTS = {
     "tost": {
@@ -735,16 +774,16 @@ FROZEN_CASE_STUDY_REPORTS = {
     "ctost": {
         "method": "ctost", "verdict": "equivalent", "reject_null": True,
         "theta_hat": CASE_STUDY_THETA,
-        "margins": [0.16434487830274816, 0.1453429044553936, 0.14280708546784507,
-                    0.1431231984181669],
-        "intervals": [[0.0388013269885384, 0.1563986730114616],
-                      [-0.00520064685881616, 0.15040064685881616],
-                      [-0.0781364658463647, 0.08253646584636469],
-                      [-0.006720352896042864, 0.15332035289604287]],
+        "margins": [0.16434487830274813, 0.14534290445539355, 0.1428070854678451,
+                    0.14312319841816687],
+        "intervals": [[0.03880132698853837, 0.15639867301146165],
+                      [-0.005200646858816216, 0.1504006468588162],
+                      [-0.07813646584636467, 0.08253646584636466],
+                      [-0.0067203528960428915, 0.1533203528960429]],
         "iip": True, "c0": C0, "alpha0": 0.05,
-        "meta": {"gamma": 0.30888548071660316, "outer_iterations": 1,
+        "meta": {"gamma": 0.30888548071660304, "outer_iterations": 1,
                  "inner_iterations": 6, "lambda": [C0, 0.0, 0.0, 0.0],
-                 "lambda_objective": 0.05000000000000004, "nu2": 11, "dim": 4,
+                 "lambda_objective": 0.04999999999999997, "nu2": 11, "dim": 4,
                  "correlation_assumed": True}},
     "alpha-tost": {
         "method": "alpha-tost", "verdict": "equivalent", "reject_null": True,
@@ -757,7 +796,7 @@ FROZEN_CASE_STUDY_REPORTS = {
                       [0.01476555378280247, 0.13183444621719753]],
         "iip": True, "c0": C0, "alpha0": 0.05,
         "meta": {"alpha_adj": 0.37899932861328123, "t_used": 0.31589015767510814,
-                 "saturated": False, "size_residual": 5.201223703538149e-07,
+                 "saturated": False, "size_residual": 5.201223707562708e-07,
                  "lambda": [C0, 0.0, 0.0, 0.0], "nu2": 11, "dim": 4,
                  "correlation_assumed": True}},
 }

@@ -14,6 +14,7 @@ from equivkit.base import InputError, NonConvergenceError
 from equivkit.powerkernel import (
     MvtPowerQuery,
     UnivPowerQuery,
+    _box_limits,
     _omega_batch,
     _power_mvt_mc,
     power_mvt,
@@ -138,7 +139,7 @@ def test_omega_batch_broadcasts_and_matches_scalar():
     sigma1 = 0.1
     t = 1.7247182429207857
     c = 0.22
-    batch = _omega_batch(theta, sigma1, 20, t, c)
+    batch = _omega_batch(*_box_limits(theta, sigma1, c), 20, t)
     assert batch.shape == (4,)
     for i, th in enumerate(theta):
         one = power_uni(UnivPowerQuery(theta=float(th), sigma1=sigma1, nu2=20, t=t, c=c))
@@ -151,8 +152,9 @@ def test_omega_batch_broadcasts_and_matches_scalar():
     t = rng.uniform(0.0, 4.0, 300)
     t[::10] = 0.0
     c = rng.uniform(0.05, 0.6, 300)
-    batch = _omega_batch(theta, sigma1, 7, t, c)
-    one = [_omega_batch(*v, 7, *w) for v, w in zip(zip(theta, sigma1), zip(t, c))]
+    batch = _omega_batch(*_box_limits(theta, sigma1, c), 7, t)
+    one = [_omega_batch(*_box_limits(th, sg, cc), 7, tt)
+           for th, sg, tt, cc in zip(theta, sigma1, t, c)]
     np.testing.assert_array_equal(batch, one)
 
 
@@ -165,25 +167,38 @@ def test_omega_batch_refines_a_row_and_raises_at_the_largest_rule(monkeypatch):
         oracles.omega_quad(*row.values()), abs=2e-9)
     monkeypatch.setattr(statdist, "_GK_LAST", 32)
     with pytest.raises(NonConvergenceError,
-                       match=r"65 points.*theta=0\.1, sigma1=0\.006, nu2=1, "
-                             r"t=6\.31375.*, c=0\.22314"):
+                       match=r"65 points.*lo=-53\.85725.*, hi=20\.52392.*, nu2=1, "
+                             r"t=6\.31375"):
         power_uni(UnivPowerQuery(**row))
 
 
 def test_omega_batch_subnormal_multiplier_does_not_overflow():
-    # the upper limit c / t of s would overflow at a subnormal t, which
+    # the cut (hi - lo) / (2 t) of x would overflow at a subnormal t, which
     # moves no normal CDF in the integrand: the value is the t = 0 one
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _omega_batch(0.2, 0.1, 20, 5e-324, C0)
-    assert got == pytest.approx(_omega_batch(0.2, 0.1, 20, 0.0, C0), abs=1e-9)
+        got = _omega_batch(*_box_limits(0.2, 0.1, C0), 20, 5e-324)
+    assert got == pytest.approx(_omega_batch(*_box_limits(0.2, 0.1, C0), 20, 0.0),
+                                abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma1", [0.0, 1e-300, 1e-12, 1.1e-12, 1e-6])
+def test_omega_batch_is_continuous_as_sigma_vanishes(sigma1):
+    # the size at theta = c is a box with the edge 0 at every sigma1 (0/0
+    # read as 0 at sigma1 = 0): 0.5 at t = 0, and at t > 0 the chance that
+    # a t variate falls below -t, less the dropped chi tail
+    lo, hi = _box_limits(C0, sigma1, C0)
+    assert hi == 0.0
+    assert _omega_batch(lo, hi, 20, 0.0) == 0.5
+    assert _omega_batch(lo, hi, 20, 1.7) == pytest.approx(special.stdtr(20, -1.7), abs=1e-9)
 
 
 def test_omega_batch_mixed_fixed_and_random_margins():
     theta = np.array([0.02, 0.02])
     t = np.array([0.0, 1.5])
     c = np.array([0.2, 0.3])
-    got = _omega_batch(theta, 0.09, 14, t, c)
+    got = _omega_batch(*_box_limits(theta, 0.09, c), 14, t)
     want0 = oracles.omega_quad(0.02, 0.09, 14, 0.0, 0.2)
     want1 = oracles.omega_quad(0.02, 0.09, 14, 1.5, 0.3)
     np.testing.assert_allclose(got, [want0, want1], atol=2e-9)
@@ -379,27 +394,38 @@ def test_degenerate_dimension_factors_out():
         c=np.array([0.2, 0.2]),
     )
     assert power_mvt(q_dead) == 0.0
+    # under a correlation too: a coordinate with sigma1 = 0 has no
+    # covariance with the others, and at theta = c its factor is 0.5
+    corr = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
+    q_edge = MvtPowerQuery(np.array([0.05, 0.2, 0.02]), np.array([0.1, 0.0, 0.12]),
+                           corr, 10, 0.0, np.full(3, 0.2))
+    q_rest = MvtPowerQuery(np.array([0.05, 0.02]), np.array([0.1, 0.12]),
+                           corr[np.ix_([0, 2], [0, 2])], 10, 0.0, np.full(2, 0.2))
+    assert power_mvt(q_edge) == 0.5 * power_mvt(q_rest)
 
 
 # power_mvt with an identity correlation, frozen from the evaluator that took
 # K = 1 as a univariate query, t = 0 as one rectangle and factored degenerate
-# coordinates out first: (theta, sigma1, t, c, value), at nu2 = 20
+# coordinates out first: (theta, sigma1, t, c, value), at nu2 = 20.  A
+# coordinate with sigma1 <= 1e-12 gives its factor's limit as sigma1 -> 0:
+# 0.5 at theta = c when t = 0, and inside its box at t > 0 one less the
+# mass the kernel drops from the chi law
 FROZEN_PRODUCTS = [
     ([0.02], [0.168], 0.0, [0.187], 0.7309522952856531),
-    ([-0.073], [0.1], 1.7, [0.209], 0.24915702520022184),
+    ([-0.073], [0.1], 1.7, [0.209], 0.24915702520022048),
     ([-0.051, 0.117], [0.17, 0.0], 0.0, [0.264, 0.241], 0.8629410472698584),
     ([0.148, 0.191], [0.07, 0.0], 1.7, [0.256, 0.174], 0.0),
     ([0.178, -0.045, -0.154], [0.182, 0.074, 1e-13], 0.0, [0.178, 0.263, 0.161],
      0.47399822302140243),
     ([0.181, -0.186, 0.125], [0.109, 0.05, 1e-13], 1.7, [0.181, 0.272, 0.19],
-     0.010462689681153022),
+     0.010462689680106555),
     ([-0.117, 0.052, -0.167, -0.014], [0.17, 0.116, 0.151, 1e-12], 0.0,
      [0.174, 0.265, 0.166, 0.217], 0.27397703010963115),
     ([-0.01, 0.168, -0.004, -0.097], [0.061, 0.121, 0.183, 1e-12], 1.7,
-     [0.171, 0.273, 0.173, 0.247], 8.675217712998787e-06),
-    ([0.05, 0.2], [0.1, 1e-12], 0.0, [0.2, 0.2], 0.0),
-    ([0.05, 0.2], [0.1, 1e-12], 1.7, [0.2, 0.2], 0.0),
-    ([0.2, 0.05], [0.1, 0.0], 1.7, [0.2, 0.2], 0.04165143521353842),
+     [0.171, 0.273, 0.173, 0.247], 8.675217712131129e-06),
+    ([0.05, 0.2], [0.1, 1e-12], 0.0, [0.2, 0.2], 0.4634915667026829),
+    ([0.05, 0.2], [0.1, 1e-12], 1.7, [0.2, 0.2], 0.011998491783648273),
+    ([0.2, 0.05], [0.1, 0.0], 1.7, [0.2, 0.2], 0.04165143520937285),
 ]
 
 

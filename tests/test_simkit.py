@@ -300,8 +300,8 @@ def test_sweep_uses_the_given_table():
         rng = simkit.rng_stream(cfg.seed, "univ", i_s, 0, i_t)
         th = theta + sigma * rng.standard_normal(cfg.replicates)
         sh = simkit._sigma_hat_draws(sigma, 10, cfg.replicates, rng)
-        c, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
-        assert rec["rate"] == np.count_nonzero(np.abs(th) < c) / cfg.replicates
+        u, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
+        assert rec["rate"] == np.count_nonzero(np.abs(th) < C0 + sh * u) / cfg.replicates
     assert flat.records != run_univariate_sweep(cfg).records
 
 

@@ -553,6 +553,21 @@ def test_rect_grad_probability_and_derivatives_bit_for_bit(k, corr):
     np.testing.assert_array_equal(one[2], db[2])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rect_grad_takes_far_and_infinite_limits(k):
+    # limits of a coordinate with a vanishing standard error can be huge
+    # or infinite; their densities are 0, where a square would overflow
+    corr = np.full((k, k), 0.3)
+    np.fill_diagonal(corr, 1.0)
+    a, b = np.full(k, -0.5), np.full(k, 0.7)
+    a[0], b[-1] = -1e200, np.inf
+    p, da, db = rect_grad(a, b, corr)
+    assert p == rect_prob(a, b, corr) and 0.0 < p <= 1.0
+    assert da[0] == 0.0 and db[-1] == 0.0
+    assert np.all(da[1:] < 0.0) and np.all(db[:-1] > 0.0)
+
+
 def test_mvn_rect_prob_univariate_exact():
     mean, sd = 0.1, 0.5
     want = special.ndtr((1.2 - mean) / sd) - special.ndtr((-0.7 - mean) / sd)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from equivkit.base import (
     DecisionReport,
@@ -28,7 +28,7 @@ from equivkit.univariate import (
     _alpha_star,
     _delta_margin,
     _match_margin,
-    _size_fixed,
+    _size,
     alpha_tost_adjust,
     build_calibration_table,
     ctost_adjust,
@@ -39,7 +39,7 @@ from equivkit.univariate import (
     margin_for_multiplier,
     tost_decide,
 )
-from equivkit.powerkernel import _omega_batch
+from equivkit.powerkernel import _box_limits, _omega_batch
 from equivkit.statdist import t_quantile
 
 import oracles
@@ -66,41 +66,32 @@ def test_matched_margin_agrees_with_scipy_root(sigma1):
     want = oracles.brute_margin(sigma1)
     assert adj.c_used == pytest.approx(want, abs=5e-12)
     # the margin satisfies its defining equation
-    assert _size_fixed(adj.c_used, sigma1, C0) == pytest.approx(0.05, abs=1e-10)
+    assert _size((adj.c_used - C0) / sigma1, sigma1, C0) == pytest.approx(0.05, abs=1e-10)
 
 
 def test_matched_margin_vector_levels():
     sigma = np.full(5, 0.08)
     levels = np.array([0.01, 0.02, 0.05, 0.1, 0.2])
-    c, iters, conv = _match_margin(sigma, levels, C0)
+    u, iters, conv = _match_margin(sigma, levels, C0)
     assert np.all(conv)
-    np.testing.assert_allclose(_size_fixed(c, sigma, C0), levels, atol=1e-10)
-    assert np.all(np.diff(c) > 0)  # higher level, wider margin
+    np.testing.assert_allclose(_size(u, sigma, C0), levels, atol=1e-10)
+    assert np.all(np.diff(u) > 0)  # higher level, wider margin
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e3])
 def test_matched_margin_upper_end_holds_the_root(sigma):
-    # the bracket's upper end needs no doubling: even at the largest level
+    # the offset bracket's upper end, 10 above the larger of the Newton
+    # start -z_{1-level} and 0, needs no doubling: even at the largest level
     # below 1 the size there reaches it, at extreme standard errors too
     level = np.nextafter(1.0, 0.0)
-    start, hi = univariate._margin_bracket(np.array([sigma]), np.array([level]), C0)
-    assert 0.0 < start[0] < hi[0]
-    assert _size_fixed(hi[0], sigma, C0) >= level
+    start = -special.ndtri(1.0 - level)
+    hi = max(start, 0.0) + 10.0
+    assert -C0 / sigma < start < hi
+    assert _size(hi, sigma, C0) >= level
     # the Newton slope's squares cannot overflow, even at sigma 1e-300
     with np.errstate(over="raise"):
-        c, _, conv = _match_margin(sigma, level, C0)
-    assert conv and float(c) < hi[0]
-
-
-def test_matched_margin_from_a_given_start():
-    # a start near the root (the fit's previous margins) takes fewer rounds
-    # to the same equation
-    sigma = np.array([0.08, 0.12, 0.2])
-    c, iters, conv = _match_margin(sigma, 0.06, C0)
-    near, near_iters, near_conv = _match_margin(sigma, 0.0601, C0, start=c)
-    assert conv.all() and near_conv.all()
-    np.testing.assert_allclose(_size_fixed(near, sigma, C0), 0.0601, atol=1e-10)
-    assert near_iters < iters
+        u, _, conv = _match_margin(sigma, level, C0)
+    assert conv and -C0 / sigma < float(u) < hi
 
 
 def test_matched_margin_independent_of_nu():
@@ -208,42 +199,59 @@ def test_solvers_stop_when_the_bracket_collapses():
     # no double meets an unreachable tolerance, so each solve narrows its
     # bracket to adjacent doubles and stops there, well before the cap
     t0 = float(t_quantile(0.05, 20))
-    c, _, iters, conv = _delta_margin(0.1, 20, t0, C0, 0.05, tol=1e-300)
+    # (at sigma 0.1 a delta-TOST midpoint is an exact root)
+    c, _, iters, conv = _delta_margin(0.11, 20, t0, C0, 0.05, tol=1e-300)
     assert not conv[0] and iters < univariate._ROOT_MAX_ITER
-    assert c[0] == pytest.approx(margin_for_multiplier(0.1, 20, t0), abs=1e-8)
+    assert c[0] == pytest.approx(margin_for_multiplier(0.11, 20, t0), abs=1e-8)
     *_, iters, conv = _alpha_star(0.1, 20, C0, 0.05, tol=1e-300)
     assert not conv[0] and iters < univariate._ROOT_MAX_ITER
     _, iters, conv = _match_margin(0.1, 0.05, C0, tol=1e-300)
     assert not conv and iters < univariate._ROOT_MAX_ITER
     with pytest.raises(NonConvergenceError, match="delta-TOST margin"):
-        margin_for_multiplier(0.1, 20, t0, tol=1e-300)
+        margin_for_multiplier(0.11, 20, t0, tol=1e-300)
 
 
 @pytest.mark.parametrize("sigma", [1e-13, 1e-12])
 def test_solvers_return_the_degenerate_limit(sigma):
-    # at sigma <= SIGMA_DEGENERATE the size is a step in c and in alpha, so
-    # no bisection meets its tolerance; the solves return their sigma -> 0
-    # limits (c0; alpha0 with its own multiplier), as a sigma just above
-    # the threshold nearly does, and leave the other rows of a call alone
+    # the solves reach their sigma -> 0 limits with no special case, as
+    # sizes are taken in standardized offsets: alpha* is its sigma = 1e-11
+    # value, the delta margin at t_{alpha0,nu2} is c0, whose size is then
+    # alpha0 less the dropped chi tail, and the other rows of a call are
+    # left alone
     t0 = float(t_quantile(0.05, 20))
+    near = alpha_tost_adjust(1e-11, 20)
     adj = delta_tost_adjust(sigma, 20)
-    assert adj.converged and adj.c_used == C0 and adj.residual == 0.0
-    assert margin_for_multiplier(sigma, 20, 3.0) == C0
+    assert adj.converged and adj.c_used == C0 and abs(adj.residual) <= 1e-8
+    assert abs(margin_for_multiplier(sigma, 20, 3.0) - C0) <= 40.0 * sigma
     adj = alpha_tost_adjust(sigma, 20)
     assert adj.converged and not adj.saturated
-    assert adj.alpha_adj == 0.05 and adj.t_used == t0 and adj.residual == 0.0
-    assert delta_tost_adjust(1.1e-12, 20).c_used == pytest.approx(C0, abs=1e-12)
-    assert alpha_tost_adjust(1.1e-12, 20).alpha_adj == pytest.approx(0.05, abs=1e-7)
+    assert (adj.alpha_adj, adj.t_used) == (near.alpha_adj, near.t_used)
 
     sigmas = np.array([0.1, sigma, 0.05])
     alpha, t, a_res, _, a_conv = _alpha_star(sigmas, 20, C0, 0.05)
     c, d_res, _, d_conv = _delta_margin(sigmas, 20, t0, C0, 0.05)
     assert a_conv.all() and d_conv.all()
-    assert (alpha[1], t[1], a_res[1]) == (0.05, t0, 0.0)
-    assert (c[1], d_res[1]) == (C0, 0.0)
+    assert (alpha[1], t[1]) == (near.alpha_adj, near.t_used)
+    assert c[1] == C0 and max(abs(a_res[1]), abs(d_res[1])) <= 1e-8
     for i in (0, 2):
         assert alpha[i] == alpha_tost_adjust(float(sigmas[i]), 20).alpha_adj
         assert c[i] == delta_tost_adjust(float(sigmas[i]), 20).c_used
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solvers_converge_at_every_vanishing_sigma():
+    # every margin and level solve converges down to sigma = 1e-300, with
+    # the margins within 10 sigma of their limit c0 and alpha* at its
+    # limit alpha0
+    for sigma in np.logspace(-300, -6, 61).tolist():
+        adj = ctost_adjust(sigma, 20)
+        assert abs(adj.c_used - C0) <= 10.0 * sigma and abs(adj.residual) <= 1e-10
+        adj = delta_tost_adjust(sigma, 20)
+        assert abs(adj.c_used - C0) <= 10.0 * sigma and abs(adj.residual) <= 1e-8
+        adj = alpha_tost_adjust(sigma, 20)
+        assert abs(adj.alpha_adj - 0.05) <= 1e-8 and abs(adj.residual) <= 1e-8
+        adj = ctost_star_calibrate(sigma, 20)
+        assert abs(adj.c_used - C0) <= 10.0 * sigma and abs(adj.residual) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +295,7 @@ def test_delta_margin_upper_end_holds_the_root(sigma, nu2):
     # the heaviest and a light chi law of s
     t0 = float(t_quantile(0.05, nu2))
     hi = C0 + 10.0 * sigma * (1.0 + t0)
-    assert _omega_batch(C0, sigma, nu2, t0, hi) - 0.05 >= 0.0
+    assert _omega_batch(*_box_limits(C0, sigma, hi), nu2, t0) - 0.05 >= 0.0
     c, _, _, conv = _delta_margin(sigma, nu2, t0, C0, 0.05)
     assert conv[0] and 0.0 < c[0] < hi
 
@@ -314,7 +322,7 @@ def test_calibrated_level_frozen_value():
     assert adj.c_used == pytest.approx(0.025048615968341473, abs=1e-9)
     assert not adj.clamped
     # the refined margin is matched at the calibrated level
-    assert _size_fixed(adj.c_used, 0.1, C0) == pytest.approx(adj.alpha_c, abs=1e-9)
+    assert _size((adj.c_used - C0) / 0.1, 0.1, C0) == pytest.approx(adj.alpha_c, abs=1e-9)
 
 
 def test_calibrated_level_against_plain_monte_carlo():
@@ -630,7 +638,7 @@ def test_rejection_rates_order_theory():
 def test_matched_margin_properties(sigma1, nu2):
     adj = ctost_adjust(sigma1, nu2)
     assert 0.0 < adj.c_used < C0
-    assert abs(_size_fixed(adj.c_used, sigma1, C0) - 0.05) < 1e-9
+    assert abs(_size((adj.c_used - C0) / sigma1, sigma1, C0) - 0.05) < 1e-9
 
 
 @given(st.floats(0.02, 0.3), st.integers(3, 80))
