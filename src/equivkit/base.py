@@ -67,8 +67,8 @@ class EquivalenceSpec:
     method: str = "ctost"
 
     def __post_init__(self):
-        if not (self.c0 > 0):
-            raise InputError(f"c0 must be positive, got {self.c0}")
+        if not (0 < self.c0 < math.inf):
+            raise InputError(f"c0 must be finite and positive, got {self.c0}")
         if not (0 < self.alpha0 <= 0.5):
             raise InputError(f"alpha0 must be in (0, 0.5], got {self.alpha0}")
         if self.method not in METHODS:

@@ -268,7 +268,6 @@ def _adjustment_payload(adj):
             "lambda": np.asarray(lam.lambda_),
             "lambda_objective": lam.objective,
             "lambda_face": lam.face,
-            "lambda_sign": lam.sign,
             "outer_iterations": adj.outer_iterations,
             "inner_iterations": adj.inner_iterations,
             "converged": adj.converged,

@@ -35,7 +35,7 @@ from .statdist import (
     t_quantile,
 )
 from . import univariate
-from .univariate import _increasing_root, _match_margin, _size, _size_slope
+from .univariate import _check_sigma, _increasing_root, _match_margin, _size, _size_slope
 
 __all__ = [
     "MvtSummary",
@@ -92,11 +92,8 @@ class MvtSummary:
             raise InputError("theta_hat and sigma1_hat must have equal length")
         if not np.all(np.isfinite(theta)):
             raise InputError("theta_hat must be finite")
-        if np.any(sigma <= 0):
-            raise InputError("sigma1_hat entries must be positive")
+        _check_sigma(sigma, self.nu2)
         corr = _check_corr(self.correlation_hat, k, "correlation_hat")
-        if self.nu2 < 1:
-            raise InputError(f"nu2 must be >= 1, got {self.nu2}")
         object.__setattr__(self, "theta_hat", theta)
         object.__setattr__(self, "sigma1_hat", sigma)
         object.__setattr__(self, "correlation_hat", corr)
@@ -133,9 +130,9 @@ def repair_correlation(corr) -> np.ndarray:
 class LambdaResult:
     """Worst boundary point found for a given margin vector.
 
-    lambda_ lies on the face {theta_face = sign * c0}; objective is the
-    joint rejection probability there.  By central symmetry every point is
-    reported on a positive face, so sign is +1.  candidates_evaluated
+    lambda_ lies on the face {theta_face = c0}; objective is the joint
+    rejection probability there.  By central symmetry every point is
+    reported on a positive face.  candidates_evaluated
     counts the objective values the search took: the K axis candidates,
     then every start and line-search trial of the face ascents, each of
     which comes with its gradient from the same lockstep round; converged
@@ -145,7 +142,6 @@ class LambdaResult:
     lambda_: np.ndarray
     objective: float
     face: int
-    sign: int
     candidates_evaluated: int
     converged: bool = True
 
@@ -367,7 +363,7 @@ def _best_axis(values, k: int, c0: float) -> LambdaResult:
     vals = values(axes)
     best = int(np.argmax(vals))
     return LambdaResult(lambda_=axes[best], objective=float(vals[best]),
-                        face=best, sign=1, candidates_evaluated=k)
+                        face=best, candidates_evaluated=k)
 
 
 def _argsup(obj, c0: float, snap: float, starts):
@@ -409,7 +405,7 @@ def _argsup(obj, c0: float, snap: float, starts):
         return replace(axis, candidates_evaluated=count, converged=converged), ends
     face, theta = best
     return LambdaResult(lambda_=theta, objective=best_val, face=face,
-                        sign=1, candidates_evaluated=count,
+                        candidates_evaluated=count,
                         converged=converged), ends
 
 
@@ -501,7 +497,8 @@ def _inner_solve(sig, corr, point, gamma: float, u, spec: EquivalenceSpec,
     P(point; u) = alpha0, whose Jacobian is an arrowhead: each round makes
     one :func:`statdist.rect_grad` call on the box, for the joint size
     residual J and the derivatives da, db in its standardized limits, and
-    takes the sizes s_k of the margins (:func:`univariate._size`).  With
+    takes the sizes s_k of the margins with their slopes
+    (:func:`univariate._size_slope`).  With
     the exact weights w_k = (db_k - da_k) / dens_k, dens_k = ds_k/du_k =
     phi(2 c0 / sigma_k + u_k) + phi(u_k) (dP/du_k over ds_k/du_k), gamma
     moves by -(J - sum_k w_k (s_k - gamma)) / sum_k w_k and each offset by
@@ -524,7 +521,7 @@ def _inner_solve(sig, corr, point, gamma: float, u, spec: EquivalenceSpec,
     for rounds in range(1, cap + 1):
         p, da, db = rect_grad(*_box_limits(point, sig, c0, u), corr, **rect)
         resid = p - alpha0
-        size = _size(u, sig, c0)
+        size, dens = _size_slope(u, sig, c0)
         gap = size - gamma
         matched = np.abs(gap).max() <= _MARGIN_TOL
         if matched and abs(resid) <= inner_tol:
@@ -533,7 +530,6 @@ def _inner_solve(sig, corr, point, gamma: float, u, spec: EquivalenceSpec,
             break
         if matched:
             lo, hi = (gamma, hi) if resid < 0 else (lo, gamma)
-        dens = _size_slope(u, sig, c0)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (db - da) / dens
             step = gamma - (resid - w @ gap) / w.sum()

@@ -24,6 +24,7 @@ from .statdist import (
     _check_corr,
     _gk_rows,
     _is_diagonal,
+    _phi,
     _scaled_chi_logpdf,
     _unit_chi_bounds,
     rect_grad,
@@ -147,29 +148,40 @@ def _box_limits(theta, sigma1, ref, offset=0.0):
     return lo - offset, hi + offset
 
 
-def _omega_batch(lo, hi, nu2, t):
+def _omega_batch(lo, hi, nu2, t, slope=False):
     """Rejection probability of standardized boxes; broadcasts lo, hi, t.
 
     The test rejects when lo + t x < Z < hi - t x for Z standard normal
     and the unit chi x = s / sigma1 (nu2 x^2 ~ chi2(nu2)); the limits come
     from :func:`_box_limits`.  nu2 is a single integer for the whole batch.
-    Elements with t <= _T_ZERO take the closed form Phi(hi) - Phi(lo).  For
+    An empty box (hi <= lo) gives 0, value and slope alike.  Other
+    elements with t <= _T_ZERO take the closed form Phi(hi) - Phi(lo).  For
     t > 0 the conditional probability is integrated against the density of
     x over its central mass, cut where the box empties, at
     x = (hi - lo) / (2 t), by :func:`_gk_rows` from 65 points to _GK_RTOL,
     so a row's value does not depend on the rows that share the call.
+
+    With ``slope`` it returns (value, slope), the slope -d/dlo + d/dhi:
+    phi(hi) + phi(lo) in closed form, and for t > 0 the integral of
+    phi(hi - t x) + phi(lo + t x) over the same interval, as rows of the
+    same :func:`_gk_rows` call (the value's integrand is 0 at the cut, so
+    moving the cut adds no term).
     """
     lo, hi, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, t)))
     shape = lo.shape
     lo, hi, t = (v.ravel() for v in (lo, hi, t))
     out = np.zeros(lo.size)
-
-    fixed = t <= _T_ZERO
-    if np.any(fixed):
-        out[fixed] = special.ndtr(hi[fixed]) - special.ndtr(lo[fixed])
+    der = np.zeros(lo.size) if slope else None
 
     # an empty box (hi <= lo, as for two equal infinite limits) gives 0
-    rand = np.flatnonzero(~fixed & (hi > lo))
+    live = hi > lo
+    fixed = live & (t <= _T_ZERO)
+    if np.any(fixed):
+        out[fixed] = special.ndtr(hi[fixed]) - special.ndtr(lo[fixed])
+        if slope:
+            der[fixed] = _phi(hi[fixed]) + _phi(lo[fixed])
+
+    rand = np.flatnonzero(live & (t > _T_ZERO))
     if rand.size:
         lo_r, hi_r, tt = lo[rand], hi[rand], t[rand]
         # central-mass interval of x, cut where the box empties; halving
@@ -180,10 +192,18 @@ def _omega_batch(lo, hi, nu2, t):
         x_hi = np.divide(half, tt, out=np.full(rand.size, unit_hi),
                          where=half < unit_hi * tt)
         x_lo = np.where(x_hi <= unit_lo, 0.0, unit_lo)
+        if slope:  # the slope rows follow the value rows
+            lo_r, hi_r, tt, x_lo, x_hi = (np.tile(v, 2) for v in (lo_r, hi_r, tt, x_lo, x_hi))
 
         def integrand(x, i):
             tx = x * tt[i, None]
-            f = special.ndtr(hi_r[i, None] - tx) - special.ndtr(lo_r[i, None] + tx)
+            if not slope:  # one expression frees each limit's temporary early
+                f = special.ndtr(hi_r[i, None] - tx) - special.ndtr(lo_r[i, None] + tx)
+            else:  # _gk_rows passes rows in order: a chunk's value rows come first
+                a, b = hi_r[i, None] - tx, lo_r[i, None] + tx
+                v = np.count_nonzero(np.arange(hi_r.size)[i] < rand.size)
+                f = np.concatenate((special.ndtr(a[:v]) - special.ndtr(b[:v]),
+                                    _phi(a[v:]) + _phi(b[v:])))
             return f * np.exp(_scaled_chi_logpdf(x, 1.0, nu2))
 
         def message(rows, points):
@@ -194,10 +214,14 @@ def _omega_batch(lo, hi, nu2, t):
                     f"nu2={nu2}, t={float(tt[i])!r}")
 
         val = _gk_rows(integrand, x_lo, x_hi, _GK_RTOL, 32, message)
-        out[rand] = np.minimum(np.maximum(val, 0.0), 1.0)
+        out[rand] = np.minimum(np.maximum(val[:rand.size], 0.0), 1.0)
+        if slope:
+            der[rand] = np.maximum(val[rand.size:], 0.0)
 
-    out = out.reshape(shape)
-    return out if out.ndim else float(out)
+    out = out.reshape(shape) if shape else float(out[0])
+    if not slope:
+        return out
+    return out, (der.reshape(shape) if shape else float(der[0]))
 
 
 def power_uni(q: UnivPowerQuery) -> float:

@@ -37,7 +37,6 @@ from .univariate import (
     _alpha_star,
     _calibrate_level,
     _check_table,
-    _delta_margin,
     _match_margin,
     _table_fits,
     default_calibration_table,
@@ -316,19 +315,14 @@ def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
             _, t_star, _, _, conv = _alpha_star(sh, nu2, c0, alpha0)
             _require_converged(conv, method, nu2)
             out[method] = ath < c0 - t_star * sh
-        elif method == "delta-tost":
-            c_delta, _, _, conv = _delta_margin(sh, nu2, t_tost, c0, alpha0)
+        else:  # a margin c0 + sh u matched at a level and a multiplier t
+            t = t_tost if method == "delta-tost" else 0.0
+            level = (_ctost_star_levels(sh, nu2, cfg, table)
+                     if method == "ctost-star" else alpha0)
+            u, _, conv = _match_margin(sh, level, c0, tol=1e-8 if t else 1e-10,
+                                       nu2=nu2, t=t)
             _require_converged(conv, method, nu2)
-            out[method] = ath < c_delta - t_tost * sh
-        elif method == "ctost":
-            u, _, conv = _match_margin(sh, alpha0, c0)
-            _require_converged(conv, method, nu2)
-            out[method] = ath < c0 + sh * u
-        else:  # ctost-star
-            level = _ctost_star_levels(sh, nu2, cfg, table)
-            u, _, conv = _match_margin(sh, level, c0)
-            _require_converged(conv, method, nu2)
-            out[method] = ath < c0 + sh * u
+            out[method] = ath < c0 + sh * u - t * sh
     return out
 
 

@@ -13,11 +13,11 @@ size alpha0 exactly, each moving a different dial:
   bias introduced by plugging in an estimated standard error.
 
 One bracketed root-finder (:func:`_increasing_root`) solves every level and
-margin to a size residual of 1e-10 (cTOST margin, by Newton) or 1e-8 (by
-bisection) and reports iteration counts.  At a nonzero multiplier each size
-comes from :mod:`equivkit.powerkernel`, whose Gauss-Kronrod value agrees
-with its embedded Gauss value to 1e-9, so a re-evaluation there closes the
-loop.  A solve that stops unconverged raises NonConvergenceError, and so
+margin and reports iteration counts.  Every margin, at any multiplier, is a
+guarded Newton solve (:func:`_match_margin`); only alpha* bisects.  Sizes
+match to 1e-10 at multiplier zero, where they are closed forms, and to 1e-8
+otherwise, where each size and its slope come from :mod:`equivkit.powerkernel`
+to 1e-9.  A solve that stops unconverged raises NonConvergenceError, and so
 does a size whose rule pair still disagrees at the largest rule.
 """
 
@@ -82,10 +82,7 @@ class UnivSummary:
     def __post_init__(self):
         if not np.isfinite(self.theta_hat):
             raise InputError("theta_hat must be finite")
-        if not (self.sigma1_hat > 0):
-            raise InputError(f"sigma1_hat must be positive, got {self.sigma1_hat}")
-        if self.nu2 < 1:
-            raise InputError(f"nu2 must be >= 1, got {self.nu2}")
+        _check_sigma(self.sigma1_hat, self.nu2)
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ class UnivAdjustment:
 
 
 # ---------------------------------------------------------------------------
-# margin matching at fixed multiplier zero (the cTOST equation)
+# margin matching at any multiplier (the cTOST and delta-TOST equation)
 # ---------------------------------------------------------------------------
 
 def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
@@ -153,53 +150,93 @@ def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
     return x_out, r_out, iters, conv
 
 
-def _size(u, sigma, c0):
-    """Size of the fixed-margin test with margin c = c0 + sigma u, in its
-    standardized offset u: Phi(2 c0 / sigma + u) - Phi(-u)."""
-    return special.ndtr(2.0 * c0 / sigma + u) - special.ndtr(-u)
+def _size(u, sigma, c0, nu2=1, t=0.0):
+    """Size at theta = c0 of the test |theta_hat| < c - t s, in the margin's
+    offset u = (c - c0) / sigma: at a scalar t = 0 the closed form
+    Phi(2 c0 / sigma + u) - Phi(-u), else :func:`_omega_batch` on the limits
+    (-2 c0 / sigma - u, u), t broadcasting with u and sigma."""
+    if np.isscalar(t) and t == 0:
+        return special.ndtr(2.0 * c0 / sigma + u) - special.ndtr(-u)
+    return _omega_batch(-2.0 * c0 / sigma - u, u, nu2, t)
 
 
-def _size_slope(u, sigma, c0):
-    """Derivative in u of :func:`_size`: phi(2 c0 / sigma + u) + phi(u)."""
-    return _phi(2.0 * c0 / sigma + u) + _phi(u)
+def _size_slope(u, sigma, c0, nu2=1, t=0.0):
+    """:func:`_size` and its derivative in u, as a pair: at t = 0 the slope
+    phi(2 c0 / sigma + u) + phi(u); else both from one :func:`_omega_batch`."""
+    if np.isscalar(t) and t == 0:
+        z = 2.0 * c0 / sigma + u
+        return special.ndtr(z) - special.ndtr(-u), _phi(z) + _phi(u)
+    return _omega_batch(-2.0 * c0 / sigma - u, u, nu2, t, slope=True)
 
 
-def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10):
-    """Margins of fixed-margin size ``level``, elementwise, as offsets.
+def _check_sigma(sigma, nu2=1):
+    """Raise InputError unless every standard error is finite and > 0, and nu2 >= 1."""
+    sigma = np.asarray(sigma)
+    if not ((sigma > 0) & (sigma < np.inf)).all():
+        raise InputError(f"standard errors must be finite and positive, got {sigma}")
+    if not (nu2 >= 1):
+        raise InputError(f"nu2 must be >= 1, got {nu2}")
 
-    Solves :func:`_size` (u) = level for the standardized offset
-    u = (c - c0) / sigma of each margin c, so the equation keeps its
-    precision as sigma -> 0, where c tends to c0.  Newton's method, from
-    u = -z_{1-level} (or 0 when that margin c0 - sigma z_{1-level} is not
-    positive), guarded by the bracket [-c0 / sigma, max(start, 0) + 10]
-    (:func:`_increasing_root`), so it cannot diverge: at the lower end the
-    margin is 0 and so is the size, and at the upper end the size is at
-    least Phi(10) - Phi(-10), which is 1 in double precision.  Returns
+
+def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0):
+    """Margins of size ``level`` at the multiplier t, elementwise, as offsets.
+
+    Solves :func:`_size` (u) = level, at one multiplier t >= 0 with nu2
+    degrees of freedom, for the standardized offset u = (c - c0) / sigma of
+    each margin c, so it keeps its precision as sigma -> 0, where c tends
+    to c0.  Newton's method on :func:`_size_slope`, from u = t - z_{1-level}
+    (or 0 when that margin is not positive), guarded by the bracket
+    [max(-c0 / sigma, start - 10 (1 + t)), max(start, 0) + 10 (1 + t)]
+    (:func:`_increasing_root`), so it cannot diverge: the size is 0 at the
+    margin 0 and below Phi(u) < level at start - 10 (1 + t), the half-width
+    c - t s being at most c; at the upper end s <= 10 sigma gives a
+    half-width of at least c0 + 10 sigma, so the size is at least
+    P(s <= 10 sigma) (Phi(10) - Phi(-10)).  At t > 0 sizes agree to 1e-9
+    (:func:`_omega_batch`), so callers pass tol 1e-8.  Returns
     (u, iterations, converged_mask) with u matching the broadcast shape.
     """
-    sigma, level = np.broadcast_arrays(
-        np.asarray(sigma, dtype=float), np.asarray(level, dtype=float)
-    )
+    sigma, level = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (sigma, level)))
     shape = sigma.shape
-    sigma = sigma.ravel()
-    level = level.ravel()
-    if (sigma <= 0).any():
-        raise InputError("sigma must be positive")
+    sigma, level = sigma.ravel(), level.ravel()
+    _check_sigma(sigma, nu2)
     if ((level <= 0) | (level >= 1)).any():
         raise InputError("level must lie in (0, 1)")
+    if not (0 <= t < np.inf):
+        raise InputError(f"t must be finite and >= 0, got {t}")
+
+    # the slope at each row's last tested point, the point it is asked at
+    dens = np.empty(sigma.size)
 
     def size_gap(u, rows):
-        return _size(u, sigma[rows], c0) - level[rows]
+        size, dens[rows] = _size_slope(u, sigma[rows], c0, nu2, t)
+        return size - level[rows]
 
-    def slope(u, rows):
-        return _size_slope(u, sigma[rows], c0)
-
-    floor = -c0 / sigma
-    start = -special.ndtri(1.0 - level)
+    start = t - special.ndtri(1.0 - level)
+    floor = np.maximum(-c0 / sigma, start - 10.0 * (1.0 + t))
     start = np.where(start > floor, start, 0.0)
-    u, _, iters, conv = _increasing_root(size_gap, floor, np.maximum(start, 0.0) + 10.0,
-                                         tol, x=start, slope=slope)
+    u, _, iters, conv = _increasing_root(size_gap, floor,
+                                         np.maximum(start, 0.0) + 10.0 * (1.0 + t),
+                                         tol, x=start, slope=lambda u, rows: dens[rows])
     return u.reshape(shape), iters, conv.reshape(shape)
+
+
+def _scalar_root(what, x, resid, conv):
+    """(value, residual) of a one-row solve as floats; raises if unconverged."""
+    x, resid = float(x), float(resid)
+    if not conv:
+        raise NonConvergenceError(
+            f"{what} solve stopped unconverged within {_ROOT_MAX_ITER} rounds, "
+            f"residual {resid:.3e}", last=x)
+    return x, resid
+
+
+def _scalar_margin(what, sigma1, level, c0, tol, nu2=1, t=0.0):
+    """(margin c, size residual, rounds) of :func:`_match_margin` for one
+    standard error, through :func:`_scalar_root`."""
+    u, iters, conv = _match_margin(sigma1, level, c0, tol=tol, nu2=nu2, t=t)
+    resid = _size(u, sigma1, c0, nu2, t) - level
+    c, resid = _scalar_root(what, c0 + sigma1 * u, resid, conv)
+    return c, resid, iters
 
 
 def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
@@ -208,33 +245,25 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
 
     The margin always exists and is unique: the size is 0 at c = 0 and
     increases to 1, so the guarded Newton iteration converges for any
-    positive standard error.  nu2 does not enter the equation (the
+    finite positive standard error.  nu2 does not enter the equation (the
     multiplier is zero); it is accepted for interface symmetry.
     """
     spec = spec or EquivalenceSpec()
-    if not (sigma1_hat > 0):
-        raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
-    u, iters, conv = _match_margin(sigma1_hat, spec.alpha0, spec.c0, tol=tol)
-    c = spec.c0 + sigma1_hat * float(u)
-    resid = float(_size(u, sigma1_hat, spec.c0) - spec.alpha0)
-    if not bool(conv):
-        raise NonConvergenceError(
-            f"cTOST margin solve stopped unconverged within {_ROOT_MAX_ITER} "
-            f"rounds, residual {resid:.3e}", last=c)
+    c, resid, iters = _scalar_margin("cTOST margin", sigma1_hat, spec.alpha0, spec.c0, tol)
     return UnivAdjustment(method="ctost", t_used=0.0, c_used=c,
                           iterations=iters, converged=True, residual=resid)
 
 
 # ---------------------------------------------------------------------------
-# level and margin adjustments at nonzero multiplier
+# level and margin adjustments at nonzero multiplier (alpha*, delta-TOST)
 # ---------------------------------------------------------------------------
 
 def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     """Level alpha* whose multiplier t_{alpha*,nu2} gives size alpha0 at c0.
 
     Bisection over alpha in (alpha0, 0.5], vectorized over sigma, on the
-    size :func:`_omega_batch` (-2 c0 / sigma, 0, nu2, t) of the margin c0
-    at theta = c0: it increases in alpha, reaching its supremum at
+    size :func:`_size` (0, sigma, c0, nu2, t) of the margin c0 at
+    theta = c0: it increases in alpha, reaching its supremum at
     alpha = 0.5 where the multiplier vanishes.  Rows where even that
     supremum is below alpha0 have no interior solution; they saturate at
     alpha = 0.5, t = 0, with the shortfall as residual.  Returns
@@ -247,10 +276,10 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     resid = _size(0.0, sigma, c0) - alpha0
     conv = np.ones(sigma.shape, dtype=bool)
     free = np.flatnonzero(resid >= 0)
-    lo = -2.0 * c0 / sigma[free]
+    sig = sigma[free]
 
     def size_gap(a, rows):
-        return _omega_batch(lo[rows], 0.0, nu2, t_quantile(a, nu2)) - alpha0
+        return _size(0.0, sig[rows], c0, nu2, t_quantile(a, nu2)) - alpha0
 
     a, r, iters, ok = _increasing_root(size_gap, np.full(free.size, alpha0),
                                        np.full(free.size, 0.5), tol)
@@ -259,53 +288,18 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     return alpha, t, resid, iters, conv
 
 
-def _delta_margin(sigma, nu2, t, c0, alpha0, tol=1e-8):
-    """Margin c giving size alpha0 at c0 when the test subtracts t * s.
-
-    Bisection on the offset u = (c - c0) / sigma, vectorized over sigma at
-    one multiplier t >= 0, of the size :func:`_omega_batch`
-    (-2 c0 / sigma - u, u, nu2, t), strictly increasing from 0 at the
-    margin 0 (u = -c0 / sigma) to 1.  The root lies below u = 10 (1 + t):
-    there s <= 10 sigma gives a half-width c - t s of at least c0 + 10 sigma,
-    so the size is at least P(s <= 10 sigma) (Phi(10) - Phi(-10)); and
-    above u = -10 (1 + t), where the size is below Phi(-10) at any sigma.
-    Returns (c, residual, iterations, converged_mask) of
-    :func:`_increasing_root`, c = c0 + sigma u.
-    """
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    lo = -2.0 * c0 / sigma
-    top = 10.0 * (1.0 + t)
-
-    def size_gap(u, rows):
-        return _omega_batch(lo[rows] - u, u, nu2, t) - alpha0
-
-    u, resid, iters, conv = _increasing_root(
-        size_gap, np.maximum(-c0 / sigma, -top), np.full(sigma.shape, top), tol)
-    return c0 + sigma * u, resid, iters, conv
-
-
-def _scalar_root(what, x, resid, conv):
-    """(value, residual) of a one-row solve; raises if it stopped unconverged."""
-    if not conv[0]:
-        raise NonConvergenceError(
-            f"{what} solve stopped unconverged within {_ROOT_MAX_ITER} rounds, "
-            f"residual {resid[0]:.3e}", last=float(x[0]))
-    return float(x[0]), float(resid[0])
-
-
 def margin_for_multiplier(sigma1: float, nu2: int, t: float,
                           spec: EquivalenceSpec = None,
                           tol: float = 1e-8) -> float:
     """Margin c matching size alpha0 when the test subtracts t * s.
 
-    Bisection on c (:func:`_delta_margin`); raises NonConvergenceError if
-    it stops unconverged.  t = 0 gives the cTOST margin (to the looser tol).
+    The solve of :func:`_match_margin` at a finite t >= 0 (InputError
+    otherwise); raises NonConvergenceError if it stops unconverged.  t = 0
+    gives the cTOST margin.
     """
     spec = spec or EquivalenceSpec()
-    if not (sigma1 > 0) or t < 0:
-        raise InputError("need sigma1 > 0 and t >= 0")
-    c, resid, _, conv = _delta_margin(sigma1, nu2, t, spec.c0, spec.alpha0, tol=tol)
-    return _scalar_root("delta-TOST margin", c, resid, conv)[0]
+    return _scalar_margin("delta-TOST margin", sigma1, spec.alpha0, spec.c0, tol,
+                          nu2, t)[0]
 
 
 def delta_tost_adjust(sigma1_hat: float, nu2: int,
@@ -313,12 +307,9 @@ def delta_tost_adjust(sigma1_hat: float, nu2: int,
                       tol: float = 1e-8) -> UnivAdjustment:
     """Widened margins c* at the nominal level alpha0 (multiplier t_{alpha0,nu2})."""
     spec = spec or EquivalenceSpec()
-    if not (sigma1_hat > 0):
-        raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
     t = float(t_quantile(spec.alpha0, nu2))
-    c, resid, iters, conv = _delta_margin(sigma1_hat, nu2, t, spec.c0,
-                                          spec.alpha0, tol=tol)
-    c, resid = _scalar_root("delta-TOST margin", c, resid, conv)
+    c, resid, iters = _scalar_margin("delta-TOST margin", sigma1_hat, spec.alpha0,
+                                     spec.c0, tol, nu2, t)
     return UnivAdjustment(method="delta-tost", t_used=t, c_used=c,
                           iterations=iters, residual=resid)
 
@@ -332,11 +323,10 @@ def alpha_tost_adjust(sigma1_hat: float, nu2: int,
     returned with ``saturated=True``; an unconverged solve raises.
     """
     spec = spec or EquivalenceSpec()
-    if not (sigma1_hat > 0):
-        raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
+    _check_sigma(sigma1_hat)
     alpha, t, resid, iters, conv = _alpha_star(
         sigma1_hat, nu2, spec.c0, spec.alpha0, tol=tol)
-    alpha, resid = _scalar_root("alpha-TOST level", alpha, resid, conv)
+    alpha, resid = _scalar_root("alpha-TOST level", alpha[0], resid[0], conv[0])
     # the bisection only tests midpoints below 0.5, so 0.5 means saturated
     return UnivAdjustment(method="alpha-tost", t_used=float(t[0]), c_used=spec.c0,
                           alpha_adj=alpha, iterations=iters,
@@ -431,8 +421,7 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
     NonConvergenceError when the margin does not match the calibrated level.
     """
     spec = spec or EquivalenceSpec()
-    if not (sigma1_hat > 0):
-        raise InputError(f"sigma1_hat must be positive, got {sigma1_hat}")
+    _check_sigma(sigma1_hat, nu2)
     if strategy not in STRATEGIES:
         raise InputError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
@@ -446,12 +435,8 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
         a, clamped_m = _calibrate_level(sigma1_hat, nu2, spec.c0, spec.alpha0)
         it_run, alpha_c, clamped = 1, float(a[0]), bool(clamped_m[0])
 
-    u, _, conv = _match_margin(sigma1_hat, alpha_c, spec.c0)
-    c = spec.c0 + sigma1_hat * float(u)
-    if not bool(conv):
-        raise NonConvergenceError(
-            f"margin at calibrated level {alpha_c!r} did not converge", last=c)
-    resid = float(_size(u, sigma1_hat, spec.c0) - alpha_c)
+    c, resid, _ = _scalar_margin(f"margin at calibrated level {alpha_c!r}",
+                                 sigma1_hat, alpha_c, spec.c0, 1e-10)
     return UnivAdjustment(method="ctost-star", t_used=0.0, c_used=c,
                           alpha_c=alpha_c, iterations=it_run,
                           clamped=clamped, residual=resid)

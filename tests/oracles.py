@@ -106,6 +106,27 @@ def omega_quad(theta, sigma1, nu2, t, c, epsabs=1e-12, epsrel=1e-11):
     return float(val)
 
 
+def omega_slope_quad(lo, hi, nu2, t, epsabs=1e-12, epsrel=1e-11):
+    """Derivative of P(lo + t x < Z < hi - t x) as both limits widen, for
+    Z standard normal and x = s / sigma1 on its unit chi law, by adaptive
+    quadrature of phi(hi - t x) + phi(lo + t x) over the x where the box is
+    not empty; 0 for an empty box."""
+    if hi <= lo:
+        return 0.0
+    if t == 0.0:
+        return float(Z.pdf(hi) + Z.pdf(lo))
+    law = chi_law(1.0, nu2)
+    upper = min(0.5 * hi - 0.5 * lo, t * law.ppf(1.0 - 1e-14)) / t
+
+    def integrand(x):
+        return (Z.pdf(hi - t * x) + Z.pdf(lo + t * x)) * law.pdf(x)
+
+    # the law's mode, near 1, as a break point for the narrow laws of large nu2
+    val, _ = integrate.quad(integrand, 0.0, upper, epsabs=epsabs, epsrel=epsrel,
+                            limit=400, points=[min(1.0, 0.5 * upper)])
+    return float(val)
+
+
 def size_quad(sigma1, nu2, t, c, **kw):
     """Rejection probability at the equivalence boundary theta = log(1.25)."""
     return omega_quad(np.log(1.25), sigma1, nu2, t, c, **kw)

@@ -116,6 +116,19 @@ def test_assess_refined_flag_promotes_method(capsys):
     assert payload["meta"]["alpha_c"] == want.alpha_c
 
 
+@pytest.mark.parametrize("argv", [
+    ("assess", "--theta-hat", "0.1", "--sigma1-hat", "inf", "--nu2", "20",
+     "--method", "ctost"),
+    ("assess", "--theta-hat", "0.1", "--sigma1-hat", "nan", "--nu2", "20",
+     "--method", "delta-tost"),
+    ("adjust", "--method", "ctost", "--sigma1", "inf", "--nu2", "20"),
+], ids=["assess-inf", "assess-nan", "adjust-inf"])
+def test_non_finite_standard_error_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in json.loads(err)["error"]["message"]
+
+
 def test_assess_univariate_methods_rejected_for_mvt(capsys):
     code, out, err = run_cli(
         capsys, "assess", "--case-study", "--method", "delta-tost")

@@ -63,6 +63,9 @@ def test_summary_validation():
         _summary([0.1, 0.2], [0.1], np.eye(2))
     with pytest.raises(InputError):
         _summary([0.1, 0.2], [0.1, -0.1], np.eye(2))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InputError, match="finite"):
+            _summary([0.1, 0.2], [0.1, bad], np.eye(2))
     with pytest.raises(InputError):
         _summary([0.1, 0.2], [0.1, 0.1], np.array([[1.0, 0.3], [0.1, 1.0]]))
     with pytest.raises(InputError):
@@ -200,8 +203,7 @@ def test_lambda_argsup_diagonal_takes_closed_form(k, t):
     # an axis point, found from the K axis candidates alone
     assert lam.candidates_evaluated == k
     assert lam.converged
-    assert abs(lam.lambda_[lam.face]) == C0
-    assert lam.lambda_[lam.face] == lam.sign * C0
+    assert lam.lambda_[lam.face] == C0
     assert np.all(np.delete(lam.lambda_, lam.face) == 0.0)
     assert lam.objective == pytest.approx(_axis_closed_form(sigma, nu2, t, c),
                                           rel=1e-8)
@@ -227,33 +229,33 @@ def test_mvt_decide_alpha_tost_diagonal_matches_oracle(k):
 
 # worst-point searches with independent coordinates, frozen from the search
 # that evaluated each t > 0 axis candidate by its own power_mvt call:
-# (sigma, c, t, lambda_, objective, face, sign, candidates_evaluated,
+# (sigma, c, t, lambda_, objective, face, candidates_evaluated,
 # converged), all at nu2 = 20; re-frozen on the K positive axes and the
 # standardized kernel, with objectives moved by under 3e-14 relative
 FROZEN_INDEPENDENT_SEARCHES = [
-    ([0.091, 0.109], [0.171, 0.194], 0.0, [0.0, C0], 0.37076497156509186, 1, 1, 2, True),
-    ([0.169, 0.089], [0.222, 0.159], 1.7, [C0, 0.0], 0.0003929002813423085, 0, 1, 2, True),
+    ([0.091, 0.109], [0.171, 0.194], 0.0, [0.0, C0], 0.37076497156509186, 1, 2, True),
+    ([0.169, 0.089], [0.222, 0.159], 1.7, [C0, 0.0], 0.0003929002813423085, 0, 2, True),
     ([0.144, 0.071, 0.187], [0.235, 0.206, 0.295], 0.0, [0.0, 0.0, C0],
-     0.5782331497522574, 2, 1, 3, True),
+     0.5782331497522574, 2, 3, True),
     ([0.175, 0.19, 0.125], [0.269, 0.202, 0.21], 1.7, [0.0, C0, 0.0],
-     6.484202229808205e-07, 1, 1, 3, True),
+     6.484202229808205e-07, 1, 3, True),
     ([0.098, 0.186, 0.196, 0.154, 0.181], [0.29, 0.252, 0.214, 0.221, 0.198], 0.0,
-     [C0, 0.0, 0.0, 0.0, 0.0], 0.2771986482392652, 0, 1, 5, True),
+     [C0, 0.0, 0.0, 0.0, 0.0], 0.2771986482392652, 0, 5, True),
     ([0.195, 0.083, 0.167, 0.074, 0.165], [0.225, 0.212, 0.226, 0.186, 0.216], 1.7,
-     [C0, 0.0, 0.0, 0.0, 0.0], 1.5948725234894473e-08, 0, 1, 5, True),
-    ([0.08, 0.12], [0.2, 0.2], 0.0, [0.0, C0], 0.4180649919552545, 1, 1, 2, True),
-    ([0.08, 0.15], [0.2, 0.2], 1.7, [0.0, C0], 0.0016189901192589869, 1, 1, 2, True),
+     [C0, 0.0, 0.0, 0.0, 0.0], 1.5948725234894473e-08, 0, 5, True),
+    ([0.08, 0.12], [0.2, 0.2], 0.0, [0.0, C0], 0.4180649919552545, 1, 2, True),
+    ([0.08, 0.15], [0.2, 0.2], 1.7, [0.0, C0], 0.0016189901192589869, 1, 2, True),
 ]
 
 
-@pytest.mark.parametrize("sigma, c, t, lam, objective, face, sign, evals, converged",
+@pytest.mark.parametrize("sigma, c, t, lam, objective, face, evals, converged",
                          FROZEN_INDEPENDENT_SEARCHES)
 def test_lambda_argsup_independent_matches_frozen_searches(
-        sigma, c, t, lam, objective, face, sign, evals, converged):
+        sigma, c, t, lam, objective, face, evals, converged):
     k = len(sigma)
     got = lambda_argsup(np.array(sigma), np.eye(k), 20, np.array(c), t=t)
     assert got.lambda_.tolist() == lam
-    assert (got.objective, got.face, got.sign) == (objective, face, sign)
+    assert (got.objective, got.face) == (objective, face)
     assert (got.candidates_evaluated, got.converged) == (evals, converged)
 
 
@@ -463,34 +465,34 @@ def _frozen_search(case):
 
 
 # worst-point searches frozen from the ascent that searched one face at a
-# time: (case, lambda_, objective, face, sign, candidates_evaluated);
+# time: (case, lambda_, objective, face, candidates_evaluated);
 # re-frozen on the K positive axes and boxes in standardized offsets, with
 # lambda_ moved by under 6e-17 and objectives by under 4e-16 relative
 FROZEN_SEARCHES = [
-    ("k2 -0.9", [-0.09798758061062857, C0], 0.3017308507186672, 1, 1, 16),
-    ("k2 0.5", [0.050167898355046814, C0], 0.2686204961085319, 1, 1, 12),
-    ("k2 0.9", [0.09798758061062857, C0], 0.30173085071866723, 1, 1, 16),
+    ("k2 -0.9", [-0.09798758061062857, C0], 0.3017308507186672, 1, 16),
+    ("k2 0.5", [0.050167898355046814, C0], 0.2686204961085319, 1, 12),
+    ("k2 0.9", [0.09798758061062857, C0], 0.30173085071866723, 1, 16),
     ("k3 -0.3", [-0.03886076560815164, -0.04856337539148161, C0],
-     0.06039152855349155, 2, 1, 26),
-    ("k3 0.6", [0.07752576543763746, 0.09687307409085019, C0], 0.07164648865622744, 2, 1, 23),
+     0.06039152855349155, 2, 26),
+    ("k3 0.6", [0.07752576543763746, 0.09687307409085019, C0], 0.07164648865622744, 2, 23),
     ("k4", [0.06465664505398135, 0.06465664505398135, C0, 0.09695278179755752],
-     0.0526592099982141, 2, 1, 38),
+     0.0526592099982141, 2, 38),
     ("k4-random", [0.02917646456065045, 0.06935019632757398, -0.0238880130520144, C0],
-     0.032160324125788224, 3, 1, 43),
+     0.032160324125788224, 3, 43),
     ("k4-warm", [0.06423454899432128, 0.06423454899432128, C0, 0.09631222084278467],
-     0.05645720435738138, 2, 1, 32),
-    ("sampled", [0.06947292861794765, C0], 0.025663981184233683, 1, 1, 21),
+     0.05645720435738138, 2, 32),
+    ("sampled", [0.06947292861794765, C0], 0.025663981184233683, 1, 21),
 ]
 
 
-@pytest.mark.parametrize("case, lam, objective, face, sign, evals", FROZEN_SEARCHES,
+@pytest.mark.parametrize("case, lam, objective, face, evals", FROZEN_SEARCHES,
                          ids=[row[0] for row in FROZEN_SEARCHES])
-def test_argsup_matches_frozen_searches(case, lam, objective, face, sign, evals):
+def test_argsup_matches_frozen_searches(case, lam, objective, face, evals):
     # the ascents run in lockstep rounds, but each takes exactly the steps
     # it took alone: a rectangle's value does not depend on its batch
     got = _frozen_search(case)
     assert got.lambda_.tolist() == lam
-    assert (got.objective, got.face, got.sign) == (objective, face, sign)
+    assert (got.objective, got.face) == (objective, face)
     assert got.candidates_evaluated == evals
     assert got.converged
 
@@ -550,7 +552,7 @@ def test_argsup_at_a_vanishing_sigma_takes_far_limits():
     # that coordinate's limits are near 1e200: the rectangle gradients
     # cut them before squaring, so nothing overflows
     lam = lambda_argsup(np.array([0.1, 1e-200]), _equicorr(2, 0.3), 20, np.array([0.2, 0.2]))
-    assert lam.converged and lam.sign == 1
+    assert lam.converged and lam.lambda_[lam.face] == C0
 
 
 def test_adjust_k5_correlated_fit_converges(monkeypatch):

@@ -204,6 +204,27 @@ def test_omega_batch_mixed_fixed_and_random_margins():
     np.testing.assert_allclose(got, [want0, want1], atol=2e-9)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-300, 0.5, 1.7, 8.0])
+@pytest.mark.parametrize("nu2", [1, 4, 20, 4293])
+def test_omega_batch_slope_matches_differences_and_quadrature(nu2, t):
+    # the slope as both limits widen, from the same rule as the value: it
+    # agrees with central differences of the value and with adaptive
+    # quadrature of its own integrand, and is 0 with the value for the
+    # empty boxes (the last two)
+    lo = np.array([-5.0, -0.3, -20.0, -2.0, -np.inf, -60.0, 1.0, 3.0])
+    hi = np.array([1.2, 0.4, 0.5, 3.0, np.inf, -3.0, 0.5, -3.0])
+    value, slope = _omega_batch(lo, hi, nu2, t, slope=True)
+    assert np.array_equal(value, _omega_batch(lo, hi, nu2, t))
+    h = 1e-5
+    diff = (_omega_batch(lo - h, hi + h, nu2, t) - _omega_batch(lo + h, hi - h, nu2, t)) / (2 * h)
+    np.testing.assert_allclose(slope, diff, rtol=0, atol=1e-6)
+    want = [oracles.omega_slope_quad(a, b, nu2, t) for a, b in zip(lo, hi)]
+    np.testing.assert_allclose(slope, want, rtol=0, atol=2e-9)
+    assert value[-2:].tolist() == slope[-2:].tolist() == [0.0, 0.0]
+    one = _omega_batch(-0.3, 0.4, nu2, t, slope=True)
+    assert one == (value[1], slope[1])
+
+
 @pytest.mark.parametrize("nu2", [4, 20, 20.5])
 def test_unit_chi_bounds_match_scipy_chi(nu2):
     # nu2 is used as passed: a fractional value is not truncated.  The

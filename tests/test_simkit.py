@@ -250,7 +250,7 @@ def test_sweep_delta_tost_size_at_small_sigma():
 
 
 @pytest.mark.parametrize("method,solver", [("alpha-tost", "_alpha_star"),
-                                           ("delta-tost", "_delta_margin"),
+                                           ("delta-tost", "_match_margin"),
                                            ("ctost", "_match_margin")])
 def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver):
     # the sweep solves with the univariate solver, which stops at the cap
@@ -261,10 +261,10 @@ def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver)
         run_univariate_sweep(cfg)
 
 
-@pytest.mark.parametrize("method", ["ctost", "ctost-star"])
+@pytest.mark.parametrize("method", ["ctost", "ctost-star", "delta-tost"])
 def test_sweep_raises_when_a_margin_match_fails(monkeypatch, method):
-    def unconverged(sigma, level, c0):
-        c, iters, conv = univariate._match_margin(sigma, level, c0)
+    def unconverged(sigma, level, c0, **kw):
+        c, iters, conv = univariate._match_margin(sigma, level, c0, **kw)
         return c, iters, np.zeros_like(conv)
 
     monkeypatch.setattr(simkit, "_match_margin", unconverged)

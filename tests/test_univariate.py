@@ -26,7 +26,6 @@ from equivkit.univariate import (
     CalibrationTable,
     UnivSummary,
     _alpha_star,
-    _delta_margin,
     _match_margin,
     _size,
     alpha_tost_adjust,
@@ -161,11 +160,12 @@ SOLVER_SIGMAS = np.array([0.02, 0.05, 0.1, 0.2, 4.0])
 
 
 def test_vector_solvers_match_scalar_wrappers():
-    # one vector call and per-element scalar calls run the same bisection,
-    # so they test the same midpoints and stop at the same one
+    # one vector call and per-element scalar calls run the same iteration,
+    # so they test the same points and stop at the same one
     t0 = float(t_quantile(0.05, 20))
     alpha, t, _, _, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05)
-    c, _, _, d_conv = _delta_margin(SOLVER_SIGMAS, 20, t0, C0, 0.05)
+    u, _, d_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0, 1e-8, 20, t0)
+    c = C0 + SOLVER_SIGMAS * u
     assert a_conv.all() and d_conv.all()
     for i, s in enumerate(SOLVER_SIGMAS):
         one = alpha_tost_adjust(float(s), 20)
@@ -182,7 +182,7 @@ def test_solvers_flag_iteration_cap(monkeypatch):
     t0 = float(t_quantile(0.05, 20))
     free = SOLVER_SIGMAS < 4.0  # the saturated row needs no bisection
     *_, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05)
-    *_, d_conv = _delta_margin(SOLVER_SIGMAS, 20, t0, C0, 0.05)
+    *_, d_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0, 1e-8, 20, t0)
     _, m_iters, m_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0)
     assert not a_conv[free].any()
     assert not d_conv.any()
@@ -199,10 +199,9 @@ def test_solvers_stop_when_the_bracket_collapses():
     # no double meets an unreachable tolerance, so each solve narrows its
     # bracket to adjacent doubles and stops there, well before the cap
     t0 = float(t_quantile(0.05, 20))
-    # (at sigma 0.1 a delta-TOST midpoint is an exact root)
-    c, _, iters, conv = _delta_margin(0.11, 20, t0, C0, 0.05, tol=1e-300)
-    assert not conv[0] and iters < univariate._ROOT_MAX_ITER
-    assert c[0] == pytest.approx(margin_for_multiplier(0.11, 20, t0), abs=1e-8)
+    u, iters, conv = _match_margin(0.11, 0.05, C0, 1e-300, 20, t0)
+    assert not conv and iters < univariate._ROOT_MAX_ITER
+    assert C0 + 0.11 * u == pytest.approx(margin_for_multiplier(0.11, 20, t0), abs=1e-8)
     *_, iters, conv = _alpha_star(0.1, 20, C0, 0.05, tol=1e-300)
     assert not conv[0] and iters < univariate._ROOT_MAX_ITER
     _, iters, conv = _match_margin(0.1, 0.05, C0, tol=1e-300)
@@ -229,7 +228,8 @@ def test_solvers_return_the_degenerate_limit(sigma):
 
     sigmas = np.array([0.1, sigma, 0.05])
     alpha, t, a_res, _, a_conv = _alpha_star(sigmas, 20, C0, 0.05)
-    c, d_res, _, d_conv = _delta_margin(sigmas, 20, t0, C0, 0.05)
+    u, _, d_conv = _match_margin(sigmas, 0.05, C0, 1e-8, 20, t0)
+    c, d_res = C0 + sigmas * u, _size(u, sigmas, C0, 20, t0) - 0.05
     assert a_conv.all() and d_conv.all()
     assert (alpha[1], t[1]) == (near.alpha_adj, near.t_used)
     assert c[1] == C0 and max(abs(a_res[1]), abs(d_res[1])) <= 1e-8
@@ -267,7 +267,7 @@ def test_delta_star_frozen_value():
 
 def test_delta_star_reports_bisection_iterations():
     t0 = float(t_quantile(0.05, 20))
-    _, _, iters, _ = _delta_margin(0.1, 20, t0, C0, 0.05)
+    _, iters, _ = _match_margin(0.1, 0.05, C0, 1e-8, 20, t0)
     adj = delta_tost_adjust(0.1, 20)
     assert adj.iterations > 0
     assert adj.iterations == iters
@@ -275,29 +275,69 @@ def test_delta_star_reports_bisection_iterations():
     assert rep.meta["iterations"] == iters
 
 
-def test_delta_star_agrees_with_scipy_root():
-    t0 = float(t_quantile(0.05, 20))
+@pytest.mark.parametrize("sigma, nu2", [(0.1, 20), (0.02, 20), (0.05, 4), (0.2, 80),
+                                         (0.3, 5), (0.15, 1)])
+def test_delta_star_agrees_with_scipy_root(sigma, nu2):
+    t0 = float(t_quantile(0.05, nu2))
 
     def g(c):
-        return oracles.omega_quad(C0, 0.1, 20, t0, c) - 0.05
+        return oracles.omega_quad(C0, sigma, nu2, t0, c) - 0.05
 
     want = optimize.brentq(g, C0 * 0.5, 1.0, xtol=1e-13)
-    adj = delta_tost_adjust(0.1, 20)
+    adj = delta_tost_adjust(sigma, nu2)
     assert adj.c_used == pytest.approx(want, abs=5e-8)
+    assert abs(g(adj.c_used)) <= 1e-8
     assert adj.c_used > C0  # widening, not shrinking
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nu2", [1, 2, 4, 20, 80, 4293])
+def test_delta_margin_newton_takes_few_rounds(nu2):
+    # Newton's method on the kernel's slope settles every delta-TOST margin
+    # from sigma 1e-300 to 1e3 within 12 rounds
+    t0 = float(t_quantile(0.05, nu2))
+    sigmas = np.logspace(-300, 3, 200)
+    u, iters, conv = _match_margin(sigmas, 0.05, C0, 1e-8, nu2, t0)
+    assert conv.all() and iters <= 12
+    assert np.abs(_size(u, sigmas, C0, nu2, t0) - 0.05).max() <= 1e-8
 
 
 @pytest.mark.parametrize("nu2", [1, 4293])
 @pytest.mark.parametrize("sigma", [1e-11, 1e3])
 def test_delta_margin_upper_end_holds_the_root(sigma, nu2):
-    # the bracket's upper end c0 + 10 sigma (1 + t) needs no doubling: the
-    # size there already reaches alpha0, at extreme standard errors and for
-    # the heaviest and a light chi law of s
+    # the bracket's upper end, at least c0 + 10 sigma (1 + t), needs no
+    # doubling: the size there already reaches alpha0, at extreme standard
+    # errors and for the heaviest and a light chi law of s
     t0 = float(t_quantile(0.05, nu2))
     hi = C0 + 10.0 * sigma * (1.0 + t0)
     assert _omega_batch(*_box_limits(C0, sigma, hi), nu2, t0) - 0.05 >= 0.0
-    c, _, _, conv = _delta_margin(sigma, nu2, t0, C0, 0.05)
-    assert conv[0] and 0.0 < c[0] < hi
+    u, _, conv = _match_margin(sigma, 0.05, C0, 1e-8, nu2, t0)
+    assert conv and 0.0 < C0 + sigma * u < hi
+
+
+@pytest.mark.parametrize("call", [
+    lambda: margin_for_multiplier(0.1, 0, 1.7),
+    lambda: margin_for_multiplier(0.1, 20, float("nan")),
+    lambda: margin_for_multiplier(0.1, 20, float("inf")),
+    lambda: margin_for_multiplier(0.1, 20, -1.0),
+    lambda: margin_for_multiplier(float("inf"), 20, 1.7),
+    lambda: ctost_star_calibrate(0.1, 0),
+    lambda: ctost_star_calibrate(float("nan"), 20),
+    lambda: ctost_adjust(float("inf"), 20),
+    lambda: ctost_adjust(0.0, 20),
+    lambda: delta_tost_adjust(float("inf"), 20),
+    lambda: alpha_tost_adjust(float("nan"), 20),
+    lambda: _match_margin(np.array([0.1, np.inf]), 0.05),
+    lambda: UnivSummary(0.1, float("inf"), 20),
+    lambda: EquivalenceSpec(c0=float("inf")),
+    lambda: EquivalenceSpec(c0=float("nan")),
+], ids=["t-nu2-0", "t-nan", "t-inf", "t-negative", "t-sigma-inf", "star-nu2-0",
+        "star-sigma-nan", "ctost-sigma-inf", "ctost-sigma-0", "delta-sigma-inf",
+        "alpha-sigma-nan", "match-sigma-inf", "summary-sigma-inf", "spec-c0-inf",
+        "spec-c0-nan"])
+def test_non_finite_or_out_of_range_inputs_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_three_adjustments_share_one_size():
