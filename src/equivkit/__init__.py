@@ -62,13 +62,11 @@ from .univariate import (
     alpha_tost_adjust,
     build_calibration_table,
     ctost_adjust,
-    ctost_decide,
     ctost_star_calibrate,
     decide,
     default_calibration_table,
     delta_tost_adjust,
     margin_for_multiplier,
-    tost_decide,
 )
 
 try:
@@ -120,11 +118,9 @@ __all__ = [
     "alpha_tost_adjust",
     "build_calibration_table",
     "ctost_adjust",
-    "ctost_decide",
     "ctost_star_calibrate",
     "decide",
     "default_calibration_table",
     "delta_tost_adjust",
     "margin_for_multiplier",
-    "tost_decide",
 ]

@@ -42,16 +42,12 @@ from .simkit import (
     run_simulation,
     univariate_sweep_config,
 )
-from .statdist import t_quantile
 from .univariate import (
     CalibrationTable,
     UnivSummary,
-    alpha_tost_adjust,
+    _rule,
     build_calibration_table,
-    ctost_adjust,
-    ctost_star_calibrate,
     decide,
-    delta_tost_adjust,
 )
 
 _C0_HELP = f"equivalence margin on the log scale (default log 1.25 = {C0_DEFAULT:.5f})"
@@ -144,7 +140,7 @@ def _spec(args, method="ctost"):
 
 
 def _calibrate_kwargs(args):
-    """Keyword arguments for ctost_star_calibrate drawn from CLI flags."""
+    """The cTOST* level source (strategy, table) drawn from CLI flags."""
     strategy = args.strategy or ("quadrature" if args.table is None else "table-lookup")
     return {"strategy": strategy, "table": args.table}
 
@@ -186,9 +182,7 @@ def _assess_report(args):
     method = _effective_method(args)
     summary, labels = _load_summary(args)
     if isinstance(summary, UnivSummary):
-        spec = _spec(args, method)
-        kwargs = _calibrate_kwargs(args) if method == "ctost-star" else {}
-        report = decide(summary, spec, **kwargs)
+        report = decide(summary, _spec(args, method), **_calibrate_kwargs(args))
     else:
         spec = _spec(args, "ctost" if method == "ctost-star" else method)
         mv_kwargs = {"seed": args.seed}
@@ -245,19 +239,6 @@ def cmd_assess(args):
 # ---------------------------------------------------------------------------
 # adjust
 
-def _univ_adjustment(method, sigma1, nu2, spec, args):
-    tol = {} if args.tol is None else {"tol": args.tol}
-    if method == "tost":
-        return None
-    if method == "ctost":
-        return ctost_adjust(sigma1, nu2, spec, **tol)
-    if method == "ctost-star":
-        return ctost_star_calibrate(sigma1, nu2, spec, **_calibrate_kwargs(args))
-    if method == "alpha-tost":
-        return alpha_tost_adjust(sigma1, nu2, spec, **tol)
-    return delta_tost_adjust(sigma1, nu2, spec, **tol)
-
-
 def _adjustment_payload(adj):
     if isinstance(adj, MvtAdjustment):
         lam = adj.lambda_
@@ -282,7 +263,8 @@ def cmd_adjust(args):
         if method == "tost":
             raise InputError("tost needs no adjustment; choose another --method")
         spec = _spec(args, method)
-        adj = _univ_adjustment(method, summary.sigma1_hat, summary.nu2, spec, args)
+        adj = _rule(method, summary.sigma1_hat, summary.nu2, spec, tol=args.tol,
+                    **_calibrate_kwargs(args))
     else:
         if method != "ctost":
             raise InputError("multivariate adjustment is available for ctost only")
@@ -313,14 +295,6 @@ def cmd_adjust(args):
 # ---------------------------------------------------------------------------
 # power / size tables
 
-def _method_tc(method, sigma1, nu2, spec, args):
-    """Plug-in (multiplier, margin) pair of a method at known sigma1."""
-    if method == "tost":
-        return float(t_quantile(spec.alpha0, nu2)), spec.c0
-    adj = _univ_adjustment(method, sigma1, nu2, spec, args)
-    return adj.t_used, adj.c_used
-
-
 def _power_size_rows(args, with_theta):
     methods = tuple(dict.fromkeys(_parse_strs(args.method, "--method")))
     for m in methods:
@@ -329,15 +303,17 @@ def _power_size_rows(args, with_theta):
     sigmas = _parse_floats(args.sigma1, "--sigma1")
     nus = _parse_ints(args.nu2, "--nu2")
     thetas = _parse_floats(args.theta, "--theta") if with_theta else (None,)
-    spec_any = _spec(args)
     rows = []
     for method in methods:
-        spec = _spec(args, method if method != "tost" else "ctost")
+        spec = _spec(args, method)
         for nu2 in nus:
             for sigma1 in sigmas:
-                t, c = _method_tc(method, sigma1, nu2, spec, args)
+                # the plug-in rule of the method at known sigma1
+                adj = _rule(method, sigma1, nu2, spec, tol=args.tol,
+                            **_calibrate_kwargs(args))
+                t, c = adj.t_used, adj.c_used
                 for theta in thetas:
-                    at = spec_any.c0 if theta is None else theta
+                    at = spec.c0 if theta is None else theta
                     q = UnivPowerQuery(theta=at, sigma1=sigma1, nu2=nu2, t=t, c=c)
                     val = float(power_uni(q))
                     if with_theta:

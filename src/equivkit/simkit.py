@@ -29,18 +29,10 @@ from .base import (
     C0_DEFAULT,
     EquivalenceSpec,
     InputError,
-    NonConvergenceError,
 )
 from .mvt import MvtSummary, ctost_mvt_adjust, lambda_argsup
 from .statdist import rng_stream, sample_wishart_diag, t_quantile
-from .univariate import (
-    _alpha_star,
-    _calibrate_level,
-    _check_table,
-    _match_margin,
-    _table_fits,
-    default_calibration_table,
-)
+from .univariate import _check_table, _rule, _table_fits, default_calibration_table
 
 __all__ = [
     "DESIGNS",
@@ -282,47 +274,20 @@ def _sigma_hat_draws(sigma, nu2, n, rng):
     return sigma * np.sqrt(rng.chisquare(nu2, size=n) / nu2)
 
 
-def _ctost_star_levels(sh, nu2, cfg, table):
-    """Calibrated target level per replicate: table lookup, quadrature off-grid."""
-    if table is not None:
-        level = np.atleast_1d(np.asarray(
-            table.lookup(sh, nu2, out_of_range="nan"), dtype=float))
-        miss = ~np.isfinite(level)
-    else:
-        level = np.empty_like(sh)
-        miss = np.ones(sh.shape, dtype=bool)
-    if np.any(miss):
-        level[miss], _ = _calibrate_level(sh[miss], nu2, cfg.c0, cfg.alpha0)
-    return level
+def _univ_cell_rejections(cfg, table, nu2, th, sh):
+    """Per-method boolean rejection vectors for one cell (shared draws).
 
-
-def _require_converged(conv, method, nu2):
-    if not conv.all():
-        raise NonConvergenceError(
-            f"{method} solve did not converge for {np.count_nonzero(~conv)} "
-            f"of {conv.size} replicates at nu2={nu2}")
-
-
-def _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh):
-    """Per-method boolean rejection vectors for one cell (shared draws)."""
-    c0, alpha0 = cfg.c0, cfg.alpha0
+    Each method's (t, c) per replicate come from :func:`univariate._rule`;
+    ctost-star looks its levels up in ``table`` (quadrature off its grid, or
+    for every replicate when there is no table).
+    """
+    spec = EquivalenceSpec(c0=cfg.c0, alpha0=cfg.alpha0)
+    strategy = "quadrature" if table is None else "table-lookup"
     ath = np.abs(th)
     out = {}
     for method in cfg.methods:
-        if method == "tost":
-            out[method] = ath < c0 - t_tost * sh
-        elif method == "alpha-tost":
-            _, t_star, _, _, conv = _alpha_star(sh, nu2, c0, alpha0)
-            _require_converged(conv, method, nu2)
-            out[method] = ath < c0 - t_star * sh
-        else:  # a margin c0 + sh u matched at a level and a multiplier t
-            t = t_tost if method == "delta-tost" else 0.0
-            level = (_ctost_star_levels(sh, nu2, cfg, table)
-                     if method == "ctost-star" else alpha0)
-            u, _, conv = _match_margin(sh, level, c0, tol=1e-8 if t else 1e-10,
-                                       nu2=nu2, t=t)
-            _require_converged(conv, method, nu2)
-            out[method] = ath < c0 + sh * u - t * sh
+        rule = _rule(method, sh, nu2, spec, strategy=strategy, table=table, fallback=True)
+        out[method] = ath < rule.c_used - rule.t_used * sh
     return out
 
 
@@ -330,8 +295,9 @@ def run_univariate_sweep(cfg, table=None):
     """Run the univariate size/power sweep described by cfg.
 
     ctost-star cells look their calibrated levels up in ``table`` (which
-    must be built for cfg's c0 and alpha0, else InputError) and fall back
-    to quadrature off its grid.  Without a table they use the bundled one
+    must be built for cfg's c0 and alpha0, else InputError), clamp them at
+    alpha0 as `univariate.ctost_star_calibrate` does, and fall back to
+    quadrature off its grid.  Without a table they use the bundled one
     when it fits cfg's c0 and alpha0, and quadrature otherwise.
 
     Raises NonConvergenceError, naming the method and nu2, when a margin or
@@ -347,13 +313,12 @@ def run_univariate_sweep(cfg, table=None):
             table = None
     records = []
     for i_n, nu2 in enumerate(cfg.nu2_set):
-        t_tost = float(t_quantile(cfg.alpha0, nu2))
         for i_s, sigma in enumerate(cfg.sigma_grid):
             for i_t, theta in enumerate(cfg.theta_or_kappa_grid):
                 rng = rng_stream(cfg.seed, "univ", i_s, i_n, i_t)
                 th = theta + sigma * rng.standard_normal(cfg.replicates)
                 sh = _sigma_hat_draws(sigma, nu2, cfg.replicates, rng)
-                rejects = _univ_cell_rejections(cfg, table, nu2, t_tost, th, sh)
+                rejects = _univ_cell_rejections(cfg, table, nu2, th, sh)
                 for method in cfg.methods:
                     records.append(_record(
                         cfg, K=1, rho=0.0, sigma_config=repr(float(sigma)),

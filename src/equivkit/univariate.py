@@ -1,9 +1,11 @@
 """Univariate equivalence decisions: TOST and its size-corrected variants.
 
-The classical TOST declares equivalence when the 1-2*alpha0 confidence
-interval falls inside (-c0, c0); it is conservative because its size drops
-below alpha0 as the standard error grows.  The corrections here restore
-size alpha0 exactly, each moving a different dial:
+Every procedure here rejects non-equivalence when |theta_hat| < c - t s, for
+a multiplier t of the standard error s and a margin c.  The classical TOST
+takes t = t_{alpha0,nu2} and c = c0, so it declares equivalence when the
+1-2*alpha0 confidence interval falls inside (-c0, c0); it is conservative
+because its size drops below alpha0 as the standard error grows.  The
+corrections restore size alpha0 exactly, each moving a different dial:
 
 * alpha-TOST raises the level alpha (shrinking the t multiplier),
 * delta-TOST widens the margins c with the multiplier fixed,
@@ -12,13 +14,16 @@ size alpha0 exactly, each moving a different dial:
 * cTOST* additionally calibrates the target level to undo the small-sample
   bias introduced by plugging in an estimated standard error.
 
-One bracketed root-finder (:func:`_increasing_root`) solves every level and
-margin and reports iteration counts.  Every margin, at any multiplier, is a
-guarded Newton solve (:func:`_match_margin`); only alpha* bisects.  Sizes
-match to 1e-10 at multiplier zero, where they are closed forms, and to 1e-8
-otherwise, where each size and its slope come from :mod:`equivkit.powerkernel`
-to 1e-9.  A solve that stops unconverged raises NonConvergenceError, and so
-does a size whose rule pair still disagrees at the largest rule.
+One vectorized function (:func:`_rule`) chooses (t, c) for all five
+methods; :func:`decide`, the four adjusters, the CLI and the simulation
+sweep all read it.  One bracketed root-finder (:func:`_increasing_root`)
+solves every level and margin and reports iteration counts.  Every margin,
+at any multiplier, is a guarded Newton solve (:func:`_match_margin`); only
+alpha* bisects.  Sizes match to 1e-10 at multiplier zero, where they are
+closed forms, and to 1e-8 otherwise, where each size and its slope come
+from :mod:`equivkit.powerkernel` to 1e-9.  A solve that stops unconverged
+raises NonConvergenceError, and so does a size whose rule pair still
+disagrees at the largest rule.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from scipy import special
 from .base import (
     ALPHA0_DEFAULT,
     C0_DEFAULT,
+    METHODS,
     DecisionReport,
     EquivalenceSpec,
     ExtrapolationError,
@@ -44,7 +50,6 @@ from .statdist import _leggauss, _phi, _scaled_chi_logpdf, _unit_chi_bounds, t_q
 __all__ = [
     "UnivSummary",
     "UnivAdjustment",
-    "tost_decide",
     "ctost_adjust",
     "alpha_tost_adjust",
     "delta_tost_adjust",
@@ -53,7 +58,6 @@ __all__ = [
     "CalibrationTable",
     "build_calibration_table",
     "default_calibration_table",
-    "ctost_decide",
     "decide",
 ]
 
@@ -87,12 +91,14 @@ class UnivSummary:
 
 @dataclass(frozen=True)
 class UnivAdjustment:
-    """Resolved (t, c) pair for a size-matched test, plus solver diagnostics.
+    """Resolved (t, c) pair of a rejection rule, plus solver diagnostics.
 
     t_used is the standard-error multiplier actually applied and c_used the
     margin.  alpha_adj carries the adjusted level for alpha-TOST, alpha_c the
     calibrated target level for cTOST*.  residual is the final size residual
-    of the matching equation.
+    of the matching equation.  Fields are floats for one standard error; a
+    batch of standard errors (see :func:`_rule`) holds arrays, or constants
+    shared by every row, and no residual.
     """
 
     method: str
@@ -171,9 +177,11 @@ def _size_slope(u, sigma, c0, nu2=1, t=0.0):
 
 def _check_sigma(sigma, nu2=1):
     """Raise InputError unless every standard error is finite and > 0, and nu2 >= 1."""
-    sigma = np.asarray(sigma)
-    if not ((sigma > 0) & (sigma < np.inf)).all():
-        raise InputError(f"standard errors must be finite and positive, got {sigma}")
+    # a float is compared directly: numpy's comparisons cost ten times more
+    if not (0 < sigma < np.inf if isinstance(sigma, float)
+            else ((np.asarray(sigma) > 0) & (np.asarray(sigma) < np.inf)).all()):
+        raise InputError("standard errors must be finite and positive, "
+                         f"got {np.asarray(sigma)}")
     if not (nu2 >= 1):
         raise InputError(f"nu2 must be >= 1, got {nu2}")
 
@@ -184,8 +192,9 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0):
     Solves :func:`_size` (u) = level, at one multiplier t >= 0 with nu2
     degrees of freedom, for the standardized offset u = (c - c0) / sigma of
     each margin c, so it keeps its precision as sigma -> 0, where c tends
-    to c0.  Newton's method on :func:`_size_slope`, from u = t - z_{1-level}
-    (or 0 when that margin is not positive), guarded by the bracket
+    to c0.  Newton's method on :func:`_size` and its slope (at t = 0 taken
+    only where a row goes on), from u = t - z_{1-level} (or 0 when that
+    margin is not positive), guarded by the bracket
     [max(-c0 / sigma, start - 10 (1 + t)), max(start, 0) + 10 (1 + t)]
     (:func:`_increasing_root`), so it cannot diverge: the size is 0 at the
     margin 0 and below Phi(u) < level at start - 10 (1 + t), the half-width
@@ -204,39 +213,29 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0):
     if not (0 <= t < np.inf):
         raise InputError(f"t must be finite and >= 0, got {t}")
 
-    # the slope at each row's last tested point, the point it is asked at
-    dens = np.empty(sigma.size)
+    if t == 0:  # closed forms; the slope only at points a row moves on from
+        def size_gap(u, rows):
+            return _size(u, sigma[rows], c0) - level[rows]
 
-    def size_gap(u, rows):
-        size, dens[rows] = _size_slope(u, sigma[rows], c0, nu2, t)
-        return size - level[rows]
+        def slope(u, rows):
+            return _phi(2.0 * c0 / sigma[rows] + u) + _phi(u)
+    else:  # the slope comes with the size from one kernel call
+        dens = np.empty(sigma.size)
+
+        def size_gap(u, rows):
+            size, dens[rows] = _size_slope(u, sigma[rows], c0, nu2, t)
+            return size - level[rows]
+
+        def slope(u, rows):
+            return dens[rows]
 
     start = t - special.ndtri(1.0 - level)
     floor = np.maximum(-c0 / sigma, start - 10.0 * (1.0 + t))
     start = np.where(start > floor, start, 0.0)
     u, _, iters, conv = _increasing_root(size_gap, floor,
                                          np.maximum(start, 0.0) + 10.0 * (1.0 + t),
-                                         tol, x=start, slope=lambda u, rows: dens[rows])
+                                         tol, x=start, slope=slope)
     return u.reshape(shape), iters, conv.reshape(shape)
-
-
-def _scalar_root(what, x, resid, conv):
-    """(value, residual) of a one-row solve as floats; raises if unconverged."""
-    x, resid = float(x), float(resid)
-    if not conv:
-        raise NonConvergenceError(
-            f"{what} solve stopped unconverged within {_ROOT_MAX_ITER} rounds, "
-            f"residual {resid:.3e}", last=x)
-    return x, resid
-
-
-def _scalar_margin(what, sigma1, level, c0, tol, nu2=1, t=0.0):
-    """(margin c, size residual, rounds) of :func:`_match_margin` for one
-    standard error, through :func:`_scalar_root`."""
-    u, iters, conv = _match_margin(sigma1, level, c0, tol=tol, nu2=nu2, t=t)
-    resid = _size(u, sigma1, c0, nu2, t) - level
-    c, resid = _scalar_root(what, c0 + sigma1 * u, resid, conv)
-    return c, resid, iters
 
 
 def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
@@ -246,12 +245,9 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
     The margin always exists and is unique: the size is 0 at c = 0 and
     increases to 1, so the guarded Newton iteration converges for any
     finite positive standard error.  nu2 does not enter the equation (the
-    multiplier is zero); it is accepted for interface symmetry.
+    multiplier is zero); it is checked (>= 1) for interface symmetry.
     """
-    spec = spec or EquivalenceSpec()
-    c, resid, iters = _scalar_margin("cTOST margin", sigma1_hat, spec.alpha0, spec.c0, tol)
-    return UnivAdjustment(method="ctost", t_used=0.0, c_used=c,
-                          iterations=iters, converged=True, residual=resid)
+    return _rule("ctost", sigma1_hat, nu2, spec, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +293,14 @@ def margin_for_multiplier(sigma1: float, nu2: int, t: float,
     otherwise); raises NonConvergenceError if it stops unconverged.  t = 0
     gives the cTOST margin.
     """
-    spec = spec or EquivalenceSpec()
-    return _scalar_margin("delta-TOST margin", sigma1, spec.alpha0, spec.c0, tol,
-                          nu2, t)[0]
+    return _rule("delta-tost", sigma1, nu2, spec, tol=tol, multiplier=t).c_used
 
 
 def delta_tost_adjust(sigma1_hat: float, nu2: int,
                       spec: EquivalenceSpec = None,
                       tol: float = 1e-8) -> UnivAdjustment:
     """Widened margins c* at the nominal level alpha0 (multiplier t_{alpha0,nu2})."""
-    spec = spec or EquivalenceSpec()
-    t = float(t_quantile(spec.alpha0, nu2))
-    c, resid, iters = _scalar_margin("delta-TOST margin", sigma1_hat, spec.alpha0,
-                                     spec.c0, tol, nu2, t)
-    return UnivAdjustment(method="delta-tost", t_used=t, c_used=c,
-                          iterations=iters, residual=resid)
+    return _rule("delta-tost", sigma1_hat, nu2, spec, tol=tol)
 
 
 def alpha_tost_adjust(sigma1_hat: float, nu2: int,
@@ -322,15 +311,7 @@ def alpha_tost_adjust(sigma1_hat: float, nu2: int,
     If no interior solution exists the boundary value alpha = 0.5 is
     returned with ``saturated=True``; an unconverged solve raises.
     """
-    spec = spec or EquivalenceSpec()
-    _check_sigma(sigma1_hat)
-    alpha, t, resid, iters, conv = _alpha_star(
-        sigma1_hat, nu2, spec.c0, spec.alpha0, tol=tol)
-    alpha, resid = _scalar_root("alpha-TOST level", alpha[0], resid[0], conv[0])
-    # the bisection only tests midpoints below 0.5, so 0.5 means saturated
-    return UnivAdjustment(method="alpha-tost", t_used=float(t[0]), c_used=spec.c0,
-                          alpha_adj=alpha, iterations=iters,
-                          saturated=alpha == 0.5, residual=resid)
+    return _rule("alpha-tost", sigma1_hat, nu2, spec, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +401,34 @@ def ctost_star_calibrate(sigma1_hat: float, nu2: int,
     and raises an extrapolation error outside its grid.  Raises
     NonConvergenceError when the margin does not match the calibrated level.
     """
-    spec = spec or EquivalenceSpec()
-    _check_sigma(sigma1_hat, nu2)
+    return _rule("ctost-star", sigma1_hat, nu2, spec, strategy=strategy, table=table)
+
+
+def _star_level(sigma, nu2, spec, strategy, table, fallback):
+    """cTOST* target levels of the rows of sigma, from one of two sources.
+
+    Quadrature calibrates every row (:func:`_calibrate_level`, which clamps
+    at alpha0).  table-lookup interpolates ``table`` (default: the bundled
+    one), which must be built for spec's (c0, alpha0), and clamps at alpha0
+    too; rows off its grid raise ExtrapolationError, or with ``fallback``
+    are calibrated by quadrature.  Returns (levels, clamped mask,
+    calibration rounds: 1 if quadrature ran, else 0).
+    """
     if strategy not in STRATEGIES:
         raise InputError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-
-    if strategy == "table-lookup":
-        tbl = table if table is not None else default_calibration_table()
-        _check_table(tbl, spec.c0, spec.alpha0)
-        alpha_c = float(tbl.lookup(sigma1_hat, nu2))
-        it_run, clamped = 0, alpha_c >= spec.alpha0
-        alpha_c = min(alpha_c, spec.alpha0)
-    else:
-        a, clamped_m = _calibrate_level(sigma1_hat, nu2, spec.c0, spec.alpha0)
-        it_run, alpha_c, clamped = 1, float(a[0]), bool(clamped_m[0])
-
-    c, resid, _ = _scalar_margin(f"margin at calibrated level {alpha_c!r}",
-                                 sigma1_hat, alpha_c, spec.c0, 1e-10)
-    return UnivAdjustment(method="ctost-star", t_used=0.0, c_used=c,
-                          alpha_c=alpha_c, iterations=it_run,
-                          clamped=clamped, residual=resid)
+    sigma = np.atleast_1d(sigma)
+    if strategy == "quadrature":
+        return *_calibrate_level(sigma, nu2, spec.c0, spec.alpha0), 1
+    tbl = table if table is not None else default_calibration_table()
+    _check_table(tbl, spec.c0, spec.alpha0)
+    level = tbl.lookup(sigma, nu2, out_of_range="nan" if fallback else "raise")
+    clamped = level >= spec.alpha0
+    level = np.minimum(level, spec.alpha0)
+    miss = np.isnan(level)
+    if not miss.any():
+        return level, clamped, 0
+    level[miss], clamped[miss] = _calibrate_level(sigma[miss], nu2, spec.c0, spec.alpha0)
+    return level, clamped, 1
 
 
 # ---------------------------------------------------------------------------
@@ -613,90 +602,120 @@ def default_calibration_table() -> CalibrationTable:
 
 
 # ---------------------------------------------------------------------------
-# decisions
+# rejection rules and decisions
 # ---------------------------------------------------------------------------
 
-def tost_decide(s: UnivSummary, spec: EquivalenceSpec = None) -> DecisionReport:
-    """Classical TOST: reject when theta_hat +- t_{alpha0,nu2} s fits in (-c0, c0)."""
-    spec = spec or EquivalenceSpec()
-    t = float(t_quantile(spec.alpha0, s.nu2))
-    half = t * s.sigma1_hat
-    margin = spec.c0 - half
-    reject = bool(abs(s.theta_hat) < margin)
-    return DecisionReport(
-        method="tost", reject=reject, theta_hat=s.theta_hat,
-        margins=(margin,), intervals=((s.theta_hat - half, s.theta_hat + half),),
-        iip=True, c0=spec.c0, alpha0=spec.alpha0,
-        meta={"t_used": t, "c_used": spec.c0, "sigma1_hat": s.sigma1_hat,
-              "nu2": s.nu2})
+def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
+          table=None, fallback=False, multiplier=None) -> UnivAdjustment:
+    """Multiplier t and margin c of ``method``'s rule |theta_hat| < c - t s.
 
+    tost takes t_{alpha0,nu2} and c0; alpha-tost the multiplier of
+    :func:`_alpha_star` and c0; ctost, ctost-star and delta-tost the margin
+    of :func:`_match_margin` at level alpha0 and t = 0, at the cTOST* level
+    (:func:`_star_level`, from ``strategy``, ``table`` and ``fallback``) and
+    t = 0, or at level alpha0 and t = ``multiplier`` (default t_{alpha0,nu2}).
+    tol overrides the solve tolerance (1e-10 for cTOST, 1e-8 for alpha* and
+    delta-TOST); cTOST* margins always match to 1e-10.  Standard errors and
+    nu2 are checked first (InputError).
 
-def ctost_decide(s: UnivSummary, spec: EquivalenceSpec = None,
-                 refined: bool = False, **calibrate_kwargs) -> DecisionReport:
-    """Corrected TOST: reject when |theta_hat| clears the matched margin.
-
-    ``refined`` switches to the calibrated margin (cTOST*); extra keyword
-    arguments are forwarded to :func:`ctost_star_calibrate`.  When the
-    margin sits below c0 the report carries the interval
-    theta_hat +- (c0 - margin), whose inclusion in (-c0, c0) is equivalent
-    to rejection; a margin at or above c0 has no such reading and is
-    reported with ``iip=False``.
+    A scalar sigma1 is one request: the fields are floats, the residual is
+    the matched size minus its level, and an unconverged solve raises
+    NonConvergenceError naming the solve.  An array is a batch: the fields
+    hold arrays over its rows (or constants shared by all), residual is None
+    (no size is evaluated beyond the solves'), and the error counts the
+    unconverged rows.
     """
     spec = spec or EquivalenceSpec()
-    if refined:
-        adj = ctost_star_calibrate(s.sigma1_hat, s.nu2, spec, **calibrate_kwargs)
+    c0, alpha0 = spec.c0, spec.alpha0
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}")
+    _check_sigma(sigma1, nu2)
+    if method == "tost":
+        return UnivAdjustment(method, float(t_quantile(alpha0, nu2)), c0)
+    # one standard error stays a scalar: the solves then broadcast nothing
+    one = np.ndim(sigma1) == 0
+    sigma = sigma1 if one else np.asarray(sigma1, dtype=float)
+    alpha_adj = alpha_c = None
+    saturated = clamped = False
+    if method == "alpha-tost":
+        alpha, t, resid, iters, conv = _alpha_star(sigma, nu2, c0, alpha0,
+                                                   tol=1e-8 if tol is None else tol)
+        # the bisection only tests midpoints below 0.5, so 0.5 means saturated
+        c, x, alpha_adj, saturated = c0, alpha, alpha, alpha == 0.5
+        what = "alpha-TOST level"
     else:
-        adj = ctost_adjust(s.sigma1_hat, s.nu2, spec)
-    margin = adj.c_used
-    reject = bool(abs(s.theta_hat) < margin)
-    iip = margin < spec.c0
-    slack = spec.c0 - margin
-    intervals = ((s.theta_hat - slack, s.theta_hat + slack),) if iip else None
-    return DecisionReport(
-        method=adj.method, reject=reject, theta_hat=s.theta_hat,
-        margins=(margin,), intervals=intervals, iip=iip,
-        c0=spec.c0, alpha0=spec.alpha0,
-        meta={"t_used": adj.t_used, "alpha_c": adj.alpha_c,
-              "iterations": adj.iterations, "converged": adj.converged,
-              "clamped": adj.clamped, "residual": adj.residual,
-              "sigma1_hat": s.sigma1_hat, "nu2": s.nu2})
+        t, level = 0.0, alpha0
+        if method == "ctost-star":
+            level, clamped, calibrated = _star_level(sigma, nu2, spec, strategy, table,
+                                                     fallback)
+            alpha_c, tol = level, 1e-10
+            what = f"margin at calibrated level {float(level[0])!r}"
+        elif method == "ctost":
+            what, tol = "cTOST margin", 1e-10 if tol is None else tol
+        else:
+            t = float(t_quantile(alpha0, nu2)) if multiplier is None else multiplier
+            what, tol = "delta-TOST margin", 1e-8 if tol is None else tol
+        u, iters, conv = _match_margin(sigma, level, c0, tol=tol, nu2=nu2, t=t)
+        if method == "ctost-star":  # cTOST* reports its calibration rounds
+            iters = calibrated
+        x = c = c0 + sigma * u
+        resid = _size(u, sigma, c0, nu2, t) - level if one else None
+    if not conv.all():
+        if one:
+            raise NonConvergenceError(
+                f"{what} solve stopped unconverged within {_ROOT_MAX_ITER} rounds, "
+                f"residual {np.asarray(resid).item():.3e}", last=np.asarray(x).item())
+        raise NonConvergenceError(
+            f"{method} solve did not converge for {np.count_nonzero(~conv)} "
+            f"of {conv.size} replicates at nu2={nu2}")
+    fields = (t, c, alpha_adj, alpha_c, iters, True, saturated, clamped, resid)
+    if one:
+        fields = (v.item() if isinstance(v, (np.ndarray, np.generic)) else v for v in fields)
+    return UnivAdjustment(method, *fields)
 
 
-def decide(s: UnivSummary, spec: EquivalenceSpec = None,
-           **kwargs) -> DecisionReport:
-    """Dispatch on spec.method; the single entry point used by the CLI."""
+# the report's meta per method: meta key -> UnivAdjustment field, in order
+_META = {
+    "tost": {"t_used": "t_used", "c_used": "c_used"},
+    "alpha-tost": {"alpha_adj": "alpha_adj", "t_used": "t_used",
+                   "saturated": "saturated", "iterations": "iterations"},
+    "delta-tost": {"c_star": "c_used", "t_used": "t_used", "iterations": "iterations"},
+    "ctost": {k: k for k in ("t_used", "alpha_c", "iterations", "converged",
+                             "clamped", "residual")},
+}
+_META["ctost-star"] = _META["ctost"]
+
+
+def decide(s: UnivSummary, spec: EquivalenceSpec = None, *,
+           strategy: str = "quadrature",
+           table: "CalibrationTable" = None) -> DecisionReport:
+    """Decision of spec.method on s: reject when |theta_hat| < c - t s.
+
+    The one univariate decision entry point, and the CLI's.  (t, c) come
+    from :func:`_rule`; strategy and table choose the cTOST* level source
+    as in :func:`ctost_star_calibrate`.  The report's margin is c - t s.
+    TOST, alpha-TOST and delta-TOST carry the interval theta_hat +- t s;
+    delta-TOST compares it to its widened margins, so inclusion in
+    (-c0, c0) is not implied by rejection and the report has ``iip=False``.
+    cTOST and cTOST* (t = 0) carry theta_hat +- (c0 - margin), whose
+    inclusion in (-c0, c0) is equivalent to rejection, when the margin sits
+    below c0; a margin at or above c0 has no such reading and is reported
+    with ``iip=False`` and no interval.
+    """
     spec = spec or EquivalenceSpec()
     m = spec.method
-    if m == "tost":
-        return tost_decide(s, spec)
-    if m == "ctost":
-        return ctost_decide(s, spec, refined=False, **kwargs)
-    if m == "ctost-star":
-        return ctost_decide(s, spec, refined=True, **kwargs)
-    if m == "alpha-tost":
-        adj = alpha_tost_adjust(s.sigma1_hat, s.nu2, spec)
-        half = adj.t_used * s.sigma1_hat
-        margin = spec.c0 - half
-        return DecisionReport(
-            method="alpha-tost", reject=bool(abs(s.theta_hat) < margin),
-            theta_hat=s.theta_hat, margins=(margin,),
-            intervals=((s.theta_hat - half, s.theta_hat + half),), iip=True,
-            c0=spec.c0, alpha0=spec.alpha0,
-            meta={"alpha_adj": adj.alpha_adj, "t_used": adj.t_used,
-                  "saturated": adj.saturated, "iterations": adj.iterations,
-                  "sigma1_hat": s.sigma1_hat, "nu2": s.nu2})
-    if m == "delta-tost":
-        adj = delta_tost_adjust(s.sigma1_hat, s.nu2, spec)
-        half = adj.t_used * s.sigma1_hat
-        margin = adj.c_used - half
-        # the interval is compared to the *widened* margins, so inclusion in
-        # the nominal box is not implied by rejection
-        return DecisionReport(
-            method="delta-tost", reject=bool(abs(s.theta_hat) < margin),
-            theta_hat=s.theta_hat, margins=(margin,),
-            intervals=((s.theta_hat - half, s.theta_hat + half),), iip=False,
-            c0=spec.c0, alpha0=spec.alpha0,
-            meta={"c_star": adj.c_used, "t_used": adj.t_used,
-                  "iterations": adj.iterations,
-                  "sigma1_hat": s.sigma1_hat, "nu2": s.nu2})
-    raise InputError(f"unknown method {m!r}")
+    adj = _rule(m, s.sigma1_hat, s.nu2, spec, strategy=strategy, table=table)
+    th, half = s.theta_hat, adj.t_used * s.sigma1_hat
+    margin = adj.c_used - half
+    if m in ("ctost", "ctost-star"):
+        iip = margin < spec.c0
+        slack = spec.c0 - margin
+        intervals = ((th - slack, th + slack),) if iip else None
+    else:
+        iip = m != "delta-tost"
+        intervals = ((th - half, th + half),)
+    meta = {key: getattr(adj, name) for key, name in _META[m].items()}
+    meta.update(sigma1_hat=s.sigma1_hat, nu2=s.nu2)
+    return DecisionReport(
+        method=m, reject=bool(abs(th) < margin), theta_hat=th, margins=(margin,),
+        intervals=intervals, iip=iip, c0=spec.c0, alpha0=spec.alpha0, meta=meta)

@@ -510,6 +510,23 @@ def test_json_uses_17_significant_digits(capsys):
     assert "0.22314355131420976" in out  # c0 rendered at full precision
 
 
+FROZEN_UNIVARIATE = os.path.join(os.path.dirname(__file__), "data",
+                                 "frozen_cli_univariate.json")
+
+
+def test_univariate_outputs_match_frozen_text(capsys):
+    # stdout of adjust, assess and size at one univariate summary, frozen as
+    # raw text: it pins key order, every digit and the keys perfbench reads
+    # (meta t_used, alpha_adj, alpha_c, c_star, saturated; converged)
+    with open(FROZEN_UNIVARIATE, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    assert len(frozen) == 11
+    for command, want in frozen.items():
+        code, out, err = run_cli(capsys, *command.split())
+        assert code == 0, err
+        assert out == want, command
+
+
 def test_seeded_outputs_stable_across_invocations(capsys):
     a = run_json(capsys, "assess", "--case-study", "--method", "ctost",
                  "--seed", "3")

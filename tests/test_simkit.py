@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equivkit import simkit, univariate
-from equivkit.base import InputError, NonConvergenceError
+from equivkit.base import EquivalenceSpec, InputError, NonConvergenceError
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import (
     CSV_HEADER,
@@ -22,7 +22,7 @@ from equivkit.simkit import (
     univariate_sweep_config,
 )
 from equivkit.statdist import t_quantile
-from equivkit.univariate import ctost_adjust
+from equivkit.univariate import UnivSummary, ctost_adjust, decide
 
 C0 = float(np.log(1.25))
 
@@ -254,20 +254,25 @@ def test_sweep_delta_tost_size_at_small_sigma():
                                            ("ctost", "_match_margin")])
 def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver):
     # the sweep solves with the univariate solver, which stops at the cap
-    assert getattr(simkit, solver) is getattr(univariate, solver)
+    calls = []
+    solve = getattr(univariate, solver)
+    monkeypatch.setattr(univariate, solver, lambda *a, **k: calls.append(1) or solve(*a, **k))
     monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 3)
     cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
     with pytest.raises(NonConvergenceError, match=f"{method}.*nu2=20"):
         run_univariate_sweep(cfg)
+    assert calls
 
 
 @pytest.mark.parametrize("method", ["ctost", "ctost-star", "delta-tost"])
 def test_sweep_raises_when_a_margin_match_fails(monkeypatch, method):
+    solve = univariate._match_margin
+
     def unconverged(sigma, level, c0, **kw):
-        c, iters, conv = univariate._match_margin(sigma, level, c0, **kw)
+        c, iters, conv = solve(sigma, level, c0, **kw)
         return c, iters, np.zeros_like(conv)
 
-    monkeypatch.setattr(simkit, "_match_margin", unconverged)
+    monkeypatch.setattr(univariate, "_match_margin", unconverged)
     cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
     with pytest.raises(NonConvergenceError, match=f"{method}.*nu2=20"):
         run_univariate_sweep(cfg)
@@ -282,10 +287,10 @@ def test_run_simulation_dispatch():
     assert res.records[0]["design"] == "univariate-sweep"
 
 
-def _flat_table(c0=C0, alpha0=0.05):
+def _flat_table(c0=C0, alpha0=0.05, level=0.02):
     return univariate.CalibrationTable(
         sigma_grid=np.array([0.01, 0.3]), nu_grid=np.array([5.0, 100.0]),
-        alpha_c=np.full((2, 2), 0.02), c0=c0, alpha0=alpha0)
+        alpha_c=np.full((2, 2), level), c0=c0, alpha0=alpha0)
 
 
 def test_sweep_uses_the_given_table():
@@ -303,6 +308,58 @@ def test_sweep_uses_the_given_table():
         u, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
         assert rec["rate"] == np.count_nonzero(np.abs(th) < C0 + sh * u) / cfg.replicates
     assert flat.records != run_univariate_sweep(cfg).records
+
+
+def test_sweep_clamps_table_levels_at_nominal():
+    # a table level above alpha0 is clamped, as ctost_star_calibrate clamps
+    # it, so on the same draws ctost-star matches its margins at alpha0 and
+    # rejects exactly as often as ctost
+    table = _flat_table(level=0.07)
+    adj = univariate.ctost_star_calibrate(0.1, 20, strategy="table-lookup", table=table)
+    assert adj.clamped and adj.alpha_c == 0.05
+    cfg = _small_univ(methods=("ctost", "ctost-star"), replicates=20_000, seed=3,
+                      sigma_grid=(0.1,), nu2_set=(20,), theta_grid=(C0,))
+    plain, star = run_univariate_sweep(cfg, table=table).records
+    assert star["rate"] == plain["rate"]
+
+
+@pytest.mark.parametrize("source", ["bundled", "flat", "quadrature"])
+def test_sweep_verdicts_equal_decide_verdicts(source):
+    # each replicate's verdict in the sweep is decide's verdict on the same
+    # (theta_hat, s) draw, for all five methods; ctost-star reads the
+    # bundled table or a flat user table of 0.02 (far from quadrature's
+    # levels), each calibrating draws past the 0.3 grid edge by quadrature,
+    # or, at an alpha0 no table fits, quadrature alone
+    alpha0 = 0.1 if source == "quadrature" else 0.05
+    given = _flat_table() if source == "flat" else None
+    table = {"bundled": univariate.default_calibration_table(), "flat": given}.get(source)
+    cfg = dataclasses.replace(
+        _small_univ(methods=simkit.UNIV_METHODS, replicates=100, seed=11,
+                    sigma_grid=(0.05, 0.25), theta_grid=(0.0,)),
+        alpha0=alpha0)
+    records = run_univariate_sweep(cfg, table=given).records
+    off_grid = 0
+    for i_s, sigma in enumerate(cfg.sigma_grid):
+        rng = simkit.rng_stream(cfg.seed, "univ", i_s, 0, 0)
+        th = sigma * rng.standard_normal(cfg.replicates)
+        sh = simkit._sigma_hat_draws(sigma, 10, cfg.replicates, rng)
+        rejects = simkit._univ_cell_rejections(cfg, table, 10, th, sh)
+        for method in cfg.methods:
+            spec = EquivalenceSpec(c0=C0, alpha0=alpha0, method=method)
+            verdicts = []
+            for t_i, s_i in zip(th, sh):
+                on_grid = table is not None and np.isfinite(
+                    table.lookup(s_i, 10, out_of_range="nan"))
+                off_grid += method == "ctost-star" and table is not None and not on_grid
+                strategy = "table-lookup" if on_grid else "quadrature"
+                rep = decide(UnivSummary(t_i, s_i, 10), spec, strategy=strategy,
+                             table=table)
+                verdicts.append(rep.reject)
+            np.testing.assert_array_equal(rejects[method], verdicts, err_msg=method)
+            rec, = [r for r in records
+                    if r["sigma_config"] == repr(sigma) and r["method"] == method]
+            assert rec["rate"] == np.count_nonzero(verdicts) / cfg.replicates
+    assert (off_grid > 0) == (table is not None)
 
 
 def test_sweep_table_must_fit_the_config():

@@ -36,7 +36,6 @@ from equivkit.univariate import (
     default_calibration_table,
     delta_tost_adjust,
     margin_for_multiplier,
-    tost_decide,
 )
 from equivkit.powerkernel import _box_limits, _omega_batch
 from equivkit.statdist import t_quantile
@@ -327,13 +326,18 @@ def test_delta_margin_upper_end_holds_the_root(sigma, nu2):
     lambda: ctost_adjust(0.0, 20),
     lambda: delta_tost_adjust(float("inf"), 20),
     lambda: alpha_tost_adjust(float("nan"), 20),
+    lambda: ctost_adjust(0.1, 0),
+    lambda: ctost_adjust(0.1, -3),
+    lambda: ctost_adjust(0.1, float("nan")),
+    lambda: alpha_tost_adjust(0.1, float("nan")),
     lambda: _match_margin(np.array([0.1, np.inf]), 0.05),
     lambda: UnivSummary(0.1, float("inf"), 20),
     lambda: EquivalenceSpec(c0=float("inf")),
     lambda: EquivalenceSpec(c0=float("nan")),
 ], ids=["t-nu2-0", "t-nan", "t-inf", "t-negative", "t-sigma-inf", "star-nu2-0",
         "star-sigma-nan", "ctost-sigma-inf", "ctost-sigma-0", "delta-sigma-inf",
-        "alpha-sigma-nan", "match-sigma-inf", "summary-sigma-inf", "spec-c0-inf",
+        "alpha-sigma-nan", "ctost-nu2-0", "ctost-nu2-negative", "ctost-nu2-nan",
+        "alpha-nu2-nan", "match-sigma-inf", "summary-sigma-inf", "spec-c0-inf",
         "spec-c0-nan"])
 def test_non_finite_or_out_of_range_inputs_raise_input_error(call):
     with pytest.raises(InputError):
@@ -610,7 +614,7 @@ def test_table_spec_mismatch_raises(tmp_path):
 
 def test_tost_decide_matches_textbook_interval():
     s = UnivSummary(theta_hat=0.1, sigma1_hat=0.05, nu2=20)
-    rep = tost_decide(s)
+    rep = decide(s, EquivalenceSpec(method="tost"))
     t = float(t_quantile(0.05, 20))
     lo, hi = rep.intervals[0]
     assert lo == pytest.approx(0.1 - t * 0.05, abs=1e-12)
