@@ -177,11 +177,9 @@ def _size_slope(u, sigma, c0, nu2=1, t=0.0):
 
 def _check_sigma(sigma, nu2=1):
     """Raise InputError unless every standard error is finite and > 0, and nu2 >= 1."""
-    # a float is compared directly: numpy's comparisons cost ten times more
-    if not (0 < sigma < np.inf if isinstance(sigma, float)
-            else ((np.asarray(sigma) > 0) & (np.asarray(sigma) < np.inf)).all()):
-        raise InputError("standard errors must be finite and positive, "
-                         f"got {np.asarray(sigma)}")
+    sigma = np.asarray(sigma)
+    if not ((sigma > 0) & (sigma < np.inf)).all():
+        raise InputError(f"standard errors must be finite and positive, got {sigma}")
     if not (nu2 >= 1):
         raise InputError(f"nu2 must be >= 1, got {nu2}")
 
