@@ -3,7 +3,9 @@
 With K endpoints the test rejects only when every marginal test rejects, so
 the size is the supremum of the joint rejection probability over the null
 boundary.  That supremum is attained on one of the faces {theta_h = +-c0},
-and by central symmetry only the K positive faces need searching.  The
+and by central symmetry only the K positive faces need searching: with
+two coordinates and fixed margins each face's maximizer is the root of one
+increasing equation, and otherwise an ascent climbs each face.  The
 corrected procedure solves for per-dimension margins c*_k that share a
 common marginal size gamma while the joint rejection probability at the
 worst boundary point equals alpha0: an inner Newton solve for gamma and the
@@ -30,6 +32,7 @@ from .statdist import (
     _check_corr,
     _exact_rule,
     _is_diagonal,
+    _log_limit_dens,
     rect_grad,
     rect_prob,
     t_quantile,
@@ -61,6 +64,11 @@ _OUTER_MAX = 50
 _INNER_TOL = 1e-10
 _MARGIN_TOL = 1e-12
 _SEARCH_TOL = 1e-5
+# K = 2 face roots: the tolerance on sigma_j times the log ratio of the limit
+# densities, whose slope in theta_j is at least 2 c_j / sigma_j while both
+# limits lie within the rectangles' cut, so theta_j is then within
+# _PAIR_TOL sigma_j / (2 c_j) of the root
+_PAIR_TOL = 1e-12
 # repair_correlation clips eigenvalues below this multiple of the largest
 _MIN_EIG_RATIO = 1e-8
 # standard-error draws of the joint alpha-tost level's t > 0 searches
@@ -135,8 +143,11 @@ class LambdaResult:
     reported on a positive face.  candidates_evaluated
     counts the objective values the search took: the K axis candidates,
     then every start and line-search trial of the face ascents, each of
-    which comes with its gradient from the same lockstep round; converged
-    is False when a face search stopped at its iteration cap.
+    which comes with its gradient from the same lockstep round.  A K = 2
+    search at t = 0 finds its face points as roots and values only the two
+    axis candidates and the two face points, so it counts 4.  converged is
+    False when a face search stopped at its iteration cap (at K = 2 and
+    t = 0, its round cap).
     """
 
     lambda_: np.ndarray
@@ -298,15 +309,18 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     product is therefore largest with every other coordinate at 0.
 
     Otherwise the axis candidates come first, then the K faces
-    {theta_h = +c0} are searched (the negative faces follow by symmetry) by
-    :func:`_argsup`.  At t = 0 the normal probability of a box is
-    log-concave in its centre (Prekopa 1973), so each face has a single
-    maximizer and one start, the face centre, finds it; the t = 0 search is
-    :func:`_argsup_fixed`, on the margins' offsets (c - c0) / sigma1, which
-    :func:`ctost_mvt_adjust` also calls with each face's previous maximizer
-    as its start.  At t > 0 the mixture is
-    not known to be log-concave, and a second start at 0.5 c0 runs as well.
-    converged is False when some face search stopped at its iteration cap.
+    {theta_h = +c0} are searched (the negative faces follow by symmetry).
+    At t = 0 the normal probability of a box is log-concave in its centre
+    (Prekopa 1973), so each face has a single maximizer; the t = 0 search
+    is :func:`_argsup_fixed`, on the margins' offsets (c - c0) / sigma1,
+    which :func:`ctost_mvt_adjust` also calls with each face's previous
+    maximizer as its start.  With K = 2 each face maximizer is the root of
+    one increasing equation in the free coordinate (:func:`_argsup_pair`);
+    with K >= 3 the ascent of :func:`_argsup` from the face centre finds
+    it.  At t > 0 the mixture is not known to be log-concave: every face is
+    ascended by :func:`_argsup`, and a second start at 0.5 c0 runs as well.
+    converged is False when some face search stopped at its iteration (or,
+    at K = 2 and t = 0, round) cap.
     """
     c0 = (spec or EquivalenceSpec()).c0
     q = MvtPowerQuery(np.zeros(np.size(sigma1)), sigma1, correlation, nu2,
@@ -315,7 +329,7 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
         raise InputError("sigma1 entries must be positive")
     k = q.dim
     if _is_diagonal(q.correlation):
-        return _best_axis(lambda axes: _independent(axes, q.sigma1, q.nu2, q.t, q.c), k, c0)
+        return _best_axis(_independent(c0 * np.eye(k), q.sigma1, q.nu2, q.t, q.c), c0)
     if not q.t.any():
         return _argsup_fixed(q.sigma1, q.correlation, (q.c - c0) / q.sigma1, c0,
                              tol, seed)[0]
@@ -332,16 +346,17 @@ def _argsup_fixed(sigma1, corr, u, c0: float, tol: float, seed: int,
     starts.
 
     ``starts[h]`` holds the free coordinates (theta without entry h) from
-    which the ascent on face h begins; by default every face starts at its
-    centre.  Returns (LambdaResult, ends), where ``ends[h]`` is the point
-    the ascent on face h reached, in the same coordinates.  A diagonal
-    correlation takes the best axis point from one call of
-    :func:`powerkernel._independent` (at t = 0 no factor depends on nu2)
-    and has no ends (None).
+    which the search of face h begins, the root solve of
+    :func:`_argsup_pair` at K = 2 and the ascent of :func:`_argsup`
+    otherwise; by default every face starts at its centre.  Returns
+    (LambdaResult, ends), where ``ends[h]`` is the point the search of face
+    h reached, in the same coordinates.  A diagonal correlation takes the
+    best axis point from one call of :func:`powerkernel._independent` (at
+    t = 0 no factor depends on nu2) and has no ends (None).
     """
     k = sigma1.size
     if _is_diagonal(corr):
-        return _best_axis(lambda axes: _independent(axes, sigma1, 1, 0.0, c0, u), k, c0), None
+        return _best_axis(_independent(c0 * np.eye(k), sigma1, 1, 0.0, c0, u), c0), None
     # deterministic rectangles resolve machine-level differences, quasi-
     # Monte Carlo ones (at a fixed point count, so smooth in theta) about tol
     exact = _exact_rule(corr)
@@ -351,23 +366,38 @@ def _argsup_fixed(sigma1, corr, u, c0: float, tol: float, seed: int,
     if starts is None:
         starts = [np.zeros(k - 1)] * k
     snap = 1e-12 if exact else tol
+    if k == 2:
+        return _argsup_pair(obj, c0, snap, starts)
     return _argsup(obj, c0, snap, [(x,) for x in starts])
 
 
-def _best_axis(values, k: int, c0: float) -> LambdaResult:
-    """The best of the K axis candidates +c0 e_h from one call of
-    ``values``, which maps their stack (K, K) to their K objective values;
-    the first of equal values wins.  Every box is centrally symmetric, so
-    -c0 e_h would repeat the value of +c0 e_h."""
-    axes = c0 * np.eye(k)
-    vals = values(axes)
+def _best_axis(vals, c0: float) -> LambdaResult:
+    """The best of the K axis candidates +c0 e_h, given their K objective
+    values ``vals`` (taken on the stack c0 I in one call); the first of
+    equal values wins.  Every box is centrally symmetric, so -c0 e_h would
+    repeat the value of +c0 e_h."""
     best = int(np.argmax(vals))
-    return LambdaResult(lambda_=axes[best], objective=float(vals[best]),
-                        face=best, candidates_evaluated=k)
+    lam = np.zeros(len(vals))
+    lam[best] = c0
+    return LambdaResult(lambda_=lam, objective=float(vals[best]), face=best,
+                        candidates_evaluated=len(vals))
+
+
+def _choose(axis: LambdaResult, best_val: float, best, snap: float, count: int,
+            converged: bool) -> LambdaResult:
+    """The face point ``best`` = (face, theta) of value ``best_val``, or the
+    axis candidate ``axis`` if it is within ``snap`` of it."""
+    if axis.objective >= best_val - snap:
+        return replace(axis, candidates_evaluated=count, converged=converged)
+    face, theta = best
+    return LambdaResult(lambda_=theta, objective=best_val, face=face,
+                        candidates_evaluated=count, converged=converged)
 
 
 def _argsup(obj, c0: float, snap: float, starts):
-    """Axis candidates, then the face ascents, for correlated coordinates.
+    """Axis candidates, then the face ascents, for correlated coordinates
+    (K >= 3 at t = 0, and any K at t > 0; :func:`_argsup_pair` takes K = 2
+    at t = 0).
 
     ``obj``, a :class:`powerkernel._JointRejection`, gives the K axis
     values (:func:`_best_axis`) from its ``value``, then is searched on
@@ -380,7 +410,7 @@ def _argsup(obj, c0: float, snap: float, starts):
     point face h reached.
     """
     k = obj.sigma1.size
-    axis = _best_axis(obj.value, k, c0)
+    axis = _best_axis(obj.value(c0 * np.eye(k)), c0)
     results = iter(_lockstep(obj.value_grad, [
         _face_ascent(obj.sigma1, face, start, c0)
         for face in range(k) for start in starts[face]]))
@@ -400,13 +430,64 @@ def _argsup(obj, c0: float, snap: float, starts):
             if val > best_val:
                 best_val, best = val, (face, theta)
         ends.append(end)
+    return _choose(axis, best_val, best, snap, count, converged), ends
 
-    if axis.objective >= best_val - snap:
-        return replace(axis, candidates_evaluated=count, converged=converged), ends
-    face, theta = best
-    return LambdaResult(lambda_=theta, objective=best_val, face=face,
-                        candidates_evaluated=count,
-                        converged=converged), ends
+
+def _argsup_pair(obj, c0: float, snap: float, starts):
+    """:func:`_argsup` for two correlated coordinates at t = 0: each face
+    maximizer as the root of one increasing equation, no ascent.
+
+    On the face {theta_i = c0} the free coordinate theta_j in [-c0, c0]
+    (j = 1 - i) has box limits a_j < b_j a fixed distance apart, and the
+    box probability moves as (h(a_j) - h(b_j)) / sigma_j, with h the limit
+    density given coordinate i's limits (:func:`statdist._log_limit_dens`).
+    h is log-concave, so R = sigma_j (log h(b_j) - log h(a_j)) increases in
+    theta_j, with slope (log h)'(a_j) - (log h)'(b_j), and the face maximum
+    is at its root.  R takes 0 where both log densities are -inf: that face
+    holds no mass.  One call evaluates R at both ends of both faces; a face
+    with R(-c0) >= 0 takes -c0, else one with R(c0) <= 0 takes c0, and the
+    others are solved together by :func:`univariate._increasing_root` from
+    ``starts`` to |R| <= _PAIR_TOL, or until no double lies inside their
+    bracket.  One ``obj.value`` call then takes the two axis candidates
+    and the two face points, and :func:`_choose` picks the answer; converged
+    is False only if the root solve stopped at its round cap.  Returns
+    (LambdaResult, ends) with ``ends[i]`` the free coordinate of face i's
+    point.
+    """
+    sig, u = obj.sigma1, obj.offset[0]
+    rho = float(obj.corr[0, 1])
+    # by face i: coordinate i's limits, the scale of the free coordinate and
+    # the offsets of its limits, as rows (a, b) of _box_limits
+    lo, hi = _box_limits(c0, sig, c0, u)
+    free_sig = sig[::-1]
+    edges, offsets = np.array([[-c0], [c0]]), np.array([-u[::-1], u[::-1]])
+    slopes = np.empty(2)
+
+    def resid(theta, faces):
+        logs, ds = _log_limit_dens((edges - theta) / free_sig[faces] + offsets[:, faces],
+                                   lo[faces], hi[faces], rho)
+        r = np.subtract(logs[1], logs[0], out=np.zeros(theta.shape),
+                        where=logs[1] != logs[0])
+        slopes[faces] = ds[0] - ds[1]
+        return free_sig[faces] * r
+
+    at_ends = resid(np.array([-c0, -c0, c0, c0]), np.array([0, 1, 0, 1]))
+    x = np.where(at_ends[:2] >= 0.0, -c0, c0)
+    inner = np.flatnonzero((at_ends[:2] < 0.0) & (at_ends[2:] > 0.0))
+    converged = True
+    if inner.size:
+        root, _, rounds, _ = _increasing_root(
+            lambda theta, rows: resid(theta, inner[rows]),
+            np.full(inner.size, -c0), np.full(inner.size, c0), _PAIR_TOL,
+            np.array([starts[h][0] for h in inner], dtype=float),
+            lambda theta, rows: slopes[inner[rows]])
+        x[inner] = root
+        converged = rounds < univariate._ROOT_MAX_ITER
+    points = np.array([[c0, x[0]], [x[1], c0]])
+    vals = obj.value(np.concatenate([c0 * np.eye(2), points]))
+    face = int(np.argmax(vals[2:]))
+    return _choose(_best_axis(vals[:2], c0), float(vals[2 + face]),
+                   (face, points[face]), snap, 4, converged), [x[:1], x[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +511,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     The first inner solve starts from gamma = alpha0 and the margins
     matched to it by :func:`univariate._match_margin`; each later one
     resumes from the gamma and margins the previous one ended at.  Every
-    worst-point search after the first starts each face's ascent at that
+    worst-point search after the first starts each face's search at that
     face's maximizer in the previous search (:func:`_argsup_fixed`); at
     t = 0 each face has a single maximizer, so the start does not change
     what is found.  gamma can only move upward from alpha0: each

@@ -10,6 +10,7 @@ Everything here is pure given its inputs.  Sampling takes an explicit
 from __future__ import annotations
 
 import hashlib
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -339,6 +340,42 @@ def _limit_grads(lo, hi, corr, tol, seed, n_points):
     return da, db
 
 
+def _log_limit_dens(x, lo, hi, rho):
+    """log h(x) and its derivative in x, for the K = 2 limit density
+    h(x) = phi(x) [Phi((hi - rho x) / s) - Phi((lo - rho x) / s)],
+    s = sqrt(1 - rho^2), elementwise over x, lo < hi broadcast.
+
+    h is the density of :func:`_limit_grads` at K = 2 (db_j = h(b_j) and
+    da_j = -h(a_j), with (lo, hi) the other coordinate's limits), taken in
+    log space so that far limits do not underflow.  It is log-concave
+    (Prekopa 1973).  The conditional interval is reflected to the side of
+    its lower tail, where log_ndtr keeps its relative precision; where its
+    probability does not resolve in double precision, log h is -inf and
+    the interval adds nothing to the derivative.  Past +-_LIMIT, where
+    :func:`_limit_grads` cuts the conditioning point, log h continues along
+    its tangent, which keeps it concave.
+    """
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    z = np.minimum(np.maximum(x, -_LIMIT), _LIMIT)
+    alpha = (lo - rho * z) / s
+    beta = (hi - rho * z) / s
+    # Phi(beta) - Phi(alpha) = Phi(-alpha) - Phi(-beta): take the pair with
+    # alpha + beta <= 0; the flip turns the sign of the density difference
+    flip = alpha + beta > 0.0
+    alpha, beta = np.where(flip, -beta, alpha), np.where(flip, -alpha, beta)
+    la, lb = special.log_ndtr(alpha), special.log_ndtr(beta)
+    # squares of far limits overflow to the right limit (inf), and the
+    # where() calls drop the non-finite terms of intervals without mass
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_f = lb + np.log(-np.expm1(np.subtract(la, lb, out=np.zeros(lb.shape),
+                                                  where=la < lb)))
+        ratio = (np.exp(-0.5 * beta * beta - log_f)
+                 - np.exp(-0.5 * alpha * alpha - log_f)) / _SQRT2PI
+    slope = -z - (rho / s) * np.where(log_f > -np.inf, np.where(flip, -ratio, ratio), 0.0)
+    log_h = log_f - 0.5 * z * z - np.log(_SQRT2PI)
+    return log_h + slope * (x - z), slope
+
+
 def _given(corr: np.ndarray, j: int):
     """Law of the other coordinates of X ~ N(0, corr) given X_j = x: their
     mask, slopes r (means r x), standard deviations and correlation."""
@@ -390,7 +427,7 @@ def _live_boxes(a, b, corr, tol, seed, n_points):
     if _is_diagonal(corr):
         return np.prod(special.ndtr(b) - special.ndtr(a), axis=1)
     if k == 2:
-        return _bvn_rect(a[:, 0], b[:, 0], a[:, 1], b[:, 1], corr[0, 1])
+        return _bvn_rect(a, b, corr[0, 1])
     rho = _equicorrelation(corr)
     if rho is not None:
         return _one_factor(a, b, rho)
@@ -400,32 +437,37 @@ def _live_boxes(a, b, corr, tol, seed, n_points):
                      None if n_points else tol)[0]
 
 
-# row i of the corner stack in _bvn_rect holds the other coordinate of row i
-_MIRROR = np.array([4, 5, 6, 7, 0, 1, 2, 3])
+# the eight corner terms of _bvn_rect, as columns of the limits
+# [a1, a2, b1, b2]: their h (first eight) and the other coordinate k (last
+# eight), where the last four terms mirror the first four
+_CORNERS = np.array([2, 0, 2, 0, 3, 3, 1, 1, 3, 3, 1, 1, 2, 0, 2, 0])
 
 
-def _bvn_rect(a1, b1, a2, b2, rho):
-    """Standard bivariate normal rectangle probabilities by Owen's T.
+def _bvn_rect(a, b, rho):
+    """Standard bivariate normal probabilities of the boxes (a, b), both
+    (m, 2), by Owen's T.
 
     With s = sqrt(1 - rho^2) and beta = 1/2 when h and k have opposite
     signs, else 0, the CDF is (Owen 1956)
     Phi2(h, k) = Phi(h)/2 + Phi(k)/2 - T(h, (k - rho h)/(h s))
     - T(k, (h - rho k)/(k s)) - beta.  The Phi terms cancel over the four
     corners of a box, so one owens_t call over the eight corner arguments
-    gives the box.
+    gives the box.  The limits are cut and patched once, before they are
+    gathered into the corners, in one indexing pass.
     """
-    h = np.array([b1, a1, b1, a1, b2, b2, a2, a2])
-    h = np.minimum(np.maximum(h, -_LIMIT), _LIMIT)
+    lims = np.minimum(np.maximum(np.concatenate((a, b), axis=1), -_LIMIT), _LIMIT)
     # a limit at (or within 1e-300 of) 0 becomes +1e-300, which takes the
     # formula's limit as h -> +0 without overflow: the T argument tends to
     # sign(k) inf, or at the origin to (1 - rho)/s, which gives
     # Phi2(0, 0) = 1/4 + arcsin(rho) / (2 pi)
-    h[np.abs(h) < 1e-300] = 1e-300
-    k = h[_MIRROR]
-    arg = (k - rho * h) / (h * np.sqrt((1.0 - rho) * (1.0 + rho)))
-    t = special.owens_t(h, arg)
-    corner = t[:4] + t[4:] + 0.5 * ((h[:4] < 0.0) != (k[:4] < 0.0))
-    return corner[1] + corner[2] - corner[0] - corner[3]
+    lims[np.abs(lims) < 1e-300] = 1e-300
+    hk = lims[:, _CORNERS]
+    h, k = hk[:, :8], hk[:, 8:]
+    rho = float(rho)
+    t = special.owens_t(h, (k - rho * h) / (h * math.sqrt((1.0 - rho) * (1.0 + rho))))
+    neg = hk < 0.0
+    corner = t[:, :4] + t[:, 4:] + 0.5 * (neg[:, :4] != neg[:, 8:12])
+    return corner[:, 1] + corner[:, 2] - corner[:, 0] - corner[:, 3]
 
 
 def _one_factor(a, b, rho):

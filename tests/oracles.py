@@ -46,6 +46,32 @@ def omega_joint(theta, sigma1, corr, c, tol=2.5e-7, seed=0, n_points=None):
                      tol=tol, seed=seed, n_points=n_points)
 
 
+def face_max_k2(sigma1, correlation, c, c0, xatol=1e-12):
+    """Largest K = 2 joint rejection probability on each face theta_h = c0,
+    with its point: scipy's bounded scalar minimizer on minus
+    :func:`rect_prob_scipy` along the free coordinate, to ``xatol``, and
+    the values at both ends of the face (the minimizer never evaluates
+    them).  Returns [(value, theta)] for faces 0 and 1."""
+    sigma1, c = np.asarray(sigma1, dtype=float), np.asarray(c, dtype=float)
+    out = []
+    for face in range(2):
+        def point(y):
+            theta = np.empty(2)
+            theta[face], theta[1 - face] = c0, y
+            return theta
+
+        def value(y):
+            theta = point(y)
+            return rect_prob_scipy((-c - theta) / sigma1, (c - theta) / sigma1,
+                                   correlation)
+
+        res = optimize.minimize_scalar(lambda y: -value(y), bounds=(-c0, c0),
+                                       method="bounded", options={"xatol": xatol})
+        out.append(max(((-res.fun, point(res.x)), (value(-c0), point(-c0)),
+                        (value(c0), point(c0))), key=lambda pair: pair[0]))
+    return out
+
+
 def ctost_gamma_indep(sigma1, alpha0=0.05, c0=None):
     """Shared marginal size gamma of the K-dimensional cTOST, independent
     coordinates.

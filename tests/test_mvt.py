@@ -467,11 +467,14 @@ def _frozen_search(case):
 # worst-point searches frozen from the ascent that searched one face at a
 # time: (case, lambda_, objective, face, candidates_evaluated);
 # re-frozen on the K positive axes and boxes in standardized offsets, with
-# lambda_ moved by under 6e-17 and objectives by under 4e-16 relative
+# lambda_ moved by under 6e-17 and objectives by under 4e-16 relative.  The
+# K = 2 rows were re-frozen from the face roots, which moved lambda_ by up to
+# 5.4e-10, onto the exact maximizer, and the objectives by up to 1.1e-16
+# (test_k2_frozen_searches_match_the_scalar_oracle)
 FROZEN_SEARCHES = [
-    ("k2 -0.9", [-0.09798758061062857, C0], 0.3017308507186672, 1, 16),
-    ("k2 0.5", [0.050167898355046814, C0], 0.2686204961085319, 1, 12),
-    ("k2 0.9", [0.09798758061062857, C0], 0.30173085071866723, 1, 16),
+    ("k2 -0.9", [-0.09798758007631626, C0], 0.3017308507186671, 1, 4),
+    ("k2 0.5", [0.05016789812410066, C0], 0.26862049610853184, 1, 4),
+    ("k2 0.9", [0.09798758007631626, C0], 0.3017308507186671, 1, 4),
     ("k3 -0.3", [-0.03886076560815164, -0.04856337539148161, C0],
      0.06039152855349155, 2, 26),
     ("k3 0.6", [0.07752576543763746, 0.09687307409085019, C0], 0.07164648865622744, 2, 23),
@@ -522,6 +525,118 @@ def test_argsup_evaluates_each_round_in_one_call(monkeypatch):
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     assert sum(rounds) == lam.candidates_evaluated - 4
     assert len(rounds) <= (lam.candidates_evaluated - 4) / 2
+
+
+def test_k2_frozen_searches_match_the_scalar_oracle():
+    # scipy's bounded scalar maximizer along each face, on scipy's own
+    # rectangle probabilities: the same face and point, to its resolution
+    for case, lam, objective, face, _ in FROZEN_SEARCHES[:3]:
+        rho = float(case[3:])
+        faces = oracles.face_max_k2([0.09, 0.13], _equicorr(2, rho), [0.12, 0.16], C0)
+        want, point = max(faces, key=lambda pair: pair[0])
+        assert face == int(np.argmax([v for v, _ in faces]))
+        np.testing.assert_allclose(lam, point, rtol=0, atol=1e-8)
+        assert abs(objective - want) <= 1e-15
+
+
+def _k2_objective(sigma, corr, u):
+    """The K = 2 search's objective: boxes in the margins' offsets u, which
+    keep the edge u exactly at theta = C0."""
+    return powerkernel._JointRejection(np.full(2, C0), u[None, :], sigma, corr,
+                                       {"tol": 1e-5, "seed": 0, "n_points": None})
+
+
+def _k2_problems(n, seed):
+    """n random K = 2 problems: rho in [-0.95, 0.95], sigma1 in [0.02, 0.5]
+    and offsets u in (-c0 / sigma1, 2), so margins c0 + sigma1 u in (0, c0 + 2 sigma1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        sigma = rng.uniform(0.02, 0.5, 2)
+        yield sigma, _equicorr(2, rng.uniform(-0.95, 0.95)), rng.uniform(-C0 / sigma, 2.0)
+
+
+def test_k2_argsup_reaches_the_scalar_oracle_on_random_problems():
+    # each face's root is its maximum, interior or at a face end, and the
+    # search's answer is the best face point (or an axis point within
+    # 1e-12 of it)
+    face_ends = 0
+    for sigma, corr, u in _k2_problems(200, 20):
+        lam, ends = mvt._argsup_fixed(sigma, corr, u, C0, 1e-5, 0)
+        faces = oracles.face_max_k2(sigma, corr, C0 + sigma * u, C0)
+        assert lam.objective >= max(v for v, _ in faces) - 1e-12
+        assert lam.converged and lam.candidates_evaluated == 4
+        got = _k2_objective(sigma, corr, u).value(
+            np.array([[C0, ends[0][0]], [ends[1][0], C0]]))
+        for h in range(2):
+            assert got[h] >= faces[h][0] - 1e-12
+            face_ends += abs(ends[h][0]) == C0
+    assert face_ends >= 20
+
+
+def test_k2_argsup_warm_start_finds_the_cold_point():
+    # each face's root does not depend on where its solve starts, a face
+    # end included
+    rng = np.random.default_rng(21)
+    for sigma, corr, u in _k2_problems(50, 22):
+        cold, ends = mvt._argsup_fixed(sigma, corr, u, C0, 1e-5, 0)
+        for starts in (ends, [rng.uniform(-C0, C0, 1) for _ in range(2)],
+                       [np.array([C0]), np.array([-C0])]):
+            warm, warm_ends = mvt._argsup_fixed(sigma, corr, u, C0, 1e-5, 0, starts)
+            assert warm.face == cold.face
+            np.testing.assert_allclose(warm.lambda_, cold.lambda_, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(np.concatenate(warm_ends), np.concatenate(ends),
+                                       rtol=0, atol=1e-10)
+            assert abs(warm.objective - cold.objective) <= 1e-15
+
+
+def test_k2_argsup_takes_one_value_call_and_no_gradient(monkeypatch):
+    # the face roots use no rectangle: one rect_prob call values the two
+    # axis candidates and the two face points
+    sizes, grads = [], []
+    prob, grad = powerkernel.rect_prob, powerkernel.rect_grad
+
+    def counted_prob(a, b, *args, **kw):
+        sizes.append(int(np.prod(a.shape[:-1])))
+        return prob(a, b, *args, **kw)
+
+    def counted_grad(a, b, *args, **kw):
+        grads.append(int(np.prod(a.shape[:-1])))
+        return grad(a, b, *args, **kw)
+
+    monkeypatch.setattr(powerkernel, "rect_prob", counted_prob)
+    monkeypatch.setattr(powerkernel, "rect_grad", counted_grad)
+    for rho in (-0.9, 0.5):
+        sizes.clear()
+        lam = lambda_argsup(np.array([0.09, 0.13]), _equicorr(2, rho), 20,
+                            np.array([0.12, 0.16]))
+        assert sizes == [4] and grads == []
+        assert lam.candidates_evaluated == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho", [0.3, -0.6, 0.95])
+def test_k2_argsup_takes_a_vanishing_sigma_on_the_root_path(monkeypatch, rho):
+    # sigma 1e-300 puts that coordinate's limits near 1e299: the limit
+    # densities continue along their tangents past _LIMIT, so the residual
+    # stays finite and the face with that free coordinate finds a point of
+    # its plateau; the face ascent is never run
+    def no_ascent(*args, **kw):
+        raise AssertionError("face ascent at K = 2")
+
+    monkeypatch.setattr(mvt, "_face_ascent", no_ascent)
+    sigma = np.array([0.1, 1e-300])
+    for u in (np.zeros(2), np.array([0.5, -1.0]), np.array([-1.5, 2.0])):
+        lam, ends = mvt._argsup_fixed(sigma, _equicorr(2, rho), u, C0, 1e-5, 0)
+        assert lam.converged and lam.lambda_[lam.face] == C0
+        assert all(abs(e[0]) <= C0 for e in ends)
+        obj = _k2_objective(sigma, _equicorr(2, rho), u)
+        assert lam.objective == obj.value(lam.lambda_)
+        # face 0's free coordinate, of sigma 1e-300, sits inside its margin
+        # C0, on the plateau where the box holds its whole mass: the value of
+        # the axis point (C0, 0)
+        assert abs(ends[0][0]) < C0
+        plateau = obj.value(np.array([[C0, ends[0][0]], [C0, 0.0]]))
+        assert plateau[0] == plateau[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

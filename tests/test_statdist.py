@@ -156,6 +156,39 @@ def test_bvn_rect_matches_scipy(rho):
         assert got == pytest.approx(oracles.bvn_rect_quad(a, b, rho), abs=1e-13)
 
 
+def test_bvn_rect_is_owens_formula_term_by_term():
+    # 20,000 boxes, limits exactly 0, within 1e-300 of 0 and reaching past
+    # +-_LIMIT among them: each box is Owen's CDF at its four corners, the
+    # limits cut and patched as the docstring says, bit for bit
+    rng = np.random.default_rng(20)
+    n = 500
+
+    def cut(x):
+        x = np.clip(x, -statdist._LIMIT, statdist._LIMIT)
+        return np.where(np.abs(x) < 1e-300, 1e-300, x)
+
+    def cdf_terms(h, k, rho):
+        s = np.sqrt((1.0 - rho) * (1.0 + rho))
+        return (special.owens_t(h, (k - rho * h) / (h * s))
+                + special.owens_t(k, (h - rho * k) / (k * s))
+                + 0.5 * ((h < 0.0) != (k < 0.0)))
+
+    for rho in np.linspace(-0.95, 0.95, 40):
+        a = rng.normal(0.0, 4.0, (n, 2))
+        b = a + rng.exponential(3.0, (n, 2))
+        for lim in (a, b):
+            pick = rng.random((n, 2))
+            lim[pick < 0.1] = 0.0
+            lim[(pick >= 0.1) & (pick < 0.15)] *= 1e-302
+            lim[pick >= 0.9] *= 4.0
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        a1, a2, b1, b2 = cut(a[:, 0]), cut(a[:, 1]), cut(b[:, 0]), cut(b[:, 1])
+        want = (cdf_terms(a1, b2, rho) + cdf_terms(b1, a2, rho)
+                - cdf_terms(b1, b2, rho) - cdf_terms(a1, a2, rho))
+        got = statdist._bvn_rect(a, b, rho)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bvn_rect_independence_factorizes():
     a1, b1, a2, b2 = -0.4, 1.1, -2.0, 0.3
     want = (special.ndtr(b1) - special.ndtr(a1)) * (special.ndtr(b2) - special.ndtr(a2))
