@@ -279,14 +279,18 @@ def _univ_cell_rejections(cfg, table, nu2, th, sh):
 
     Each method's (t, c) per replicate come from :func:`univariate._rule`;
     ctost-star looks its levels up in ``table`` (quadrature off its grid, or
-    for every replicate when there is no table).
+    for every replicate when there is no table).  The rule gets |theta_hat|
+    too, so each replicate's solve stops once its verdict is fixed: its
+    (t, c) is then an end of the root's bracket, which decides it as the
+    root would, and the rejections equal those of the full solves.
     """
     spec = EquivalenceSpec(c0=cfg.c0, alpha0=cfg.alpha0)
     strategy = "quadrature" if table is None else "table-lookup"
     ath = np.abs(th)
     out = {}
     for method in cfg.methods:
-        rule = _rule(method, sh, nu2, spec, strategy=strategy, table=table, fallback=True)
+        rule = _rule(method, sh, nu2, spec, strategy=strategy, table=table, fallback=True,
+                     theta_hat=ath)
         out[method] = ath < rule.c_used - rule.t_used * sh
     return out
 
@@ -301,7 +305,8 @@ def run_univariate_sweep(cfg, table=None):
     when it fits cfg's c0 and alpha0, and quadrature otherwise.
 
     Raises NonConvergenceError, naming the method and nu2, when a margin or
-    level solve stops at its iteration cap.
+    level solve stops at its iteration cap before a replicate's verdict is
+    fixed.
     """
     if cfg.design != "univariate-sweep":
         raise InputError(f"config design is {cfg.design!r}, expected univariate-sweep")
@@ -314,6 +319,7 @@ def run_univariate_sweep(cfg, table=None):
     records = []
     for i_n, nu2 in enumerate(cfg.nu2_set):
         for i_s, sigma in enumerate(cfg.sigma_grid):
+            label = repr(float(sigma))
             for i_t, theta in enumerate(cfg.theta_or_kappa_grid):
                 rng = rng_stream(cfg.seed, "univ", i_s, i_n, i_t)
                 th = theta + sigma * rng.standard_normal(cfg.replicates)
@@ -321,7 +327,7 @@ def run_univariate_sweep(cfg, table=None):
                 rejects = _univ_cell_rejections(cfg, table, nu2, th, sh)
                 for method in cfg.methods:
                     records.append(_record(
-                        cfg, K=1, rho=0.0, sigma_config=repr(float(sigma)),
+                        cfg, K=1, rho=0.0, sigma_config=label,
                         nu2=nu2, x=theta, method=method,
                         n_reject=int(np.count_nonzero(rejects[method]))))
     return SimulationResult(tuple(records), cfg.seed, _config_hash(cfg),

@@ -23,11 +23,15 @@ alpha* bisects.  Sizes match to 1e-10 at multiplier zero, where they are
 closed forms, and to 1e-8 otherwise, where each size and its slope come
 from :mod:`equivkit.powerkernel` to 1e-9.  A solve that stops unconverged
 raises NonConvergenceError, and so does a size whose rule pair still
-disagrees at the largest rule.
+disagrees at the largest rule.  A batch that passes its estimates
+theta_hat (the simulation sweep) wants verdicts only: each row's alpha* or
+margin solve stops once the verdict is the same at both ends of its
+bracket, and that end, not the root, is the row's (t, c).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,16 +121,19 @@ class UnivAdjustment:
 # margin matching at any multiplier (the cTOST and delta-TOST equation)
 # ---------------------------------------------------------------------------
 
-def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
+def _increasing_root(resid, lo, hi, tol, x=None, slope=None, settled=None):
     """Roots of residuals increasing in x, one per row of the bracket [lo, hi].
 
     ``resid(x, rows)`` and its derivative ``slope(x, rows)`` evaluate rows
     ``rows`` at x.  A row tests x (default: the midpoint) and stops once
     |residual| <= tol; else x replaces the bracket end on its side, and the
     row tests the Newton step if it lies strictly inside, else the midpoint.
-    Rows stop unconverged once no double lies strictly inside the bracket,
-    or after _ROOT_MAX_ITER rounds.  Returns (last x tested, its residual,
-    rounds, converged_mask).
+    ``settled(lo, hi, rows)``, if given, marks rows whose caller needs no
+    more of the root than its bracket [lo, hi]; they stop, counted as
+    converged, at their last x tested, which is a bracket end.  Rows stop
+    unconverged once no double lies strictly inside the bracket, or after
+    _ROOT_MAX_ITER rounds.  Returns (last x tested, its residual, rounds,
+    converged_mask).
     """
     x_out, r_out, conv = np.empty(lo.size), np.empty(lo.size), np.zeros(lo.size, bool)
     rows = np.arange(lo.size)
@@ -139,6 +146,9 @@ def _increasing_root(resid, lo, hi, tol, x=None, slope=None):
             r = resid(x, rows)
             iters += 1
             hit = np.abs(r) <= tol
+            if settled is not None:  # on the bracket this test leaves
+                below = r < 0
+                hit |= settled(np.where(below, x, lo), np.where(below, hi, x), rows)
             x_out[rows], r_out[rows], conv[rows] = x, r, hit
             if np.count_nonzero(hit) == rows.size or iters == _ROOT_MAX_ITER:
                 break
@@ -184,7 +194,7 @@ def _check_sigma(sigma, nu2=1):
         raise InputError(f"nu2 must be >= 1, got {nu2}")
 
 
-def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0):
+def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0, theta_hat=None):
     """Margins of size ``level`` at the multiplier t, elementwise, as offsets.
 
     Solves :func:`_size` (u) = level, at one multiplier t >= 0 with nu2
@@ -199,8 +209,11 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0):
     c - t s being at most c; at the upper end s <= 10 sigma gives a
     half-width of at least c0 + 10 sigma, so the size is at least
     P(s <= 10 sigma) (Phi(10) - Phi(-10)).  At t > 0 sizes agree to 1e-9
-    (:func:`_omega_batch`), so callers pass tol 1e-8.  Returns
-    (u, iterations, converged_mask) with u matching the broadcast shape.
+    (:func:`_omega_batch`), so callers pass tol 1e-8.  With estimates
+    ``theta_hat``, a row stops at a bracket end once its verdict
+    |theta_hat| < (c0 + sigma u) - t sigma reads the same at both ends
+    (see :func:`_rule`).  Returns (u, iterations, converged_mask) with u
+    matching the broadcast shape.
     """
     sigma, level = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (sigma, level)))
     shape = sigma.shape
@@ -227,12 +240,20 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0):
         def slope(u, rows):
             return dens[rows]
 
+    settled = None
+    if theta_hat is not None:
+        ath = np.abs(np.broadcast_to(theta_hat, shape)).ravel()
+
+        def settled(lo, hi, rows):  # the sweep's expression, at both ends
+            s, th = sigma[rows], ath[rows]
+            return (th < (c0 + s * lo) - t * s) | (th >= (c0 + s * hi) - t * s)
+
     start = t - special.ndtri(1.0 - level)
     floor = np.maximum(-c0 / sigma, start - 10.0 * (1.0 + t))
     start = np.where(start > floor, start, 0.0)
     u, _, iters, conv = _increasing_root(size_gap, floor,
                                          np.maximum(start, 0.0) + 10.0 * (1.0 + t),
-                                         tol, x=start, slope=slope)
+                                         tol, x=start, slope=slope, settled=settled)
     return u.reshape(shape), iters, conv.reshape(shape)
 
 
@@ -252,7 +273,7 @@ def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
 # level and margin adjustments at nonzero multiplier (alpha*, delta-TOST)
 # ---------------------------------------------------------------------------
 
-def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
+def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8, theta_hat=None):
     """Level alpha* whose multiplier t_{alpha*,nu2} gives size alpha0 at c0.
 
     Bisection over alpha in (alpha0, 0.5], vectorized over sigma, on the
@@ -260,9 +281,11 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     theta = c0: it increases in alpha, reaching its supremum at
     alpha = 0.5 where the multiplier vanishes.  Rows where even that
     supremum is below alpha0 have no interior solution; they saturate at
-    alpha = 0.5, t = 0, with the shortfall as residual.  Returns
-    (alpha, t, residual, iterations, converged_mask) of
-    :func:`_increasing_root`.
+    alpha = 0.5, t = 0, with the shortfall as residual.  With estimates
+    ``theta_hat``, a row stops at a bracket end once its verdict
+    |theta_hat| < c0 - t_{alpha,nu2} sigma reads the same at both ends
+    (see :func:`_rule`).  Returns (alpha, t, residual, iterations,
+    converged_mask) of :func:`_increasing_root`.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     alpha = np.full(sigma.shape, 0.5)
@@ -275,8 +298,17 @@ def _alpha_star(sigma, nu2, c0, alpha0, tol=1e-8):
     def size_gap(a, rows):
         return _size(0.0, sig[rows], c0, nu2, t_quantile(a, nu2)) - alpha0
 
+    settled = None
+    if theta_hat is not None:
+        ath = np.abs(np.broadcast_to(theta_hat, sigma.shape))[free]
+
+        def settled(lo, hi, rows):  # the sweep's expression, at both ends
+            s, th = sig[rows], ath[rows]
+            return ((th < c0 - t_quantile(lo, nu2) * s)
+                    | (th >= c0 - t_quantile(hi, nu2) * s))
+
     a, r, iters, ok = _increasing_root(size_gap, np.full(free.size, alpha0),
-                                       np.full(free.size, 0.5), tol)
+                                       np.full(free.size, 0.5), tol, settled=settled)
     alpha[free], resid[free], conv[free] = a, r, ok
     t[free] = t_quantile(a, nu2)
     return alpha, t, resid, iters, conv
@@ -529,27 +561,43 @@ class CalibrationTable:
 
     @classmethod
     def from_csv(cls, path) -> "CalibrationTable":
+        # parsed row by row into float arrays, so no row's strings are kept;
+        # a bad number is raised after the checks on the whole file
+        cols = [array("d") for _ in range(3)]
+        strategies, c0s, alpha0s = set(), set(), set()
+        bad = None
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "sigma1,nu2,alpha_c,strategy,c0,alpha0":
                 raise InputError(f"unrecognized table header {header!r} in {path}")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if not rows:
+            for line in fh:
+                if not line.strip():
+                    continue
+                r = line.strip().split(",")
+                if len(r) != 6:
+                    raise InputError(f"calibration table {path}: every row needs 6 fields")
+                strategies.add(r[3])
+                c0s.add(r[4])
+                alpha0s.add(r[5])
+                try:
+                    for col, v in zip(cols, r):
+                        col.append(float(v))
+                except ValueError as exc:
+                    bad = bad or exc
+        if not strategies:
             raise InputError(f"empty calibration table {path}")
-        if any(len(r) != 6 for r in rows):
-            raise InputError(f"calibration table {path}: every row needs 6 fields")
-        if {r[3] for r in rows} != {"quadrature"}:
+        if strategies != {"quadrature"}:
             raise InputError(f"calibration table {path}: strategy column must "
                              "read quadrature, the only way tables are built")
-        c0s = {r[4] for r in rows}
-        alpha0s = {r[5] for r in rows}
         if len(c0s) != 1 or len(alpha0s) != 1:
             raise InputError("mixed (c0, alpha0) in one table")
         try:
-            sig, nus, val = (np.array([float(r[i]) for r in rows]) for i in range(3))
+            if bad is not None:
+                raise bad
             c0, alpha0 = float(c0s.pop()), float(alpha0s.pop())
         except ValueError as exc:
             raise InputError(f"calibration table {path}: {exc}") from exc
+        sig, nus, val = (np.frombuffer(col) for col in cols)
         sg = np.unique(sig)
         ng = np.unique(nus)
         ac = np.full((sg.size, ng.size), np.nan)
@@ -604,7 +652,7 @@ def default_calibration_table() -> CalibrationTable:
 # ---------------------------------------------------------------------------
 
 def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
-          table=None, fallback=False, multiplier=None) -> UnivAdjustment:
+          table=None, fallback=False, multiplier=None, theta_hat=None) -> UnivAdjustment:
     """Multiplier t and margin c of ``method``'s rule |theta_hat| < c - t s.
 
     tost takes t_{alpha0,nu2} and c0; alpha-tost the multiplier of
@@ -622,6 +670,15 @@ def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
     hold arrays over its rows (or constants shared by all), residual is None
     (no size is evaluated beyond the solves'), and the error counts the
     unconverged rows.
+
+    A batch may pass its estimates ``theta_hat`` when only the verdicts
+    |theta_hat| < c - t s are wanted.  The solves of alpha-tost, ctost,
+    ctost-star and delta-tost then stop a row once its verdict reads the
+    same at both ends of its root's bracket, and that row's (t, c) is the
+    bracket end it tested last.  Every point the solve would go on to test
+    lies inside the bracket, and the verdict is monotone in the unknown, so
+    that end decides the row as the root would.  Such a (t, c) is not the
+    root: read only the verdicts from it.
     """
     spec = spec or EquivalenceSpec()
     c0, alpha0 = spec.c0, spec.alpha0
@@ -637,7 +694,8 @@ def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
     saturated = clamped = False
     if method == "alpha-tost":
         alpha, t, resid, iters, conv = _alpha_star(sigma, nu2, c0, alpha0,
-                                                   tol=1e-8 if tol is None else tol)
+                                                   tol=1e-8 if tol is None else tol,
+                                                   theta_hat=theta_hat)
         # the bisection only tests midpoints below 0.5, so 0.5 means saturated
         c, x, alpha_adj, saturated = c0, alpha, alpha, alpha == 0.5
         what = "alpha-TOST level"
@@ -653,7 +711,8 @@ def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
         else:
             t = float(t_quantile(alpha0, nu2)) if multiplier is None else multiplier
             what, tol = "delta-TOST margin", 1e-8 if tol is None else tol
-        u, iters, conv = _match_margin(sigma, level, c0, tol=tol, nu2=nu2, t=t)
+        u, iters, conv = _match_margin(sigma, level, c0, tol=tol, nu2=nu2, t=t,
+                                       theta_hat=theta_hat)
         if method == "ctost-star":  # cTOST* reports its calibration rounds
             iters = calibrated
         x = c = c0 + sigma * u

@@ -2,11 +2,15 @@
 between empirical rates and the analytic rejection probabilities."""
 
 import dataclasses
+import hashlib
+import json
+import pathlib
+import time
 
 import numpy as np
 import pytest
 
-from equivkit import simkit, univariate
+from equivkit import cli, simkit, univariate
 from equivkit.base import EquivalenceSpec, InputError, NonConvergenceError
 from equivkit.powerkernel import UnivPowerQuery, power_uni
 from equivkit.simkit import (
@@ -253,7 +257,9 @@ def test_sweep_delta_tost_size_at_small_sigma():
                                            ("delta-tost", "_match_margin"),
                                            ("ctost", "_match_margin")])
 def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver):
-    # the sweep solves with the univariate solver, which stops at the cap
+    # the sweep solves with the univariate solver, which stops at the cap;
+    # a replicate whose verdict is fixed stops earlier, counted as
+    # converged, so the raise shows a replicate still unsettled at round 3
     calls = []
     solve = getattr(univariate, solver)
     monkeypatch.setattr(univariate, solver, lambda *a, **k: calls.append(1) or solve(*a, **k))
@@ -262,6 +268,48 @@ def test_sweep_raises_when_a_solve_stops_at_its_cap(monkeypatch, method, solver)
     with pytest.raises(NonConvergenceError, match=f"{method}.*nu2=20"):
         run_univariate_sweep(cfg)
     assert calls
+
+
+@pytest.mark.parametrize("method,cap", [("alpha-tost", 12), ("delta-tost", 8)])
+def test_sweep_does_not_raise_when_every_verdict_settles_before_the_cap(monkeypatch,
+                                                                       method, cap):
+    # at this cap the full solves of the sweep's draws stop unconverged,
+    # but every replicate's verdict is fixed before it: the sweep does not
+    # raise and its rates are those of the uncapped solves
+    cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
+    want = run_univariate_sweep(cfg).records
+    monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", cap)
+    unconverged = 0
+    for i_s, sigma in enumerate(cfg.sigma_grid):
+        for i_t in range(2):
+            rng = simkit.rng_stream(cfg.seed, "univ", i_s, 0, i_t)
+            rng.standard_normal(cfg.replicates)
+            sh = simkit._sigma_hat_draws(sigma, 20, cfg.replicates, rng)
+            try:
+                univariate._rule(method, sh, 20)
+            except NonConvergenceError:
+                unconverged += 1
+    assert unconverged
+    assert run_univariate_sweep(cfg).records == want
+
+
+DESK_DIGEST = pathlib.Path(__file__).resolve().parent / "data" / "desk_sweep_digest.json"
+
+
+def test_desk_sweep_writes_its_frozen_csv(tmp_path, capsys):
+    # the default desk sweep (168 cells of 10^4 replicates, four methods),
+    # whose digest was recorded with every solve run to its root, within a
+    # 60 s ceiling (scripts/gen_desk_sweep_digest.py writes the digest)
+    frozen = json.loads(DESK_DIGEST.read_text(encoding="utf-8"))
+    out = tmp_path / "desk.csv"
+    start = time.perf_counter()
+    assert cli.main([*frozen["argv"], "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    blob = out.read_bytes()
+    assert blob.count(b"\n") == frozen["lines"] == 673
+    assert hashlib.sha256(blob).hexdigest() == frozen["sha256"]
+    assert elapsed < 60.0, f"desk sweep took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("method", ["ctost", "ctost-star", "delta-tost"])

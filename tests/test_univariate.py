@@ -254,6 +254,102 @@ def test_solvers_converge_at_every_vanishing_sigma():
 
 
 # ---------------------------------------------------------------------------
+# solves that stop once a verdict is fixed (the sweep's rows)
+# ---------------------------------------------------------------------------
+
+def _cubic_root(settled=None, newton=True):
+    # x^3 = target per row on the bracket [-1, 3]: Newton steps or bisection
+    target = np.linspace(-0.9, 20.0, 9)
+    return univariate._increasing_root(
+        lambda x, rows: x ** 3 - target[rows], np.full(9, -1.0), np.full(9, 3.0), 1e-12,
+        slope=(lambda x, rows: 3.0 * x * x) if newton else None, settled=settled)
+
+
+def _settle_even_rows(ends):
+    # settles the even rows at their second round, recording their brackets
+    rounds = []
+
+    def settled(lo, hi, rows):
+        rounds.append(1)
+        done = (rows % 2 == 0) & (len(rounds) == 2)
+        ends.update((int(i), (a, b)) for i, a, b in zip(rows[done], lo[done], hi[done]))
+        return done
+    return settled
+
+
+@pytest.mark.parametrize("newton", [True, False])
+def test_rows_that_never_settle_solve_as_without_the_predicate(newton):
+    plain = _cubic_root(newton=newton)
+    x, r, iters, conv = _cubic_root(lambda lo, hi, rows: np.zeros(rows.size, bool), newton)
+    assert x.tobytes() == plain[0].tobytes() and r.tobytes() == plain[1].tobytes()
+    assert (iters, conv.tolist()) == (plain[2], plain[3].tolist())
+    # settling the even rows leaves the odd rows' solves bit for bit
+    x, r, _, conv = _cubic_root(_settle_even_rows({}), newton)
+    assert x[1::2].tobytes() == plain[0][1::2].tobytes()
+    assert r[1::2].tobytes() == plain[1][1::2].tobytes()
+    assert conv.all() and plain[3].all()
+
+
+@pytest.mark.parametrize("newton", [True, False])
+def test_a_settled_row_stops_at_a_bracket_end(newton):
+    plain_x = _cubic_root(newton=newton)[0]
+    ends = {}
+    x, _, _, conv = _cubic_root(_settle_even_rows(ends), newton)
+    assert sorted(ends) == [0, 2, 4, 6, 8] and conv.all()
+    for i, (lo, hi) in ends.items():
+        assert x[i] in (lo, hi) and x[i] != plain_x[i]
+        assert lo < plain_x[i] < hi
+
+
+def test_t_quantile_does_not_increase_along_bisection_levels():
+    # alpha* tests only the midpoints (lo + hi) / 2 of its bisection from
+    # (alpha0, 0.5), and a sweep row settles on its verdict at the bracket
+    # ends; that verdict is the root's only if t_quantile does not
+    # increase along the levels: all of them to depth 12, and 1,024 random
+    # bisection paths to depth 30, each midpoint against its bracket ends
+    rng = np.random.default_rng(5)
+    for alpha0 in (0.05, 0.1):
+        levels = np.array([alpha0, 0.5])
+        for _ in range(12):
+            levels = np.insert(levels, range(1, levels.size),
+                               (levels[:-1] + levels[1:]) * 0.5)
+        for nu2 in (1, 2, 5, 20, 80):
+            assert (np.diff(t_quantile(levels, nu2)) <= 0).all(), (alpha0, nu2)
+            lo, hi = np.full(1024, alpha0), np.full(1024, 0.5)
+            t_lo, t_hi = t_quantile(lo, nu2), t_quantile(hi, nu2)
+            for depth in range(30):
+                mid = (lo + hi) * 0.5
+                t_mid = t_quantile(mid, nu2)
+                assert ((t_lo >= t_mid) & (t_mid >= t_hi)).all(), (alpha0, nu2, depth)
+                right = rng.random(1024) < 0.5
+                lo, t_lo = np.where(right, mid, lo), np.where(right, t_mid, t_lo)
+                hi, t_hi = np.where(right, hi, mid), np.where(right, t_hi, t_mid)
+            assert (lo < hi).all()
+
+
+@given(method=st.sampled_from(["tost", "alpha-tost", "delta-tost", "ctost", "ctost-star"]),
+       strategy=st.sampled_from(univariate.STRATEGIES),
+       sigma=st.floats(0.005, 0.4), nu2=st.integers(2, 80),
+       theta=st.one_of(st.sampled_from([0.0, C0]), st.floats(-0.4, 0.4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rule_verdicts_with_estimates_equal_the_full_solves(method, strategy, sigma, nu2,
+                                                            theta, seed):
+    # a cell of 200 draws: the solves that stop once a verdict is fixed give
+    # every replicate the verdict of its full solve; table-lookup falls
+    # back to quadrature off the bundled table's grid
+    rng = np.random.default_rng(seed)
+    th = theta + sigma * rng.standard_normal(200)
+    sh = sigma * np.sqrt(rng.chisquare(nu2, 200) / nu2)
+    kw = dict(strategy=strategy, fallback=True)
+    full = univariate._rule(method, sh, nu2, **kw)
+    fast = univariate._rule(method, sh, nu2, theta_hat=th, **kw)
+    ath = np.abs(th)
+    np.testing.assert_array_equal(ath < fast.c_used - fast.t_used * sh,
+                                  ath < full.c_used - full.t_used * sh)
+
+
+# ---------------------------------------------------------------------------
 # margin widening at the classical quantile (delta-TOST)
 # ---------------------------------------------------------------------------
 
