@@ -420,14 +420,13 @@ def cmd_table(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_summary_inputs(sp, with_input=True):
-    if with_input:
-        sp.add_argument("--input", metavar="FILE",
-                        help="summary JSON or paired CSV (by extension)")
-        sp.add_argument("--case-study", action="store_true", dest="case_study",
-                        help="use the bundled cutaneous case study")
-        sp.add_argument("--scale", choices=("raw", "log"), default="raw",
-                        help="measurement scale of paired CSV input (default raw)")
+def _add_summary_inputs(sp):
+    sp.add_argument("--input", metavar="FILE",
+                    help="summary JSON or paired CSV (by extension)")
+    sp.add_argument("--case-study", action="store_true", dest="case_study",
+                    help="use the bundled cutaneous case study")
+    sp.add_argument("--scale", choices=("raw", "log"), default="raw",
+                    help="measurement scale of paired CSV input (default raw)")
     sp.add_argument("--theta-hat", metavar="X[,X...]",
                     help="effect estimate(s) on the log scale")
     sp.add_argument("--sigma1-hat", metavar="S[,S...]",

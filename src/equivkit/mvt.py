@@ -145,9 +145,9 @@ class LambdaResult:
     then every start and line-search trial of the face ascents, each of
     which comes with its gradient from the same lockstep round.  A K = 2
     search at t = 0 finds its face points as roots and values only the two
-    axis candidates and the two face points, so it counts 4.  converged is
-    False when a face search stopped at its iteration cap (at K = 2 and
-    t = 0, its round cap).
+    axis candidates and the two face points, so it counts 4.  A search
+    stopped at its cap raises, so converged is always True;
+    perfbench/workloads.py and perfbench/defects.py read it.
     """
 
     lambda_: np.ndarray
@@ -165,6 +165,8 @@ class MvtAdjustment:
     re-localizations of the worst point; inner_iterations counts the rounds
     of the inner solves that moved gamma and every margin together by one
     Newton step (each solve's rounds but its last, which only confirms).
+    A fit stopped at a cap raises, so converged is always True;
+    perfbench/workloads.py reads it.
     """
 
     c_star: np.ndarray
@@ -172,7 +174,7 @@ class MvtAdjustment:
     lambda_: LambdaResult
     outer_iterations: int
     inner_iterations: int
-    converged: bool
+    converged: bool = True
 
 
 def _face_ascent(sigma1, face: int, start, c0: float):
@@ -189,10 +191,10 @@ def _face_ascent(sigma1, face: int, start, c0: float):
     starts at diag(sigma1^2), the scale of a normal rectangle's curvature,
     and restarts there when a quasi-Newton direction finds no gain.
 
-    Stops, converged, when the projected gradient of log P falls below
-    _PG_TOL per standardized coordinate or no trial step longer than
-    _STEP_TOL * c0 gains; else after _ASCENT_MAX_ITER steps, not converged.
-    Returns (theta, value, values evaluated, converged).
+    Stops when the projected gradient of log P falls below _PG_TOL per
+    standardized coordinate or no trial step longer than _STEP_TOL * c0
+    gains, and returns (theta, value, values evaluated); raises
+    NonConvergenceError after _ASCENT_MAX_ITER steps.
     """
     k = sigma1.size
     rest = np.arange(k) != face
@@ -208,7 +210,7 @@ def _face_ascent(sigma1, face: int, start, c0: float):
     evals = 1
     if not val > 0:
         # every box is empty or beyond reach: log P has no gradient here
-        return at(x), val, evals, True
+        return at(x), val, evals
     g = grad[rest] / val
     hinv0 = np.diag(scale * scale)
     hinv, fresh = hinv0, True
@@ -218,7 +220,7 @@ def _face_ascent(sigma1, face: int, start, c0: float):
     for _ in range(_ASCENT_MAX_ITER):
         blocked = ((x >= c0) & (g > 0)) | ((x <= -c0) & (g < 0))
         if (np.abs(np.where(blocked, 0.0, g)) * scale).max() <= _PG_TOL:
-            return at(x), val, evals, True
+            return at(x), val, evals
         free = ~blocked
         if free.all():
             p = hinv @ g
@@ -239,7 +241,7 @@ def _face_ascent(sigma1, face: int, start, c0: float):
             # no step above the step tolerance gains: stationary at that
             # resolution, unless a quasi-Newton direction missed the ascent
             if fresh:
-                return at(x), val, evals, True
+                return at(x), val, evals
             hinv, fresh = hinv0, True
             continue
         g_new = grad[rest] / v_new
@@ -252,7 +254,9 @@ def _face_ascent(sigma1, face: int, start, c0: float):
             m = eye - s[:, None] * y / sy
             hinv, fresh = m @ hinv @ m.T + s[:, None] * s / sy, False
         x, val, g = x_new, v_new, g_new
-    return at(x), val, evals, False
+    raise NonConvergenceError(
+        f"face ascent on face {face} stopped unconverged after "
+        f"{_ASCENT_MAX_ITER} steps", last=at(x))
 
 
 def _lockstep(value_grad, ascents):
@@ -319,8 +323,8 @@ def lambda_argsup(sigma1, correlation, nu2: int, c, spec: EquivalenceSpec = None
     with K >= 3 the ascent of :func:`_argsup` from the face centre finds
     it.  At t > 0 the mixture is not known to be log-concave: every face is
     ascended by :func:`_argsup`, and a second start at 0.5 c0 runs as well.
-    converged is False when some face search stopped at its iteration (or,
-    at K = 2 and t = 0, round) cap.
+    Raises NonConvergenceError when a face ascent stops at _ASCENT_MAX_ITER
+    steps, or the K = 2 root solve at its round cap.
     """
     c0 = (spec or EquivalenceSpec()).c0
     q = MvtPowerQuery(np.zeros(np.size(sigma1)), sigma1, correlation, nu2,
@@ -383,15 +387,14 @@ def _best_axis(vals, c0: float) -> LambdaResult:
                         candidates_evaluated=len(vals))
 
 
-def _choose(axis: LambdaResult, best_val: float, best, snap: float, count: int,
-            converged: bool) -> LambdaResult:
+def _choose(axis: LambdaResult, best_val: float, best, snap: float, count: int) -> LambdaResult:
     """The face point ``best`` = (face, theta) of value ``best_val``, or the
     axis candidate ``axis`` if it is within ``snap`` of it."""
     if axis.objective >= best_val - snap:
-        return replace(axis, candidates_evaluated=count, converged=converged)
+        return replace(axis, candidates_evaluated=count)
     face, theta = best
     return LambdaResult(lambda_=theta, objective=best_val, face=face,
-                        candidates_evaluated=count, converged=converged)
+                        candidates_evaluated=count)
 
 
 def _argsup(obj, c0: float, snap: float, starts):
@@ -417,20 +420,18 @@ def _argsup(obj, c0: float, snap: float, starts):
     count = axis.candidates_evaluated
     best_val = -1.0
     best = None
-    converged = True
     ends = []
     for face in range(k):
         face_val = -1.0
         for _ in starts[face]:
-            theta, val, evals, ok = next(results)
+            theta, val, evals = next(results)
             count += evals
-            converged = converged and ok
             if val > face_val:
                 face_val, end = val, np.delete(theta, face)
             if val > best_val:
                 best_val, best = val, (face, theta)
         ends.append(end)
-    return _choose(axis, best_val, best, snap, count, converged), ends
+    return _choose(axis, best_val, best, snap, count), ends
 
 
 def _argsup_pair(obj, c0: float, snap: float, starts):
@@ -449,10 +450,10 @@ def _argsup_pair(obj, c0: float, snap: float, starts):
     others are solved together by :func:`univariate._increasing_root` from
     ``starts`` to |R| <= _PAIR_TOL, or until no double lies inside their
     bracket.  One ``obj.value`` call then takes the two axis candidates
-    and the two face points, and :func:`_choose` picks the answer; converged
-    is False only if the root solve stopped at its round cap.  Returns
+    and the two face points, and :func:`_choose` picks the answer.  Returns
     (LambdaResult, ends) with ``ends[i]`` the free coordinate of face i's
-    point.
+    point; raises NonConvergenceError if the root solve stops at its round
+    cap.
     """
     sig, u = obj.sigma1, obj.offset[0]
     rho = float(obj.corr[0, 1])
@@ -474,20 +475,22 @@ def _argsup_pair(obj, c0: float, snap: float, starts):
     at_ends = resid(np.array([-c0, -c0, c0, c0]), np.array([0, 1, 0, 1]))
     x = np.where(at_ends[:2] >= 0.0, -c0, c0)
     inner = np.flatnonzero((at_ends[:2] < 0.0) & (at_ends[2:] > 0.0))
-    converged = True
     if inner.size:
-        root, _, rounds, _ = _increasing_root(
+        root, r, rounds, _ = _increasing_root(
             lambda theta, rows: resid(theta, inner[rows]),
             np.full(inner.size, -c0), np.full(inner.size, c0), _PAIR_TOL,
             np.array([starts[h][0] for h in inner], dtype=float),
             lambda theta, rows: slopes[inner[rows]])
+        if rounds == univariate._ROOT_MAX_ITER:
+            raise NonConvergenceError(
+                f"K = 2 face root stopped unconverged after {rounds} rounds, "
+                f"residual {np.abs(r).max():.3e}", last=root)
         x[inner] = root
-        converged = rounds < univariate._ROOT_MAX_ITER
     points = np.array([[c0, x[0]], [x[1], c0]])
     vals = obj.value(np.concatenate([c0 * np.eye(2), points]))
     face = int(np.argmax(vals[2:]))
     return _choose(_best_axis(vals[:2], c0), float(vals[2 + face]),
-                   (face, points[face]), snap, 4, converged), [x[:1], x[1:]]
+                   (face, points[face]), snap, 4), [x[:1], x[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +507,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     with the margins of marginal size gamma, by one Newton iteration on
     gamma and every margin at once.  The outer loop then relocates the
     worst point for the updated margins.  Stops when the joint size
-    residual is within tol; the result's converged is then the final
-    worst-point search's flag.  Margins are carried as standardized
+    residual is within tol.  Margins are carried as standardized
     offsets u = (c - c0) / sigma1, exact at any sigma1; c_star = c0 + sigma1 u.
 
     The first inner solve starts from gamma = alpha0 and the margins
@@ -518,8 +520,9 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     dimension's test runs at a level at least as large as the nominal one.
 
     Raises NonConvergenceError when the outer loop does not reach tol in
-    _OUTER_MAX rounds, when an inner solve reaches its round cap, and when
-    a margin does not match its marginal size.
+    _OUTER_MAX rounds, when an inner solve or a worst-point search
+    (:func:`lambda_argsup`) reaches its cap, and when a margin does not
+    match its marginal size.
     """
     spec = spec or EquivalenceSpec()
     sig = s.sigma1_hat
@@ -541,8 +544,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                       "lambda": lam.lambda_.tolist()})
         if abs(resid) <= tol:
             return MvtAdjustment(c_star=c0 + sig * u, gamma=gamma, lambda_=lam,
-                                 outer_iterations=r, inner_iterations=inner_total,
-                                 converged=lam.converged)
+                                 outer_iterations=r, inner_iterations=inner_total)
         if r == _OUTER_MAX:
             break
         if r == 0:  # the starting margins c0 share no marginal size
@@ -561,7 +563,7 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
 def _margins(sigma1, gamma: float, c0: float, trace):
     """The offsets u of the margins of marginal size gamma to _MARGIN_TOL,
     by :func:`univariate._match_margin`; NonConvergenceError if one fails."""
-    u, _, conv = _match_margin(sigma1, gamma, c0, tol=_MARGIN_TOL)
+    u, _, conv, _ = _match_margin(sigma1, gamma, c0, tol=_MARGIN_TOL)
     if not np.all(conv):
         raise NonConvergenceError(
             f"margin at marginal size {gamma!r} did not converge",
@@ -634,7 +636,7 @@ def _alpha_star_joint(s: MvtSummary, spec: EquivalenceSpec, tol: float,
 
     Bisection (:func:`_increasing_root`) over (alpha0, 0.5], one worst-point
     search per point, at t > 0 over _N_WISHART standard-error draws; raises
-    NonConvergenceError if it stops unconverged.
+    NonConvergenceError if it or a search stops unconverged.
     """
     c0, alpha0 = spec.c0, spec.alpha0
     cvec = np.full(s.dim, c0)

@@ -21,12 +21,13 @@ solves every level and margin and reports iteration counts.  Every margin,
 at any multiplier, is a guarded Newton solve (:func:`_match_margin`); only
 alpha* bisects.  Sizes match to 1e-10 at multiplier zero, where they are
 closed forms, and to 1e-8 otherwise, where each size and its slope come
-from :mod:`equivkit.powerkernel` to 1e-9.  A solve that stops unconverged
-raises NonConvergenceError, and so does a size whose rule pair still
-disagrees at the largest rule.  A batch that passes its estimates
-theta_hat (the simulation sweep) wants verdicts only: each row's alpha* or
-margin solve stops once the verdict is the same at both ends of its
-bracket, and that end, not the root, is the row's (t, c).
+from :mod:`equivkit.powerkernel` to 1e-9.  Every solve returns its value
+with the residual and rounds it computed, or raises NonConvergenceError,
+as does a size whose rule pair still disagrees at the largest rule.  A
+batch that passes its estimates theta_hat (the simulation sweep) wants
+verdicts only: each row's alpha* or margin solve stops once the verdict
+is the same at both ends of its bracket, and that end, not the root, is
+the row's (t, c).
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ class UnivAdjustment:
 
     t_used is the standard-error multiplier actually applied and c_used the
     margin.  alpha_adj carries the adjusted level for alpha-TOST, alpha_c the
-    calibrated target level for cTOST*.  residual is the final size residual
-    of the matching equation.  Fields are floats for one standard error; a
+    calibrated target level for cTOST*.  residual is the size residual of
+    the solve's last round.  Fields are floats for one standard error; a
     batch of standard errors (see :func:`_rule`) holds arrays, or constants
-    shared by every row, and no residual.
+    shared by every row.  An unconverged solve raises, so converged is
+    always True; perfbench/workloads.py reads it from the CLI and meta.
     """
 
     method: str
@@ -212,8 +214,8 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0, theta_ha
     (:func:`_omega_batch`), so callers pass tol 1e-8.  With estimates
     ``theta_hat``, a row stops at a bracket end once its verdict
     |theta_hat| < (c0 + sigma u) - t sigma reads the same at both ends
-    (see :func:`_rule`).  Returns (u, iterations, converged_mask) with u
-    matching the broadcast shape.
+    (see :func:`_rule`).  Returns (u, iterations, converged_mask,
+    residual of the last round), arrays of the broadcast shape.
     """
     sigma, level = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (sigma, level)))
     shape = sigma.shape
@@ -251,10 +253,10 @@ def _match_margin(sigma, level, c0=C0_DEFAULT, tol=1e-10, nu2=1, t=0.0, theta_ha
     start = t - special.ndtri(1.0 - level)
     floor = np.maximum(-c0 / sigma, start - 10.0 * (1.0 + t))
     start = np.where(start > floor, start, 0.0)
-    u, _, iters, conv = _increasing_root(size_gap, floor,
-                                         np.maximum(start, 0.0) + 10.0 * (1.0 + t),
-                                         tol, x=start, slope=slope, settled=settled)
-    return u.reshape(shape), iters, conv.reshape(shape)
+    u, resid, iters, conv = _increasing_root(size_gap, floor,
+                                             np.maximum(start, 0.0) + 10.0 * (1.0 + t),
+                                             tol, x=start, slope=slope, settled=settled)
+    return u.reshape(shape), iters, conv.reshape(shape), resid.reshape(shape)
 
 
 def ctost_adjust(sigma1_hat: float, nu2: int, spec: EquivalenceSpec = None,
@@ -361,7 +363,7 @@ def _conditional_chi_rule(nu2: int):
     return u, half * w * np.exp(_scaled_chi_logpdf(u, 1.0, nu2))
 
 
-def _expected_size(sigma, level, nu2, c0, u, wu):
+def _expected_size(sigma, level, c0, u, wu):
     """E over s* = sigma*u of the size at the margin solved with s*.
 
     The margin is matched at ``level`` using the perturbed scale sigma*u,
@@ -373,7 +375,7 @@ def _expected_size(sigma, level, nu2, c0, u, wu):
     """
     sigma = np.asarray(sigma, dtype=float)
     lv = np.asarray(level, dtype=float)
-    v, _, conv = _match_margin(sigma[..., None] * u, lv[..., None], c0)
+    v, _, conv, _ = _match_margin(sigma[..., None] * u, lv[..., None], c0)
     om = _size(u * v, sigma[..., None], c0)
     return (om * wu).sum(axis=-1), conv.all(axis=-1)
 
@@ -391,7 +393,7 @@ def _calibrate_level(sigma, nu2, c0, alpha0):
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     u, wu = _conditional_chi_rule(nu2)
-    size, conv = _expected_size(sigma, alpha0, nu2, c0, u, wu)
+    size, conv = _expected_size(sigma, alpha0, c0, u, wu)
     if not conv.all():
         bad = sigma[~conv]
         raise NonConvergenceError(
@@ -664,12 +666,12 @@ def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
     delta-TOST); cTOST* margins always match to 1e-10.  Standard errors and
     nu2 are checked first (InputError).
 
-    A scalar sigma1 is one request: the fields are floats, the residual is
-    the matched size minus its level, and an unconverged solve raises
-    NonConvergenceError naming the solve.  An array is a batch: the fields
-    hold arrays over its rows (or constants shared by all), residual is None
-    (no size is evaluated beyond the solves'), and the error counts the
-    unconverged rows.
+    A scalar sigma1 gives floats; an array is a batch, whose fields hold
+    arrays over its rows (or constants shared by all).  residual is the
+    size residual of each row's last solve round, matched size minus its
+    level (a saturated alpha-tost row: the size at alpha = 0.5 minus
+    alpha0).  An unconverged solve raises NonConvergenceError naming
+    the solve, the number of unconverged rows and the first of them.
 
     A batch may pass its estimates ``theta_hat`` when only the verdicts
     |theta_hat| < c - t s are wanted.  The solves of alpha-tost, ctost,
@@ -687,9 +689,7 @@ def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
     _check_sigma(sigma1, nu2)
     if method == "tost":
         return UnivAdjustment(method, float(t_quantile(alpha0, nu2)), c0)
-    # one standard error stays a scalar: the solves then broadcast nothing
-    one = np.ndim(sigma1) == 0
-    sigma = sigma1 if one else np.asarray(sigma1, dtype=float)
+    sigma = np.asarray(sigma1, dtype=float)
     alpha_adj = alpha_c = None
     saturated = clamped = False
     if method == "alpha-tost":
@@ -704,29 +704,26 @@ def _rule(method, sigma1, nu2, spec=None, tol=None, strategy="quadrature",
         if method == "ctost-star":
             level, clamped, calibrated = _star_level(sigma, nu2, spec, strategy, table,
                                                      fallback)
-            alpha_c, tol = level, 1e-10
-            what = f"margin at calibrated level {float(level[0])!r}"
+            alpha_c, tol, what = level, 1e-10, "margin at calibrated level"
         elif method == "ctost":
             what, tol = "cTOST margin", 1e-10 if tol is None else tol
         else:
             t = float(t_quantile(alpha0, nu2)) if multiplier is None else multiplier
             what, tol = "delta-TOST margin", 1e-8 if tol is None else tol
-        u, iters, conv = _match_margin(sigma, level, c0, tol=tol, nu2=nu2, t=t,
-                                       theta_hat=theta_hat)
+        u, iters, conv, resid = _match_margin(sigma, level, c0, tol=tol, nu2=nu2, t=t,
+                                              theta_hat=theta_hat)
         if method == "ctost-star":  # cTOST* reports its calibration rounds
             iters = calibrated
         x = c = c0 + sigma * u
-        resid = _size(u, sigma, c0, nu2, t) - level if one else None
     if not conv.all():
-        if one:
-            raise NonConvergenceError(
-                f"{what} solve stopped unconverged within {_ROOT_MAX_ITER} rounds, "
-                f"residual {np.asarray(resid).item():.3e}", last=np.asarray(x).item())
+        first = np.flatnonzero(~conv.ravel())[0]
         raise NonConvergenceError(
-            f"{method} solve did not converge for {np.count_nonzero(~conv)} "
-            f"of {conv.size} replicates at nu2={nu2}")
+            f"{method}: {what} solve stopped unconverged within {_ROOT_MAX_ITER} "
+            f"rounds for {np.count_nonzero(~conv)} of {conv.size} standard errors at "
+            f"nu2={nu2}, first at sigma1={np.broadcast_to(sigma, conv.shape).flat[first]:.6g}, "
+            f"residual {resid.flat[first]:.3e}", last=float(np.ravel(x)[first]))
     fields = (t, c, alpha_adj, alpha_c, iters, True, saturated, clamped, resid)
-    if one:
+    if np.ndim(sigma1) == 0:
         fields = (v.item() if isinstance(v, (np.ndarray, np.generic)) else v for v in fields)
     return UnivAdjustment(method, *fields)
 

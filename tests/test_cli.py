@@ -265,8 +265,8 @@ def test_size_exactness_contrast(capsys):
 
 def test_adjust_joint_margin_nonconvergence_exit_code(monkeypatch, capsys):
     def unmatched(sigma, level, c0, **kw):
-        c, iters, conv = match_margin(sigma, level, c0, **kw)
-        return c, iters, np.zeros_like(conv)
+        c, iters, conv, resid = match_margin(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv), resid
 
     match_margin = mvt._match_margin
     monkeypatch.setattr(mvt, "_match_margin", unmatched)

@@ -6,12 +6,15 @@ in the independent case, and per-row agreement between the batch solver and
 the scalar one.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy import special
 
 from equivkit import mvt, powerkernel, statdist, univariate
 from equivkit.base import EquivalenceSpec, InputError, NonConvergenceError
+from equivkit.cli import main
 from equivkit.ingest import load_case_study
 from equivkit.mvt import (
     LambdaResult,
@@ -30,7 +33,7 @@ from equivkit.univariate import (
     alpha_tost_adjust,
     ctost_adjust,
 )
-from equivkit.simkit import MVT_SIGMA_CONFIGS
+from equivkit.simkit import MVT_SIGMA_CONFIGS, SimulationConfig, run_mvt_kappa
 from equivkit.statdist import t_quantile
 
 import oracles
@@ -688,14 +691,17 @@ def test_adjust_k5_correlated_fit_converges(monkeypatch):
 
 def test_adjust_raises_when_the_inner_loop_hits_its_cap(monkeypatch):
     # the gamma solve stops at the root-finder's cap, here one round; the
-    # margin solves inside it keep the full cap
-    def full_cap(*args, **kw):
-        with monkeypatch.context() as m:
-            m.setattr(univariate, "_ROOT_MAX_ITER", 200)
-            return _match_margin(*args, **kw)
+    # margin solves and the worst-point searches around it keep the full cap
+    def full_cap(solve):
+        def wrapped(*args, **kw):
+            with monkeypatch.context() as m:
+                m.setattr(univariate, "_ROOT_MAX_ITER", 200)
+                return solve(*args, **kw)
+        return wrapped
 
     monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 1)
-    monkeypatch.setattr(mvt, "_match_margin", full_cap)
+    monkeypatch.setattr(mvt, "_match_margin", full_cap(_match_margin))
+    monkeypatch.setattr(mvt, "_argsup_fixed", full_cap(mvt._argsup_fixed))
     s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
     with pytest.raises(NonConvergenceError, match="after 1 inner rounds"):
         ctost_mvt_adjust(s)
@@ -800,8 +806,8 @@ def test_case_study_ctost_gamma_matches_the_independent_oracle():
 
 def test_adjust_raises_when_a_margin_does_not_match(monkeypatch):
     def unmatched(sigma, level, c0, **kw):
-        c, iters, conv = _match_margin(sigma, level, c0, **kw)
-        return c, iters, np.zeros_like(conv)
+        c, iters, conv, resid = _match_margin(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv), resid
 
     monkeypatch.setattr(mvt, "_match_margin", unmatched)
     s = _summary([0.0, 0.0], [0.1, 0.13], _equicorr(2, 0.5))
@@ -815,6 +821,44 @@ def test_joint_alpha_star_raises_at_the_cap(monkeypatch):
     s = _summary([0.0, 0.0], [0.1, 0.14], np.eye(2))
     with pytest.raises(NonConvergenceError, match=r"joint alpha\* .* 3 rounds"):
         mvt_decide(s, method="alpha-tost")
+
+
+# each worst-point search's cap, forced to 1 round: the K = 2 face root at
+# t = 0 (the root finder's cap), the face ascent at t = 0 (K >= 3) and the
+# sampled face ascent at t > 0; every caller then raises, in the library
+# and as the CLI's exit code 3
+_K2 = ([0.1, 0.14], _equicorr(2, 0.5))
+_K3 = ([0.08, 0.1, 0.12], _equicorr(3, 0.5))
+
+
+@pytest.mark.parametrize("module, cap, match, summary, search, kappa", [
+    (univariate, "_ROOT_MAX_ITER", "K = 2 face root", _K2, {}, ("ctost", 2)),
+    (mvt, "_ASCENT_MAX_ITER", "face ascent", _K3, {}, ("ctost", 4)),
+    (mvt, "_ASCENT_MAX_ITER", "face ascent", _K2, {"t": 1.7}, ("tost", 2)),
+], ids=["k2-face-root", "t0-ascent", "sampled-ascent"])
+def test_searches_raise_at_their_caps(monkeypatch, tmp_path, capsys, module, cap,
+                                      match, summary, search, kappa):
+    sigma, corr = np.array(summary[0]), summary[1]
+    k = sigma.size
+    s = _summary(np.zeros(k), sigma, corr)
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"theta_hat": [0.0] * k, "sigma1_hat": summary[0],
+                                "correlation": corr.tolist(), "nu2": 20}))
+    method, kappa_k = kappa
+    cfg = SimulationConfig(design="mvt-kappa", sigma_grid=((0.08, 0.12),), nu2_set=(20,),
+                           theta_or_kappa_grid=(0.0,), K=kappa_k, rho_set=(0.5,),
+                           methods=(method,), replicates=100, seed=3)
+    monkeypatch.setattr(module, cap, 1)
+    calls = [lambda: lambda_argsup(sigma, corr, 20, np.full(k, C0), **search),
+             lambda: mvt_decide(s, method="alpha-tost"),
+             lambda: run_mvt_kappa(cfg)]
+    if not search:
+        calls.append(lambda: ctost_mvt_adjust(s))
+    for call in calls:
+        with pytest.raises(NonConvergenceError, match=match):
+            call()
+    assert main(["assess", "--method", "alpha-tost", "--input", str(path)]) == 3
+    assert match in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_case_study_margins_frozen():

@@ -317,8 +317,8 @@ def test_sweep_raises_when_a_margin_match_fails(monkeypatch, method):
     solve = univariate._match_margin
 
     def unconverged(sigma, level, c0, **kw):
-        c, iters, conv = solve(sigma, level, c0, **kw)
-        return c, iters, np.zeros_like(conv)
+        c, iters, conv, resid = solve(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv), resid
 
     monkeypatch.setattr(univariate, "_match_margin", unconverged)
     cfg = _small_univ(methods=(method,), replicates=100, nu2_set=(20,))
@@ -353,7 +353,7 @@ def test_sweep_uses_the_given_table():
         rng = simkit.rng_stream(cfg.seed, "univ", i_s, 0, i_t)
         th = theta + sigma * rng.standard_normal(cfg.replicates)
         sh = simkit._sigma_hat_draws(sigma, 10, cfg.replicates, rng)
-        u, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
+        u, _, _, _ = univariate._match_margin(sh, table.lookup(sh, 10), C0)
         assert rec["rate"] == np.count_nonzero(np.abs(th) < C0 + sh * u) / cfg.replicates
     assert flat.records != run_univariate_sweep(cfg).records
 

@@ -70,7 +70,7 @@ def test_matched_margin_agrees_with_scipy_root(sigma1):
 def test_matched_margin_vector_levels():
     sigma = np.full(5, 0.08)
     levels = np.array([0.01, 0.02, 0.05, 0.1, 0.2])
-    u, iters, conv = _match_margin(sigma, levels, C0)
+    u, iters, conv, _ = _match_margin(sigma, levels, C0)
     assert np.all(conv)
     np.testing.assert_allclose(_size(u, sigma, C0), levels, atol=1e-10)
     assert np.all(np.diff(u) > 0)  # higher level, wider margin
@@ -88,15 +88,15 @@ def test_matched_margin_upper_end_holds_the_root(sigma):
     assert _size(hi, sigma, C0) >= level
     # the Newton slope's squares cannot overflow, even at sigma 1e-300
     with np.errstate(over="raise"):
-        u, _, conv = _match_margin(sigma, level, C0)
+        u, _, conv, _ = _match_margin(sigma, level, C0)
     assert conv and -C0 / sigma < float(u) < hi
 
 
 def test_matched_margin_independent_of_nu():
     # the fixed-margin equation involves only sigma, not the degrees of
     # freedom; the API reflects that by not taking nu at all
-    c1, _, _ = _match_margin(0.07, 0.05, C0)
-    c2, _, _ = _match_margin(np.array([0.07]), 0.05, C0)
+    c1, _, _, _ = _match_margin(0.07, 0.05, C0)
+    c2, _, _, _ = _match_margin(np.array([0.07]), 0.05, C0)
     assert float(c1) == pytest.approx(float(c2[0]), abs=1e-14)
 
 
@@ -163,7 +163,7 @@ def test_vector_solvers_match_scalar_wrappers():
     # so they test the same points and stop at the same one
     t0 = float(t_quantile(0.05, 20))
     alpha, t, _, _, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05)
-    u, _, d_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0, 1e-8, 20, t0)
+    u, _, d_conv, _ = _match_margin(SOLVER_SIGMAS, 0.05, C0, 1e-8, 20, t0)
     c = C0 + SOLVER_SIGMAS * u
     assert a_conv.all() and d_conv.all()
     for i, s in enumerate(SOLVER_SIGMAS):
@@ -176,13 +176,28 @@ def test_vector_solvers_match_scalar_wrappers():
     assert alpha_tost_adjust(4.0, 20).saturated
 
 
+@pytest.mark.parametrize("method", ["alpha-tost", "delta-tost", "ctost", "ctost-star"])
+def test_batch_rule_matches_scalar_calls_bit_for_bit(method):
+    # one path for one or many standard errors: each row of a batch runs
+    # the rounds of its own scalar solve, and both report that solve's
+    # residual, an array over the batch
+    sigmas = np.array([0.03, 0.1, 0.25])
+    batch = univariate._rule(method, sigmas, 20)
+    assert isinstance(batch.residual, np.ndarray) and batch.residual.shape == (3,)
+    for i, s in enumerate(sigmas.tolist()):
+        one = univariate._rule(method, s, 20)
+        got = (np.broadcast_to(v, sigmas.shape)[i]
+               for v in (batch.t_used, batch.c_used, batch.residual))
+        assert tuple(got) == (one.t_used, one.c_used, one.residual)
+
+
 def test_solvers_flag_iteration_cap(monkeypatch):
     monkeypatch.setattr(univariate, "_ROOT_MAX_ITER", 3)
     t0 = float(t_quantile(0.05, 20))
     free = SOLVER_SIGMAS < 4.0  # the saturated row needs no bisection
     *_, a_conv = _alpha_star(SOLVER_SIGMAS, 20, C0, 0.05)
-    *_, d_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0, 1e-8, 20, t0)
-    _, m_iters, m_conv = _match_margin(SOLVER_SIGMAS, 0.05, C0)
+    _, _, d_conv, _ = _match_margin(SOLVER_SIGMAS, 0.05, C0, 1e-8, 20, t0)
+    _, m_iters, m_conv, _ = _match_margin(SOLVER_SIGMAS, 0.05, C0)
     assert not a_conv[free].any()
     assert not d_conv.any()
     assert m_iters == 3 and not m_conv.all()  # Newton settles some rows by then
@@ -198,12 +213,12 @@ def test_solvers_stop_when_the_bracket_collapses():
     # no double meets an unreachable tolerance, so each solve narrows its
     # bracket to adjacent doubles and stops there, well before the cap
     t0 = float(t_quantile(0.05, 20))
-    u, iters, conv = _match_margin(0.11, 0.05, C0, 1e-300, 20, t0)
+    u, iters, conv, _ = _match_margin(0.11, 0.05, C0, 1e-300, 20, t0)
     assert not conv and iters < univariate._ROOT_MAX_ITER
     assert C0 + 0.11 * u == pytest.approx(margin_for_multiplier(0.11, 20, t0), abs=1e-8)
     *_, iters, conv = _alpha_star(0.1, 20, C0, 0.05, tol=1e-300)
     assert not conv[0] and iters < univariate._ROOT_MAX_ITER
-    _, iters, conv = _match_margin(0.1, 0.05, C0, tol=1e-300)
+    _, iters, conv, _ = _match_margin(0.1, 0.05, C0, tol=1e-300)
     assert not conv and iters < univariate._ROOT_MAX_ITER
     with pytest.raises(NonConvergenceError, match="delta-TOST margin"):
         margin_for_multiplier(0.11, 20, t0, tol=1e-300)
@@ -227,7 +242,7 @@ def test_solvers_return_the_degenerate_limit(sigma):
 
     sigmas = np.array([0.1, sigma, 0.05])
     alpha, t, a_res, _, a_conv = _alpha_star(sigmas, 20, C0, 0.05)
-    u, _, d_conv = _match_margin(sigmas, 0.05, C0, 1e-8, 20, t0)
+    u, _, d_conv, _ = _match_margin(sigmas, 0.05, C0, 1e-8, 20, t0)
     c, d_res = C0 + sigmas * u, _size(u, sigmas, C0, 20, t0) - 0.05
     assert a_conv.all() and d_conv.all()
     assert (alpha[1], t[1]) == (near.alpha_adj, near.t_used)
@@ -362,7 +377,7 @@ def test_delta_star_frozen_value():
 
 def test_delta_star_reports_bisection_iterations():
     t0 = float(t_quantile(0.05, 20))
-    _, iters, _ = _match_margin(0.1, 0.05, C0, 1e-8, 20, t0)
+    _, iters, _, _ = _match_margin(0.1, 0.05, C0, 1e-8, 20, t0)
     adj = delta_tost_adjust(0.1, 20)
     assert adj.iterations > 0
     assert adj.iterations == iters
@@ -392,7 +407,7 @@ def test_delta_margin_newton_takes_few_rounds(nu2):
     # from sigma 1e-300 to 1e3 within 12 rounds
     t0 = float(t_quantile(0.05, nu2))
     sigmas = np.logspace(-300, 3, 200)
-    u, iters, conv = _match_margin(sigmas, 0.05, C0, 1e-8, nu2, t0)
+    u, iters, conv, _ = _match_margin(sigmas, 0.05, C0, 1e-8, nu2, t0)
     assert conv.all() and iters <= 12
     assert np.abs(_size(u, sigmas, C0, nu2, t0) - 0.05).max() <= 1e-8
 
@@ -406,7 +421,7 @@ def test_delta_margin_upper_end_holds_the_root(sigma, nu2):
     t0 = float(t_quantile(0.05, nu2))
     hi = C0 + 10.0 * sigma * (1.0 + t0)
     assert _omega_batch(*_box_limits(C0, sigma, hi), nu2, t0) - 0.05 >= 0.0
-    u, _, conv = _match_margin(sigma, 0.05, C0, 1e-8, nu2, t0)
+    u, _, conv, _ = _match_margin(sigma, 0.05, C0, 1e-8, nu2, t0)
     assert conv and 0.0 < C0 + sigma * u < hi
 
 
@@ -514,8 +529,8 @@ def test_calibration_floors_when_overshooting():
 @pytest.mark.parametrize("strategy", ["quadrature", "table-lookup"])
 def test_calibration_raises_when_the_margin_does_not_match(monkeypatch, strategy):
     def unmatched(sigma, level, c0, **kw):
-        c, iters, conv = _match_margin(sigma, level, c0, **kw)
-        return c, iters, np.zeros_like(conv)
+        c, iters, conv, resid = _match_margin(sigma, level, c0, **kw)
+        return c, iters, np.zeros_like(conv), resid
 
     monkeypatch.setattr(univariate, "_match_margin", unmatched)
     with pytest.raises(NonConvergenceError, match="calibrated level"):
@@ -527,8 +542,8 @@ def test_calibration_raises_when_an_expected_size_margin_does_not_match(
     # only the margins inside the expectation (one row of nodes per
     # standard error) report failure; the final margin still converges
     def unmatched(sigma, level, c0, **kw):
-        c, iters, conv = _match_margin(sigma, level, c0, **kw)
-        return c, iters, conv if np.ndim(conv) < 2 else np.zeros_like(conv)
+        c, iters, conv, resid = _match_margin(sigma, level, c0, **kw)
+        return c, iters, conv if np.ndim(conv) < 2 else np.zeros_like(conv), resid
 
     monkeypatch.setattr(univariate, "_match_margin", unmatched)
     with pytest.raises(NonConvergenceError, match="expected-size margins"):
