@@ -38,7 +38,7 @@ from .statdist import (
     t_quantile,
 )
 from . import univariate
-from .univariate import _check_sigma, _increasing_root, _match_margin, _size, _size_slope
+from .univariate import _check_sigma, _increasing_root, _match_margin, _size_slope
 
 __all__ = [
     "MvtSummary",
@@ -162,11 +162,14 @@ class MvtAdjustment:
     """Joint margin solution: c_star at shared marginal size gamma.
 
     lambda_ is the final worst-case point.  outer_iterations counts the
-    re-localizations of the worst point; inner_iterations counts the rounds
-    of the inner solves that moved gamma and every margin together by one
-    Newton step (each solve's rounds but its last, which only confirms).
-    A fit stopped at a cap raises, so converged is always True;
-    perfbench/workloads.py reads it.
+    re-localizations of the worst point: the fit searches once at
+    gamma = alpha0 before them, so it is the number of searches less one.
+    inner_iterations counts the rounds of the inner solves that moved
+    gamma and every margin together by one Newton step (each solve's rounds
+    but its last, which only confirms).  A fit stopped at a cap raises
+    NonConvergenceError, whose trace starts with that first search at
+    gamma = alpha0, so converged is always True; perfbench/workloads.py
+    reads it.
     """
 
     c_star: np.ndarray
@@ -510,18 +513,21 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     residual is within tol.  Margins are carried as standardized
     offsets u = (c - c0) / sigma1, exact at any sigma1; c_star = c0 + sigma1 u.
 
-    The first inner solve starts from gamma = alpha0 and the margins
-    matched to it by :func:`univariate._match_margin`; each later one
-    resumes from the gamma and margins the previous one ended at.  Every
-    worst-point search after the first starts each face's search at that
-    face's maximizer in the previous search (:func:`_argsup_fixed`); at
-    t = 0 each face has a single maximizer, so the start does not change
-    what is found.  gamma can only move upward from alpha0: each
-    dimension's test runs at a level at least as large as the nominal one.
+    The fit starts at gamma = alpha0 with the margins matched to it by
+    :func:`univariate._match_margin`, and searches once there
+    (:func:`_argsup_fixed`) before its first inner solve, so
+    outer_iterations is the number of searches less one and the first
+    entry of a NonConvergenceError's trace has gamma = alpha0.  Each inner solve resumes from the
+    gamma and margins the previous one ended at.  Every worst-point search
+    after the first starts each face's search at that face's maximizer in
+    the previous search; at t = 0 each face has a single maximizer, so the
+    start does not change what is found.  gamma can only move upward from
+    alpha0: each dimension's test runs at a level at least as large as the
+    nominal one.
 
     Raises NonConvergenceError when the outer loop does not reach tol in
     _OUTER_MAX rounds, when an inner solve or a worst-point search
-    (:func:`lambda_argsup`) reaches its cap, and when a margin does not
+    (:func:`_argsup_fixed`) reaches its cap, and when a margin does not
     match its marginal size.
     """
     spec = spec or EquivalenceSpec()
@@ -532,9 +538,8 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
     exact = _exact_rule(corr)
     rect = {"tol": eval_tol, "seed": seed, "n_points": None}
     trace = []
-    u = np.zeros(s.dim)
+    gamma, u = alpha0, _margins(sig, alpha0, c0, trace)
     lam, ends = _argsup_fixed(sig, corr, u, c0, _SEARCH_TOL, seed)
-    gamma = float(np.max(_size(u, sig, c0)))
     inner_total = 0
     for r in range(_OUTER_MAX + 1):
         # a deterministic rule gives the search's own value of this box again
@@ -547,8 +552,6 @@ def ctost_mvt_adjust(s: MvtSummary, spec: EquivalenceSpec = None,
                                  outer_iterations=r, inner_iterations=inner_total)
         if r == _OUTER_MAX:
             break
-        if r == 0:  # the starting margins c0 share no marginal size
-            gamma, u = alpha0, _margins(sig, alpha0, c0, trace)
         gamma, u, rounds = _inner_solve(sig, corr, lam.lambda_, gamma, u, spec,
                                         _INNER_TOL if exact else eval_tol, rect, trace)
         # every round but the last moved gamma and the margins

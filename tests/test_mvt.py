@@ -352,33 +352,48 @@ def test_adjust_margins_beat_marginal_correction():
         assert adj.c_star[k] >= ctost_adjust(float(sigma[k]), 20).c_used - 1e-9
 
 
-# ctost_mvt_adjust(seed=0) on acceptance 9's correlated cells, frozen from
-# the fit that reset gamma to alpha0 and searched from the face centres in
-# every outer round: (K, rho, sigma pair, (c*_1, c*_2), gamma); at K = 4 the
-# sigmas and margins are (a, a, b, b)
+# ctost_mvt_adjust(seed=0) on acceptance 9's correlated cells: (K, rho,
+# sigma pair, (c*_1, c*_2), gamma); at K = 4 the sigmas and margins are
+# (a, a, b, b).  The plain rows were frozen from the fit that reset gamma to
+# alpha0 and searched from the face centres in every outer round; the
+# pytest.param rows were re-frozen from the fit that starts at the
+# alpha0-matched margins and keep the test names of their first freeze
 FROZEN_FITS = [
     (2, 0.5, (0.08, 0.08), (0.09865493799269447, 0.09865493799269447), 0.059812452006608764),
     (2, 0.5, (0.12, 0.12), (0.07273020686855278, 0.07273020686855278), 0.09818306616292574),
-    (2, 0.5, (0.16, 0.16), (0.06859280727852393, 0.06859280727852393), 0.13291153524664107),
-    (2, 0.5, (0.08, 0.12), (0.09839844169106571, 0.04739188942876044), 0.05943186646100779),
-    (2, 0.5, (0.08, 0.16), (0.0983067791605502, 0.03126008203801557), 0.05929631781224791),
-    (2, 0.5, (0.12, 0.16), (0.07243195637717043, 0.0510087703169525), 0.09768416975972002),
+    pytest.param(2, 0.5, (0.16, 0.16), (0.06859274524258258, 0.06859274524258258),
+                 0.13291140889185674, id="2-0.5-pair2-c_star2-0.13291153524664107"),
+    pytest.param(2, 0.5, (0.08, 0.12), (0.09839823597119678, 0.047391671832929555),
+                 0.059431561976454036, id="2-0.5-pair3-c_star3-0.05943186646100779"),
+    pytest.param(2, 0.5, (0.08, 0.16), (0.09830684631548255, 0.03126013373881653),
+                 0.05929641703123718, id="2-0.5-pair4-c_star4-0.05929631781224791"),
+    pytest.param(2, 0.5, (0.12, 0.16), (0.0724319316014122, 0.051008749327604824),
+                 0.0976841283625787, id="2-0.5-pair5-c_star5-0.09768416975972002"),
     (2, 0.9, (0.08, 0.08), (0.09298092358202978, 0.09298092358202978), 0.05182623856550796),
-    (2, 0.9, (0.12, 0.12), (0.0578203142367178, 0.0578203142367178), 0.07454227505864387),
+    pytest.param(2, 0.9, (0.12, 0.12), (0.05782033264194947, 0.05782033264194947),
+                 0.07454230269285203, id="2-0.9-pair7-c_star7-0.07454227505864387"),
     (2, 0.9, (0.16, 0.16), (0.05131437242022425, 0.05131437242022425), 0.09828706064575374),
-    (2, 0.9, (0.08, 0.12), (0.09211865155983111, 0.041019706802779846), 0.050689928379437435),
+    pytest.param(2, 0.9, (0.08, 0.12), (0.09211858193717115, 0.041019639212306475),
+                 0.050689837431425855, id="2-0.9-pair9-c_star9-0.050689928379437435"),
     (2, 0.9, (0.08, 0.16), (0.09196328764145541, 0.026658821922001388), 0.05048729726744215),
     (2, 0.9, (0.12, 0.16), (0.055936574096328934, 0.037716029513220575), 0.07173257871752665),
     (4, 0.5, (0.08, 0.08), (0.10717467746804465, 0.10717467746804465), 0.07356530515532772),
-    (4, 0.5, (0.12, 0.12), (0.10273678635535621, 0.10273678635535621), 0.1545293383110391),
-    (4, 0.5, (0.16, 0.16), (0.11397969064109652, 0.11397969064109652), 0.22997490266877005),
+    pytest.param(4, 0.5, (0.12, 0.12), (0.10273689163501565, 0.10273689163501565),
+                 0.15452955864261947, id="4-0.5-pair13-c_star13-0.1545293383110391"),
+    pytest.param(4, 0.5, (0.16, 0.16), (0.11397951884928131, 0.11397951884928131),
+                 0.2299745167366598, id="4-0.5-pair14-c_star14-0.22997490266877005"),
     (4, 0.5, (0.08, 0.12), (0.12337177032812051, 0.07741284778812253), 0.10616434618749175),
-    (4, 0.5, (0.08, 0.16), (0.13622398729484408, 0.07139085510534705), 0.1386265990147147),
-    (4, 0.5, (0.12, 0.16), (0.11469971224528543, 0.09147280750006237), 0.18064147820843002),
+    pytest.param(4, 0.5, (0.08, 0.16), (0.13622391492204045, 0.07139075746359658),
+                 0.13862639901674692, id="4-0.5-pair16-c_star16-0.1386265990147147"),
+    pytest.param(4, 0.5, (0.12, 0.16), (0.11469953614663819, 0.09147262025969263),
+                 0.18064107790615822, id="4-0.5-pair17-c_star17-0.18064147820843002"),
     (4, 0.9, (0.08, 0.08), (0.0945019999583731, 0.0945019999583731), 0.05387961534254533),
-    (4, 0.9, (0.12, 0.12), (0.07157938107713453, 0.07157938107713453), 0.09626416520726434),
-    (4, 0.9, (0.16, 0.16), (0.07346651042203409, 0.07346651042203409), 0.14288713790204738),
-    (4, 0.9, (0.08, 0.12), (0.10781633217930311, 0.05791960597473429), 0.07469140790282122),
+    pytest.param(4, 0.9, (0.12, 0.12), (0.07157928529892449, 0.07157928529892449),
+                 0.09626400619290613, id="4-0.9-pair19-c_star19-0.09626416520726434"),
+    pytest.param(4, 0.9, (0.16, 0.16), (0.07346665117199136, 0.07346665117199136),
+                 0.1428874274231645, id="4-0.9-pair20-c_star20-0.14288713790204738"),
+    pytest.param(4, 0.9, (0.08, 0.12), (0.10781634949174607, 0.057919626313685496),
+                 0.07469143846207248, id="4-0.9-pair21-c_star21-0.07469140790282122"),
     (4, 0.9, (0.08, 0.16), (0.11984847772776958, 0.05132606612496282), 0.09831013599429239),
     (4, 0.9, (0.12, 0.16), (0.0801412458314006, 0.0576948580972425), 0.11094625463218397),
 ]
@@ -393,6 +408,17 @@ def test_adjust_matches_frozen_fits(k, rho, pair, c_star, gamma):
     want = np.array(c_star if k == 2 else (c_star[0],) * 2 + (c_star[1],) * 2)
     np.testing.assert_allclose(adj.c_star, want, rtol=0, atol=1e-8)
     assert adj.gamma == pytest.approx(gamma, abs=2e-8)
+
+
+@pytest.mark.parametrize("k, rho, pair, c_star, gamma", FROZEN_FITS)
+def test_frozen_fits_are_solutions(k, rho, pair, c_star, gamma):
+    # each frozen margin has marginal size gamma, and at K = 2 no face of
+    # the null boundary holds a joint rejection probability above alpha0
+    sizes = [size_uni(s, 20, 0.0, c) for s, c in zip(pair, c_star)]
+    np.testing.assert_allclose(sizes, gamma, rtol=0, atol=1e-10)
+    if k == 2:
+        faces = oracles.face_max_k2(pair, _equicorr(2, rho), c_star, C0)
+        assert max(value for value, _ in faces) <= 0.05 + 1e-6
 
 
 def test_argsup_warm_start_finds_the_same_point():
@@ -774,6 +800,32 @@ def test_k2_fits_take_one_rectangle_pass_per_inner_round(monkeypatch):
     _assert_inner_postconditions(calls)
 
 
+def test_k2_fits_search_once_before_the_first_inner_solve(monkeypatch):
+    # the fit starts at the alpha0-matched margins: one worst-point search
+    # there, then one per outer round, 98 over the 40 random K = 2 fits
+    calls = _record_inner_solves(monkeypatch)
+    searches = []
+    real = mvt._argsup_fixed
+
+    def counted(*args):
+        searches.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(mvt, "_argsup_fixed", counted)
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        sig = np.exp(rng.uniform(np.log(0.05), np.log(0.25), 2))
+        rho = rng.uniform(-0.9, 0.9)
+        solves, before = len(calls), len(searches)
+        adj = ctost_mvt_adjust(_summary([0.0, 0.0], sig, _equicorr(2, rho)))
+        assert len(calls) - solves == adj.outer_iterations
+        assert len(searches) - before == adj.outer_iterations + 1
+        # the first search is at the margins of marginal size alpha0
+        np.testing.assert_allclose(_size(searches[before], sig, C0), 0.05,
+                                   rtol=0, atol=1e-12)
+    assert len(searches) <= 98
+
+
 def test_inner_solve_resolves_a_margin_whose_step_is_not_positive(monkeypatch):
     # from margins far above c0 every size is 1 to rounding, so a Newton
     # step would overshoot below zero: the guard matches those margins anew
@@ -849,6 +901,15 @@ def test_searches_raise_at_their_caps(monkeypatch, tmp_path, capsys, module, cap
                            theta_or_kappa_grid=(0.0,), K=kappa_k, rho_set=(0.5,),
                            methods=(method,), replicates=100, seed=3)
     monkeypatch.setattr(module, cap, 1)
+
+    # the margin solve keeps the full round cap, so that a fit reaches its
+    # first search
+    def full_cap(*args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(univariate, "_ROOT_MAX_ITER", 200)
+            return _match_margin(*args, **kw)
+
+    monkeypatch.setattr(mvt, "_match_margin", full_cap)
     calls = [lambda: lambda_argsup(sigma, corr, 20, np.full(k, C0), **search),
              lambda: mvt_decide(s, method="alpha-tost"),
              lambda: run_mvt_kappa(cfg)]
